@@ -3,27 +3,24 @@
 Every classification flag carries a witness: a re-verifiable violating
 configuration when false, the identifier of the exhaustive check when
 true.  The Gelfand and mp structure reports refuse non-qualifying inputs
-outright; each of their clauses certifies one structural statement.
+outright; each of their clauses is a predicate that the theorem suite's
+property for the same statement calls as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
+from .core import LatticeError, ResiduatedLattice, iter_bits
 from .filters import (cached, coannihilator, enumerate_filters,
                       generated_filter, maximal_filters, omega_filters,
                       radical, x_perp)
-from .spectra import (D_operator, hull_kernel_space, minimal_primes,
-                      prime_filters, spec_space)
+from .spectra import (D_operator, hull_kernel_space, min_space,
+                      minimal_primes, prime_filters, spec_space)
 from .purity import (d_kappa, d_topology, pure_filters, pure_spectrum,
                      rho, sigma_filter)
 from .topology import (PointMap, clopens, map_analysis, separation_report,
                        subspace)
-
-
-class CenterMismatch(LatticeError):
-    """The two Boolean-center computations disagree."""
 
 
 class BijectionFailure(LatticeError):
@@ -34,83 +31,56 @@ class NotApplicable(LatticeError):
     """A structure report was requested for a non-qualifying lattice."""
 
 
-class GelfandCertFailure(LatticeError):
+class CertificateFailure(LatticeError):
+    """A clause of a structure certificate does not hold."""
+
     def __init__(self, clause, detail):
         super().__init__(f"clause {clause}: {detail}")
         self.clause = clause
 
 
-class MpCertFailure(LatticeError):
-    def __init__(self, clause, detail):
-        super().__init__(f"clause {clause}: {detail}")
-        self.clause = clause
+class GelfandCertFailure(CertificateFailure):
+    pass
+
+
+class MpCertFailure(CertificateFailure):
+    pass
 
 
 def boolean_center(lat: ResiduatedLattice) -> dict:
-    """Complemented elements with their (unique) complements.
+    """Complemented elements with their complements.
 
-    Computed directly from the lattice order and cross-checked against
-    the negation form {a | a v -a = 1}; the product/meet agreement of
-    central elements is asserted as well.
+    An element x is complemented when some y has x v y = 1 and x ^ y = 0.
+    The theorem suite checks the negation form {a | a v -a = 1}, that -x
+    is the only complement, and that central products are meets
+    (``boleleprop``).
     """
     def build():
         n, top, bottom = lat.n, lat.top, lat.bottom
         elems = 0
         complements = {}
         for x in range(n):
-            comps = [y for y in range(n)
-                     if lat.join[x][y] == top and lat.meet[x][y] == bottom]
-            if comps:
+            comp = next((y for y in range(n) if lat.join[x][y] == top
+                         and lat.meet[x][y] == bottom), None)
+            if comp is not None:
                 elems |= 1 << x
-                if len(comps) != 1:
-                    raise CenterMismatch(
-                        f"{lat.name}: {lat.names[x]} has {len(comps)} complements")
-                complements[x] = comps[0]
-        via_neg = 0
-        for a in range(n):
-            if lat.join[a][lat.neg(a)] == top:
-                via_neg |= 1 << a
-        if via_neg != elems:
-            raise CenterMismatch(
-                f"{lat.name}: complemented elements {lat.set_str(elems)} != "
-                f"{{a | a v -a = 1}} = {lat.set_str(via_neg)}")
-        for e in iter_bits(elems):
-            if complements[e] != lat.neg(e):
-                raise CenterMismatch(
-                    f"{lat.name}: complement of {lat.names[e]} is not its negation")
-            for x in range(n):
-                if lat.prod[e][x] != lat.meet[e][x]:
-                    raise CenterMismatch(
-                        f"{lat.name}: {lat.names[e]}*{lat.names[x]} != "
-                        f"{lat.names[e]}^{lat.names[x]}")
+                complements[x] = comp
         return {"elements": elems, "complements": complements}
     return cached(lat, "boolean_center", build)
 
 
 def direct_summands(lat: ResiduatedLattice) -> tuple[int, ...]:
-    """Filters F with F v F-perp = A, cross-checked two more ways."""
+    """Filters F with F v F-perp = A.
+
+    ``b9fxpro`` compares them with the upsets of central elements and with
+    the filters that have a complement in the filter lattice.
+    """
     def build():
-        fl = enumerate_filters(lat)
         full = lat.all_mask
         unit = 1 << lat.top
-        by_perp = []
-        for f in fl.filters:
-            fperp = coannihilator(lat, unit, f)
-            if generated_filter(lat, f | fperp) == full:
-                by_perp.append(f)
-        beta = boolean_center(lat)["elements"]
-        by_center = sorted({lat.up[e] for e in iter_bits(beta)}, key=mask_key)
-        by_complement = [f for f in fl.filters
-                         if any(f & g == unit
-                                and generated_filter(lat, f | g) == full
-                                for g in fl.filters)]
-        if not (by_perp == by_center == by_complement):
-            raise LatticeError(
-                f"{lat.name}: direct-summand computations disagree: "
-                f"{[lat.set_str(f) for f in by_perp]} / "
-                f"{[lat.set_str(f) for f in by_center]} / "
-                f"{[lat.set_str(f) for f in by_complement]}")
-        return tuple(by_perp)
+        return tuple(f for f in enumerate_filters(lat).filters
+                     if generated_filter(lat, f | coannihilator(lat, unit, f))
+                     == full)
     return cached(lat, "direct_summands", build)
 
 
@@ -169,21 +139,11 @@ def classify(lat: ResiduatedLattice) -> ClassificationReport:
                     break
             if not antichain:
                 break
-        fl = enumerate_filters(lat)
-        via_summands = set(direct_summands(lat)) == set(fl.filters)
-        via_pure = set(pure_filters(lat)) == set(fl.filters)
-        if not (antichain == via_summands == via_pure):
-            raise LatticeError(f"{lat.name}: hyperarchimedean cross-checks disagree")
         hyper = Flag(antichain, witness)
 
         beta = boolean_center(lat)["elements"]
         trivial = (1 << lat.bottom) | (1 << lat.top)
-        indec = beta == trivial
-        via_conn = separation_report(pure_spectrum(lat).space)["connected"]
-        if indec != via_conn:
-            raise LatticeError(
-                f"{lat.name}: direct indecomposability cross-checks disagree")
-        if indec:
+        if beta == trivial:
             ind = Flag(True, {"check": "Boolean center is {0,1}"})
         else:
             extra = next(e for e in iter_bits(beta & ~trivial))
@@ -248,76 +208,46 @@ def grothendieck_check(lat: ResiduatedLattice) -> dict:
     return {"pairs": pairs, "clopen_count": len(clop)}
 
 
-def _maximal_point_mask(lat) -> int:
-    spec = prime_filters(lat)
+
+
+# -- certificate predicates ---------------------------------------------------
+# Each predicate states one structural fact and returns a bool.  The Gelfand
+# and mp certificates list them as clauses; the theorem-suite property that
+# states the same fact calls the same function.
+
+
+def comaximal(lat: ResiduatedLattice, f_mask: int, g_mask: int) -> bool:
+    """Two filters join to the whole carrier."""
+    return enumerate_filters(lat).join_mask(f_mask, g_mask) == lat.all_mask
+
+
+def h_m(lat: ResiduatedLattice, f_mask: int) -> frozenset:
+    """The maximal filters containing F."""
+    return frozenset(m for m in maximal_filters(lat) if f_mask & ~m == 0)
+
+
+def kh_m(lat: ResiduatedLattice, f_mask: int) -> int:
+    """The intersection of the minimal primes containing F."""
+    out = lat.all_mask
+    for q in minimal_primes(lat):
+        if f_mask & ~q == 0:
+            out &= q
+    return out
+
+
+def maximal_point_mask(lat: ResiduatedLattice) -> int:
+    """Index mask of the maximal filters among the prime spectrum."""
     maxset = set(maximal_filters(lat))
     out = 0
-    for i, p in enumerate(spec):
+    for i, p in enumerate(prime_filters(lat)):
         if p in maxset:
             out |= 1 << i
     return out
 
 
-def gelfand_structure(lat: ResiduatedLattice) -> dict:
-    """Certify the Gelfand structure theorems clause by clause."""
-    if not classify(lat).gelfand.value:
-        raise NotApplicable(f"{lat.name} is not Gelfand")
-
-    fl = enumerate_filters(lat)
+def purely_maximal_points(lat: ResiduatedLattice) -> set:
     spp = pure_spectrum(lat)
-    maxf = maximal_filters(lat)
-    clauses = []
-
-    def certify(cid, ok, detail=""):
-        if not ok:
-            raise GelfandCertFailure(cid, detail or "failed")
-        clauses.append((cid, detail))
-
-    max_h = hull_kernel_space(lat, sorted(maxf, key=mask_key), "h",
-                              f"Max_h({lat.name})")
-    idx = {p: i for i, p in enumerate(spp.points)}
-    landing = [rho(lat, m) for m in max_h.labels]
-    certify("rho_m_well_defined", all(r in idx for r in landing))
-    rho_m = PointMap(max_h, spp.space, tuple(idx[r] for r in landing))
-    certify("rho_m_homeomorphism", map_analysis(rho_m)["homeomorphism"])
-
-    pmax = {p for p, is_m in zip(spp.points, spp.purely_maximal) if is_m}
-    certify("spp_equals_max_sigma", set(spp.points) == pmax)
-    certify("spp_equals_rho_of_max", set(spp.points) == set(landing))
-
-    certify("spp_hausdorff", separation_report(spp.space)["hausdorff"])
-
-    spec_h = spec_space(lat, "h")
-    closed_forms = set()
-    for c in spec_h.closed_sets:
-        ms = [spec_h.labels[i] for i in iter_bits(c)
-              if spec_h.labels[i] in set(maxf)]
-        g = lat.all_mask
-        for m in ms:
-            g &= D_operator(lat, m)
-        closed_forms.add(g)
-    certify("pure_filters_closed_form", closed_forms == set(pure_filters(lat)),
-            "pure filters are exactly the D-intersections over h-closed sets")
-
-    mmask = _maximal_point_mask(lat)
-    on_max_h = subspace(spec_h, mmask)
-    on_max_d = subspace(d_topology(lat), mmask)
-    certify("hull_kernel_equals_d_topology_on_max",
-            on_max_h.opens == on_max_d.opens)
-
-    adj = all((rho(lat, f) & ~g == 0) == (f & ~radical(lat, g) == 0)
-              for f in fl.filters for g in fl.filters)
-    certify("rho_rad_adjunction", adj)
-
-    hm = lambda f: frozenset(m for m in maxf if f & ~m == 0)
-    certify("hm_of_sigma_unchanged",
-            all(hm(f) == hm(sigma_filter(lat, f)) for f in fl.filters))
-    certify("rho_below_max_implies_f_below",
-            all(not (rho(lat, f) & ~m == 0) or f & ~m == 0
-                for f in fl.filters for m in maxf))
-    certify("rho_equals_sigma",
-            all(rho(lat, f) == sigma_filter(lat, f) for f in fl.filters))
-    return {"lattice": lat.name, "qualifies": True, "clauses": clauses}
+    return {p for p, is_m in zip(spp.points, spp.purely_maximal) if is_m}
 
 
 def f_a(lat: ResiduatedLattice, a: int) -> int:
@@ -329,92 +259,241 @@ def f_a(lat: ResiduatedLattice, a: int) -> int:
     return out
 
 
+def _hull_closed_forms(lat, flavor, points) -> set:
+    """For each closed set of Spec_flavor, the meet of ``points[p]`` over
+    its members p that are keys of ``points``."""
+    space = spec_space(lat, flavor)
+    forms = set()
+    for c in space.closed_sets:
+        g = lat.all_mask
+        for i in iter_bits(c):
+            p = space.labels[i]
+            if p in points:
+                g &= points[p]
+        forms.add(g)
+    return forms
+
+
+def gelfand_closed_forms(lat: ResiduatedLattice) -> set:
+    """D-intersections over the maximal points of each h-closed set."""
+    return _hull_closed_forms(lat, "h", {m: D_operator(lat, m)
+                                         for m in maximal_filters(lat)})
+
+
+def mp_closed_forms(lat: ResiduatedLattice) -> set:
+    """Intersections of the minimal primes of each d-closed set."""
+    return _hull_closed_forms(lat, "d", {q: q for q in minimal_primes(lat)})
+
+
+def rho_m_well_defined(lat: ResiduatedLattice) -> bool:
+    points = set(pure_spectrum(lat).points)
+    return all(rho(lat, m) in points for m in maximal_filters(lat))
+
+
+def rho_m_homeomorphism(lat: ResiduatedLattice) -> bool:
+    """rho restricted to Max_h is a homeomorphism onto Spp."""
+    if not rho_m_well_defined(lat):
+        return False
+    spp = pure_spectrum(lat)
+    max_h = hull_kernel_space(lat, maximal_filters(lat), "h",
+                              f"Max_h({lat.name})")
+    idx = {p: i for i, p in enumerate(spp.points)}
+    rho_m = PointMap(max_h, spp.space,
+                     tuple(idx[rho(lat, m)] for m in max_h.labels))
+    return map_analysis(rho_m)["homeomorphism"]
+
+
+def spp_equals_max_sigma(lat: ResiduatedLattice) -> bool:
+    return set(pure_spectrum(lat).points) == purely_maximal_points(lat)
+
+
+def spp_equals_rho_of_max(lat: ResiduatedLattice) -> bool:
+    return set(pure_spectrum(lat).points) == \
+        {rho(lat, m) for m in maximal_filters(lat)}
+
+
+def spp_hausdorff(lat: ResiduatedLattice) -> bool:
+    return separation_report(pure_spectrum(lat).space)["hausdorff"]
+
+
+def pure_filters_closed_form(lat: ResiduatedLattice) -> bool:
+    return gelfand_closed_forms(lat) == set(pure_filters(lat))
+
+
+def hull_kernel_equals_d_topology_on_max(lat: ResiduatedLattice) -> bool:
+    mmask = maximal_point_mask(lat)
+    return (subspace(spec_space(lat, "h"), mmask).opens ==
+            subspace(d_topology(lat), mmask).opens)
+
+
+def rho_rad_adjunction(lat: ResiduatedLattice) -> bool:
+    fl = enumerate_filters(lat).filters
+    return all((rho(lat, f) & ~g == 0) == (f & ~radical(lat, g) == 0)
+               for f in fl for g in fl)
+
+
+def hm_of_sigma_unchanged(lat: ResiduatedLattice) -> bool:
+    return all(h_m(lat, f) == h_m(lat, sigma_filter(lat, f))
+               for f in enumerate_filters(lat).filters)
+
+
+def rho_below_max_implies_f_below(lat: ResiduatedLattice) -> bool:
+    return all(rho(lat, f) & ~m or f & ~m == 0
+               for f in enumerate_filters(lat).filters
+               for m in maximal_filters(lat))
+
+
+def rho_equals_sigma(lat: ResiduatedLattice) -> bool:
+    return all(rho(lat, f) == sigma_filter(lat, f)
+               for f in enumerate_filters(lat).filters)
+
+
+def minimal_primes_comaximal(lat: ResiduatedLattice) -> bool:
+    minp = minimal_primes(lat)
+    return all(comaximal(lat, p, q) for p in minp for q in minp if p != q)
+
+
+def comaximal_coannulets(lat: ResiduatedLattice) -> bool:
+    return all(lat.join[x][y] != lat.top
+               or comaximal(lat, x_perp(lat, x), x_perp(lat, y))
+               for x in range(lat.n) for y in range(lat.n))
+
+
+def omega_filters_pure(lat: ResiduatedLattice) -> bool:
+    return set(omega_filters(lat)) <= set(pure_filters(lat))
+
+
+def coannulets_pure(lat: ResiduatedLattice) -> bool:
+    pure = set(pure_filters(lat))
+    return all(x_perp(lat, x) in pure for x in range(lat.n))
+
+
+def d_of_maximal_pure_and_minimal(lat: ResiduatedLattice) -> bool:
+    pure, minset = set(pure_filters(lat)), set(minimal_primes(lat))
+    return all(D_operator(lat, m) in pure and D_operator(lat, m) in minset
+               for m in maximal_filters(lat))
+
+
+def min_equals_max_sigma(lat: ResiduatedLattice) -> bool:
+    return set(minimal_primes(lat)) == purely_maximal_points(lat)
+
+
+def min_equals_spp(lat: ResiduatedLattice) -> bool:
+    return set(minimal_primes(lat)) == set(pure_spectrum(lat).points)
+
+
+def spp_in_max_sigma(lat: ResiduatedLattice) -> bool:
+    return set(pure_spectrum(lat).points) <= purely_maximal_points(lat)
+
+
+def iota_spp_to_min_d_homeomorphism(lat: ResiduatedLattice) -> bool:
+    """Spp and Min_d have the same points, and the identity is a homeomorphism."""
+    if not min_equals_spp(lat):
+        return False
+    spp = pure_spectrum(lat)
+    min_d = min_space(lat, "d")
+    pos = {p: i for i, p in enumerate(min_d.labels)}
+    iota = PointMap(spp.space, min_d, tuple(pos[p] for p in spp.points))
+    return map_analysis(iota)["homeomorphism"]
+
+
+def min_d_hausdorff(lat: ResiduatedLattice) -> bool:
+    return separation_report(min_space(lat, "d"))["hausdorff"]
+
+
+def proper_pure_equal_kh_m(lat: ResiduatedLattice) -> bool:
+    return all(kh_m(lat, f) == f for f in pure_filters(lat)
+               if f != lat.all_mask)
+
+
+def pure_filters_closed_form_min(lat: ResiduatedLattice) -> bool:
+    return mp_closed_forms(lat) == set(pure_filters(lat))
+
+
+def coannulet_meets_fa_trivially(lat: ResiduatedLattice) -> bool:
+    unit = 1 << lat.top
+    return all(x_perp(lat, a) & f_a(lat, a) == unit for a in range(lat.n))
+
+
+def fa_join(lat: ResiduatedLattice, mask: int) -> int:
+    """The filter generated by the F_a of the members of a set."""
+    union = 0
+    for a in iter_bits(mask):
+        union |= f_a(lat, a)
+    return generated_filter(lat, union)
+
+
+def minimal_prime_is_join_of_fa(lat: ResiduatedLattice) -> bool:
+    return all(fa_join(lat, q) == q for q in minimal_primes(lat))
+
+
+def min_h_homeomorphic_to_spp(lat: ResiduatedLattice) -> bool:
+    """Min_h and Spp have the same points, and the identity is a homeomorphism."""
+    spp = pure_spectrum(lat)
+    min_h = min_space(lat, "h")
+    if set(min_h.labels) != set(spp.points):
+        return False
+    idx = {p: i for i, p in enumerate(spp.points)}
+    iota = PointMap(min_h, spp.space, tuple(idx[q] for q in min_h.labels))
+    return map_analysis(iota)["homeomorphism"]
+
+
+# (clause id, predicate, note), in certification order
+GELFAND_CLAUSES = (
+    ("rho_m_well_defined", rho_m_well_defined, ""),
+    ("rho_m_homeomorphism", rho_m_homeomorphism, ""),
+    ("spp_equals_max_sigma", spp_equals_max_sigma, ""),
+    ("spp_equals_rho_of_max", spp_equals_rho_of_max, ""),
+    ("spp_hausdorff", spp_hausdorff, ""),
+    ("pure_filters_closed_form", pure_filters_closed_form,
+     "pure filters are exactly the D-intersections over h-closed sets"),
+    ("hull_kernel_equals_d_topology_on_max",
+     hull_kernel_equals_d_topology_on_max, ""),
+    ("rho_rad_adjunction", rho_rad_adjunction, ""),
+    ("hm_of_sigma_unchanged", hm_of_sigma_unchanged, ""),
+    ("rho_below_max_implies_f_below", rho_below_max_implies_f_below, ""),
+    ("rho_equals_sigma", rho_equals_sigma, ""),
+)
+
+MP_CLAUSES = (
+    ("minimal_primes_comaximal", minimal_primes_comaximal, ""),
+    ("comaximal_coannulets", comaximal_coannulets, ""),
+    ("omega_filters_pure", omega_filters_pure, ""),
+    ("coannulets_pure", coannulets_pure, ""),
+    ("d_of_maximal_pure_and_minimal", d_of_maximal_pure_and_minimal, ""),
+    ("min_equals_max_sigma", min_equals_max_sigma, ""),
+    ("min_equals_spp", min_equals_spp, ""),
+    ("spp_in_max_sigma", spp_in_max_sigma, ""),
+    ("iota_spp_to_min_d_homeomorphism", iota_spp_to_min_d_homeomorphism, ""),
+    ("min_d_hausdorff", min_d_hausdorff, ""),
+    ("spp_hausdorff", spp_hausdorff, ""),
+    ("proper_pure_equal_kh_m", proper_pure_equal_kh_m, ""),
+    ("pure_filters_closed_form_min", pure_filters_closed_form_min, ""),
+    ("coannulet_meets_fa_trivially", coannulet_meets_fa_trivially, ""),
+    ("minimal_prime_is_join_of_fa", minimal_prime_is_join_of_fa, ""),
+    ("min_h_homeomorphic_to_spp", min_h_homeomorphic_to_spp,
+     "finiteness makes the compactness hypothesis vacuous"),
+)
+
+
+def _certify(lat, clauses, failure) -> dict:
+    certified = []
+    for cid, holds, note in clauses:
+        if not holds(lat):
+            raise failure(cid, note or "failed")
+        certified.append((cid, note))
+    return {"lattice": lat.name, "qualifies": True, "clauses": certified}
+
+
+def gelfand_structure(lat: ResiduatedLattice) -> dict:
+    """Certify the Gelfand structure theorems clause by clause."""
+    if not classify(lat).gelfand.value:
+        raise NotApplicable(f"{lat.name} is not Gelfand")
+    return _certify(lat, GELFAND_CLAUSES, GelfandCertFailure)
+
+
 def mp_structure(lat: ResiduatedLattice) -> dict:
     """Certify the mp structure theorems clause by clause."""
     if not classify(lat).mp.value:
         raise NotApplicable(f"{lat.name} is not mp")
-
-    full = lat.all_mask
-    unit = 1 << lat.top
-    minp = minimal_primes(lat)
-    maxf = maximal_filters(lat)
-    pure = set(pure_filters(lat))
-    spp = pure_spectrum(lat)
-    clauses = []
-
-    def certify(cid, ok, detail=""):
-        if not ok:
-            raise MpCertFailure(cid, detail or "failed")
-        clauses.append((cid, detail))
-
-    certify("minimal_primes_comaximal",
-            all(generated_filter(lat, p | q) == full
-                for p in minp for q in minp if p != q))
-    certify("comaximal_coannulets",
-            all(lat.join[x][y] != lat.top
-                or generated_filter(lat, x_perp(lat, x) | x_perp(lat, y)) == full
-                for x in range(lat.n) for y in range(lat.n)))
-    certify("omega_filters_pure", set(omega_filters(lat)) <= pure)
-    certify("coannulets_pure",
-            all(x_perp(lat, x) in pure for x in range(lat.n)))
-    certify("d_of_maximal_pure_and_minimal",
-            all(D_operator(lat, m) in pure and D_operator(lat, m) in set(minp)
-                for m in maxf))
-    pmax = {p for p, is_m in zip(spp.points, spp.purely_maximal) if is_m}
-    certify("min_equals_max_sigma", set(minp) == pmax)
-    certify("min_equals_spp", set(minp) == set(spp.points))
-    certify("spp_in_max_sigma", set(spp.points) <= pmax)
-
-    min_d = hull_kernel_space(lat, sorted(minp, key=mask_key), "d",
-                              f"Min_d({lat.name})")
-    pos = {p: i for i, p in enumerate(min_d.labels)}
-    iota = PointMap(spp.space, min_d, tuple(pos[p] for p in spp.points))
-    certify("iota_spp_to_min_d_homeomorphism",
-            map_analysis(iota)["homeomorphism"])
-    certify("min_d_hausdorff", separation_report(min_d)["hausdorff"])
-    certify("spp_hausdorff", separation_report(spp.space)["hausdorff"])
-
-    def kh_m(f):
-        out = full
-        for m in minp:
-            if f & ~m == 0:
-                out &= m
-        return out
-
-    certify("proper_pure_equal_kh_m",
-            all(kh_m(f) == f for f in pure if f != full))
-
-    spec_d = spec_space(lat, "d")
-    spec = prime_filters(lat)
-    minset = set(minp)
-    forms = set()
-    for c in spec_d.closed_sets:
-        g = full
-        for i in iter_bits(c):
-            if spec[i] in minset:
-                g &= spec[i]
-        forms.add(g)
-    certify("pure_filters_closed_form_min", forms == pure)
-
-    certify("coannulet_meets_fa_trivially",
-            all(x_perp(lat, a) & f_a(lat, a) == unit for a in range(lat.n)))
-    certify("minimal_prime_is_join_of_fa",
-            all(generated_filter(
-                lat, _select_union(lat, m)) == m for m in minp))
-
-    min_h = hull_kernel_space(lat, sorted(minp, key=mask_key), "h",
-                              f"Min_h({lat.name})")
-    iota_h = PointMap(min_h, spp.space,
-                      tuple({p: i for i, p in enumerate(spp.points)}[q]
-                            for q in min_h.labels))
-    certify("min_h_homeomorphic_to_spp",
-            map_analysis(iota_h)["homeomorphism"],
-            "finiteness makes the compactness hypothesis vacuous")
-    return {"lattice": lat.name, "qualifies": True, "clauses": clauses}
-
-
-def _select_union(lat, m_mask: int) -> int:
-    out = 0
-    for a in iter_bits(m_mask):
-        out |= f_a(lat, a)
-    return out
+    return _certify(lat, MP_CLAUSES, MpCertFailure)

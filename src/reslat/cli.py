@@ -53,9 +53,14 @@ def _load(path) -> ResiduatedLattice:
         raise _CliError(EXIT_INVALID, str(exc.report))
 
 
-def _filter_arg(lat, csv) -> int:
+def _filter_arg(lat, text) -> int:
+    """Parse ``--filter``: whitespace-separated words, each either one
+    element token or a comma-separated list of them."""
+    words = text.split()
+    toks = [t for w in words
+            for t in ([w] if w in lat.names else w.split(",")) if t]
     try:
-        mask = lat.mask_of(tok for tok in csv.split(",") if tok)
+        mask = lat.mask_of(toks)
     except LatticeError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     if not _filters.is_filter(lat, mask):
@@ -163,7 +168,7 @@ def _cmd_pure(args):
 def _cmd_sigma(args):
     lat = _load(args.path)
     f = _filter_arg(lat, args.filter)
-    s = _purity.sigma_filter(lat, f, cross_check=True)
+    s = _purity.sigma_filter(lat, f)
     if args.json:
         return _emit(args, lat.name, "sigma",
                      {"filter": lat.tokens_of(f), "sigma": lat.tokens_of(s)})
@@ -263,7 +268,7 @@ def _structure_cmd(args, which):
         else:
             print(exc, file=sys.stderr)
         return EXIT_VIOLATION
-    except (_classify.GelfandCertFailure, _classify.MpCertFailure) as exc:
+    except _classify.CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     if args.json:
@@ -365,14 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pure", _cmd_pure, help="enumerate pure filters")
     p.add_argument("path")
 
-    p = add("sigma", _cmd_sigma, help="sink of a filter (all formulas cross-checked)")
+    filter_help = "element tokens, separated by spaces or commas"
+    p = add("sigma", _cmd_sigma, help="sink of a filter")
     p.add_argument("path")
-    p.add_argument("--filter", required=True, metavar="CSV",
-                   help="comma-separated element tokens")
+    p.add_argument("--filter", required=True, metavar="TOKENS",
+                   help=filter_help)
 
     p = add("rho", _cmd_rho, help="pure part of a filter")
     p.add_argument("path")
-    p.add_argument("--filter", required=True, metavar="CSV")
+    p.add_argument("--filter", required=True, metavar="TOKENS",
+                   help=filter_help)
 
     p = add("spp", _cmd_spp, help="pure spectrum with its topology")
     p.add_argument("path")
@@ -396,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("quotient", _cmd_quotient, help="quotient by a filter")
     p.add_argument("path")
-    p.add_argument("--filter", required=True, metavar="CSV")
+    p.add_argument("--filter", required=True, metavar="TOKENS",
+                   help=filter_help)
 
     p = add("gen", _cmd_gen, help="emit a generated instance as a lattice file")
     p.add_argument("--family", choices=("godel", "lukasiewicz"))

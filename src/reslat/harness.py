@@ -14,22 +14,35 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import (LatticeError, ResiduatedLattice, SizeLimit, direct_product,
-                   iter_bits, lattice_from_tables, load_lattice, mask_key)
+from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
+                   direct_product, iter_bits, lattice_from_tables,
+                   load_lattice, mask_key)
 from .filters import (coannihilator, enumerate_filters,
                       enumerate_filters_incremental, generated_filter,
                       ideal_generated, is_filter, is_projection_flat,
                       lattice_ideals, maximal_filters, omega_filter,
                       omega_filters, principal_ideal, quotient, radical,
                       x_perp, double_perp)
-from .spectra import (D_operator, h_set, hull_kernel_space, minimal_primes,
-                      prime_filters, spec_space, stability, support)
-from .purity import (FormulaMismatch, d_kappa, d_of, d_topology, is_pure,
-                     pure_filters, pure_part_map_report, pure_spectrum,
-                     purely_prime_filters, rho, sigma_filter, sigma_formulas)
-from .classify import (BijectionFailure, boolean_center, classify,
-                       direct_summands, f_a, grothendieck_check,
-                       verify_flag_witness)
+from .spectra import (D_operator, h_set, hull_kernel_space, min_space,
+                      minimal_primes, prime_filters, spec_space, stability,
+                      support)
+from .purity import (d_kappa, d_of, d_topology, is_pure, pure_filters,
+                     pure_part_map_report, pure_spectrum,
+                     purely_prime_filters, rho, sigma_def, sigma_filter,
+                     sigma_formulas)
+from .classify import (
+    BijectionFailure, boolean_center, classify, coannulet_meets_fa_trivially,
+    coannulets_pure, comaximal, comaximal_coannulets, direct_summands, f_a,
+    fa_join, gelfand_closed_forms, grothendieck_check, h_m,
+    hm_of_sigma_unchanged, hull_kernel_equals_d_topology_on_max,
+    iota_spp_to_min_d_homeomorphism, kh_m, maximal_point_mask, min_d_hausdorff,
+    min_equals_max_sigma, min_equals_spp, min_h_homeomorphic_to_spp,
+    minimal_prime_is_join_of_fa, minimal_primes_comaximal, mp_closed_forms,
+    omega_filters_pure, proper_pure_equal_kh_m, pure_filters_closed_form,
+    pure_filters_closed_form_min, purely_maximal_points,
+    rho_below_max_implies_f_below, rho_equals_sigma, rho_m_homeomorphism,
+    rho_rad_adjunction, spp_equals_max_sigma, spp_equals_rho_of_max,
+    spp_hausdorff, spp_in_max_sigma, verify_flag_witness)
 from .topology import (PointMap, irreducible_closed_sets, map_analysis,
                        separation_report, subspace)
 
@@ -58,30 +71,27 @@ def _chain_names(n: int) -> list[str]:
     return ["0"] + [f"x{i}" for i in range(1, n - 1)] + ["1"]
 
 
-def godel_chain(n: int) -> ResiduatedLattice:
-    """Linear order 0 < x1 < ... < 1 with the product equal to the meet."""
-    if not 2 <= n <= 20:
-        raise SizeLimit(f"chain size {n} outside 2..20")
-    key = ("godel", n)
+def _chain(name: str, n: int, mul) -> ResiduatedLattice:
+    """The n-element chain 0 < x1 < ... < 1 with product ``mul(i, j)``."""
+    if not 2 <= n <= MAX_ELEMENTS:
+        raise SizeLimit(f"chain size {n} outside 2..{MAX_ELEMENTS}")
+    key = (name, n)
     if key not in _CHAINS:
         leq = [[i <= j for j in range(n)] for i in range(n)]
-        prod = [[min(i, j) for j in range(n)] for i in range(n)]
-        _CHAINS[key] = lattice_from_tables(f"Godel{n}", _chain_names(n),
+        prod = [[mul(i, j) for j in range(n)] for i in range(n)]
+        _CHAINS[key] = lattice_from_tables(f"{name}{n}", _chain_names(n),
                                            leq, prod, 0, n - 1)
     return _CHAINS[key]
+
+
+def godel_chain(n: int) -> ResiduatedLattice:
+    """Linear order 0 < x1 < ... < 1 with the product equal to the meet."""
+    return _chain("Godel", n, min)
 
 
 def lukasiewicz_chain(n: int) -> ResiduatedLattice:
     """Linear order with truncated index addition: i*j = max(0, i+j-(n-1))."""
-    if not 2 <= n <= 20:
-        raise SizeLimit(f"chain size {n} outside 2..20")
-    key = ("luk", n)
-    if key not in _CHAINS:
-        leq = [[i <= j for j in range(n)] for i in range(n)]
-        prod = [[max(0, i + j - (n - 1)) for j in range(n)] for i in range(n)]
-        _CHAINS[key] = lattice_from_tables(f"Luk{n}", _chain_names(n),
-                                           leq, prod, 0, n - 1)
-    return _CHAINS[key]
+    return _chain("Luk", n, lambda i, j: max(0, i + j - (n - 1)))
 
 
 def product_instance(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLattice:
@@ -256,10 +266,6 @@ def _join(lat, f, g):
     return enumerate_filters(lat).join_mask(f, g)
 
 
-def _comaximal(lat, f, g):
-    return _join(lat, f, g) == lat.all_mask
-
-
 def _toks(lat, mask):
     return lat.tokens_of(mask)
 
@@ -284,8 +290,13 @@ def _spec_antichain(lat):
     return not any(p != q and p & ~q == 0 for p in spec for q in spec)
 
 
-def _h_m(lat, f_mask):
-    return frozenset(m for m in maximal_filters(lat) if f_mask & ~m == 0)
+def _meet_below(lat, primes, p_mask):
+    """Intersection of the given primes that lie inside p."""
+    out = lat.all_mask
+    for q in primes:
+        if q & ~p_mask == 0:
+            out &= q
+    return out
 
 
 # -- core properties --------------------------------------------------------
@@ -460,10 +471,30 @@ def _p_1mineq(lat):
 
 @_prop("boleleprop", "core")
 def _p_boleleprop(lat):
-    bc = boolean_center(lat)     # raises CenterMismatch on 2/3/4 violations
-    for e in iter_bits(bc["elements"]):
+    """Central elements: principal upsets, the negation form, the unique
+    complement -e, and e*x = e^x."""
+    bc = boolean_center(lat)
+    elems = bc["elements"]
+    via_neg = 0
+    for a in range(lat.n):
+        if lat.join[a][lat.neg(a)] == lat.top:
+            via_neg |= 1 << a
+    if via_neg != elems:
+        return _fail({"item": 2, "center": _toks(lat, elems),
+                      "negation_form": _toks(lat, via_neg)})
+    for e in iter_bits(elems):
         if generated_filter(lat, 1 << e) != lat.up[e]:
             return _fail({"item": 1, "e": lat.names[e]})
+        comps = [y for y in range(lat.n) if lat.join[e][y] == lat.top
+                 and lat.meet[e][y] == lat.bottom]
+        if comps != [lat.neg(e)] or bc["complements"][e] != lat.neg(e):
+            return _fail({"item": 3, "e": lat.names[e],
+                          "complements": [lat.names[y] for y in comps],
+                          "recorded": lat.names[bc["complements"][e]]})
+        for x in range(lat.n):
+            if lat.prod[e][x] != lat.meet[e][x]:
+                return _fail({"item": 4, "e": lat.names[e],
+                              "x": lat.names[x]})
     return PASS
 
 
@@ -478,8 +509,19 @@ def _p_direcindbeta(lat):
 
 @_prop("b9fxpro", "core")
 def _p_b9fxpro(lat):
-    ds = direct_summands(lat)    # internally certifies the 3-way agreement
-    needed = {1 << lat.top, lat.all_mask}
+    """Summands by F v F-perp = A, by central upsets, by complements in Fil."""
+    ds = direct_summands(lat)
+    unit = 1 << lat.top
+    fl = _filters(lat)
+    beta = boolean_center(lat)["elements"]
+    by_center = sorted({lat.up[e] for e in iter_bits(beta)}, key=mask_key)
+    by_complement = [f for f in fl
+                     if any(f & g == unit and comaximal(lat, f, g) for g in fl)]
+    if not list(ds) == by_center == by_complement:
+        return _fail({"summands": [_toks(lat, f) for f in ds],
+                      "by_center": [_toks(lat, f) for f in by_center],
+                      "by_complement": [_toks(lat, f) for f in by_complement]})
+    needed = {unit, lat.all_mask}
     return _when(needed <= set(ds),
                  lambda: {"summands": [_toks(lat, f) for f in ds]})
 
@@ -541,10 +583,21 @@ def _p_omegprop(lat):
                 lat, principal_ideal(lat, x) | principal_ideal(lat, y)))
             if oj != x_perp(lat, lat.join[x][y]):
                 return _fail({"item": 1, "pair": [lat.names[x], lat.names[y]]})
-    minset = set(minimal_primes(lat))
-    for p in prime_filters(lat):
-        D_operator(lat, p)       # item 2: formula vs both intersections
-        if (D_operator(lat, p) == p) != (p in minset):
+    for f in omeg:
+        if not is_filter(lat, f):
+            return _fail({"item": 1, "omega_filter": _toks(lat, f)})
+    spec = prime_filters(lat)
+    minp = minimal_primes(lat)
+    for p in spec:
+        d = D_operator(lat, p)
+        via_primes = _meet_below(lat, spec, p)
+        via_minimal = _meet_below(lat, minp, p)
+        if d != via_primes or d != via_minimal:
+            return _fail({"item": 2, "prime": _toks(lat, p),
+                          "D": _toks(lat, d),
+                          "primes_inside": _toks(lat, via_primes),
+                          "minimal_primes_inside": _toks(lat, via_minimal)})
+        if (d == p) != (p in minp):
             return _fail({"item": 3, "prime": _toks(lat, p)})
     return PASS
 
@@ -589,8 +642,7 @@ def _p_closefalzai(lat):
 @_prop("sigfildef", "purity")
 def _p_sigfildef(lat):
     for f in _filters(lat):
-        forms = sigma_formulas(lat, f)
-        if forms["def"] != sigma_filter(lat, f):
+        if sigma_def(lat, f) != sigma_filter(lat, f):
             return _fail({"filter": _toks(lat, f)})
     return PASS
 
@@ -617,10 +669,11 @@ def _p_sigmapro(lat):
 def _p_sigmafequiv(lat):
     """All closed forms of the sink agree elementwise with the primary one."""
     for f in _filters(lat):
-        try:
-            sigma_filter(lat, f, cross_check=True)
-        except FormulaMismatch as exc:
-            return _fail({"filter": _toks(lat, f), "error": str(exc)})
+        s = sigma_filter(lat, f)
+        for key, val in sigma_formulas(lat, f).items():
+            if val != s:
+                return _fail({"filter": _toks(lat, f), "formula": key,
+                              "element": lat.names[next(iter_bits(val ^ s))]})
         i_f = 0
         for a in range(lat.n):
             if generated_filter(lat, double_perp(lat, a) | f) == lat.all_mask:
@@ -735,7 +788,7 @@ def _p_comxpureprime(lat):
     pp = [p for p in prime_filters(lat) if is_pure(lat, p)]
     for p in pp:
         for q in pp:
-            if p != q and not _comaximal(lat, p, q):
+            if p != q and not comaximal(lat, p, q):
                 return _fail({"pair": [_toks(lat, p), _toks(lat, q)]})
     return PASS
 
@@ -766,7 +819,7 @@ def _p_rfilter(lat):
                 return _fail({"item": 5, "pair": [_toks(lat, f), _toks(lat, g)]})
     for f in pure:
         inter = lat.all_mask
-        for m in _h_m(lat, f):
+        for m in h_m(lat, f):
             inter &= rho(lat, m)
         if inter != f:
             return _fail({"item": 6, "filter": _toks(lat, f)})
@@ -836,7 +889,7 @@ def _p_comppurpri(lat):
 @_prop("r1filter", "spp")
 def _p_r1filter(lat):
     spp = pure_spectrum(lat)
-    pmax = {p for p, m in zip(spp.points, spp.purely_maximal) if m}
+    pmax = purely_maximal_points(lat)
     rho_max = {rho(lat, m) for m in maximal_filters(lat)}
     if not pmax <= rho_max:
         return _fail({"item": 1})
@@ -1017,10 +1070,10 @@ def _p_quanorexas(lat):
 def _p_pmprop(lat):
     g = _is_gelfand(lat)
     maxf = maximal_filters(lat)
-    c3 = all(_comaximal(lat, D_operator(lat, m), D_operator(lat, n))
+    c3 = all(comaximal(lat, D_operator(lat, m), D_operator(lat, n))
              for m in maxf for n in maxf if m != n)
-    c7 = all(not _comaximal(lat, f, m) or
-             _comaximal(lat, f, D_operator(lat, m))
+    c7 = all(not comaximal(lat, f, m) or
+             comaximal(lat, f, D_operator(lat, m))
              for f in enumerate_filters(lat).proper for m in maxf)
     return _when(c3 == g and c7 == g, lambda: {"gelfand": g, "c3": c3, "c7": c7})
 
@@ -1032,11 +1085,7 @@ def _p_gelnor(lat):
     spec = prime_filters(lat)
     sh = spec_space(lat, "h")
     maxset = set(maximal_filters(lat))
-    mmask = 0
-    for i, p in enumerate(spec):
-        if p in maxset:
-            mmask |= 1 << i
-    sub = subspace(sh, mmask, "Max_h")
+    sub = subspace(sh, maximal_point_mask(lat), "Max_h")
     pos = {sub.labels[i]: i for i in range(sub.k)}
     free = [i for i, p in enumerate(spec) if p not in maxset]
     if sub.k ** len(free) > 200_000:
@@ -1062,10 +1111,10 @@ def _p_equgelchaunit(lat):
     maxf = maximal_filters(lat)
     c2 = all(sigma_filter(lat, f) & ~m or not f & ~m
              for f in fl for m in maxf)
-    c3 = all(_h_m(lat, f) == _h_m(lat, sigma_filter(lat, f)) for f in fl)
+    c3 = hm_of_sigma_unchanged(lat)
     c4 = all(radical(lat, f) == radical(lat, sigma_filter(lat, f)) for f in fl)
-    c5 = all(not _comaximal(lat, f, h) or
-             _comaximal(lat, sigma_filter(lat, f), sigma_filter(lat, h))
+    c5 = all(not comaximal(lat, f, h) or
+             comaximal(lat, sigma_filter(lat, f), sigma_filter(lat, h))
              for f in fl for h in fl)
     c6 = all(_join(lat, sigma_filter(lat, f), sigma_filter(lat, h)) ==
              sigma_filter(lat, _join(lat, f, h))
@@ -1080,18 +1129,17 @@ def _p_equgelchapure(lat):
     g = _is_gelfand(lat)
     fl = _filters(lat)
     maxf = maximal_filters(lat)
-    c2 = all(rho(lat, f) & ~m or not f & ~m for f in fl for m in maxf)
-    c3 = all(_h_m(lat, f) == _h_m(lat, rho(lat, f)) for f in fl)
+    c2 = rho_below_max_implies_f_below(lat)
+    c3 = all(h_m(lat, f) == h_m(lat, rho(lat, f)) for f in fl)
     c4 = all(radical(lat, f) == radical(lat, rho(lat, f)) for f in fl)
-    c5 = all(not _comaximal(lat, f, h) or
-             _comaximal(lat, rho(lat, f), rho(lat, h))
+    c5 = all(not comaximal(lat, f, h) or
+             comaximal(lat, rho(lat, f), rho(lat, h))
              for f in fl for h in fl)
     c6 = all(_join(lat, rho(lat, f), rho(lat, h)) ==
              rho(lat, _join(lat, f, h)) for f in fl for h in fl)
-    c7 = all(_comaximal(lat, rho(lat, m), rho(lat, n))
+    c7 = all(comaximal(lat, rho(lat, m), rho(lat, n))
              for m in maxf for n in maxf if m != n)
-    adjunction = all((rho(lat, f) & ~h == 0) == (f & ~radical(lat, h) == 0)
-                     for f in fl for h in fl)
+    adjunction = rho_rad_adjunction(lat)
     clauses = {"c2": c2, "c3": c3, "c4": c4, "c5": c5, "c6": c6, "c7": c7,
                "rho_rad_adjunction": adjunction}
     return _when(all(v == g for v in clauses.values()),
@@ -1102,44 +1150,31 @@ def _p_equgelchapure(lat):
 def _p_rhosigmanorg(lat):
     if not _is_gelfand(lat):
         return _na("Gelfand instances only")
-    for f in _filters(lat):
-        if rho(lat, f) != sigma_filter(lat, f):
-            return _fail({"filter": _toks(lat, f)})
-    return PASS
+    return _when(rho_equals_sigma(lat), lambda: {"filter": _toks(lat, next(
+        f for f in _filters(lat) if rho(lat, f) != sigma_filter(lat, f)))})
 
 
 @_prop("gelfmaxpure", "gelfand")
 def _p_gelfmaxpure(lat):
     if not _is_gelfand(lat):
         return _na("Gelfand instances only")
-    spp = pure_spectrum(lat)
-    pmax = {p for p, m in zip(spp.points, spp.purely_maximal) if m}
-    rho_max = {rho(lat, m) for m in maximal_filters(lat)}
-    ok = pmax == rho_max == set(spp.points)
-    return _when(ok, lambda: {"purely_maximal": [_toks(lat, p) for p in pmax],
-                              "rho_of_max": [_toks(lat, p) for p in rho_max]})
+    ok = spp_equals_max_sigma(lat) and spp_equals_rho_of_max(lat)
+    return _when(ok, lambda: {
+        "purely_maximal": [_toks(lat, p) for p in purely_maximal_points(lat)],
+        "rho_of_max": [_toks(lat, rho(lat, m)) for m in maximal_filters(lat)]})
 
 
 @_prop("gelspphau", "gelfand")
 def _p_gelspphau(lat):
     if not _is_gelfand(lat):
         return _na("Gelfand instances only")
-    return _when(separation_report(pure_spectrum(lat).space)["hausdorff"],
-                 lambda: {"space": "Spp"})
+    return _when(spp_hausdorff(lat), lambda: {"space": "Spp"})
 
 
 @_prop("sppgelfch", "gelfand")
 def _p_sppgelfch(lat):
     g = _is_gelfand(lat)
-    spp = pure_spectrum(lat)
-    max_h = hull_kernel_space(lat, sorted(maximal_filters(lat), key=mask_key),
-                              "h", f"Max_h({lat.name})")
-    idx = {p: i for i, p in enumerate(spp.points)}
-    homeo = False
-    landing = [rho(lat, m) for m in max_h.labels]
-    if all(r in idx for r in landing):
-        pm = PointMap(max_h, spp.space, tuple(idx[r] for r in landing))
-        homeo = map_analysis(pm)["homeomorphism"]
+    homeo = rho_m_homeomorphism(lat)
     return _when(homeo == g, lambda: {"gelfand": g, "homeomorphism": homeo})
 
 
@@ -1147,30 +1182,14 @@ def _p_sppgelfch(lat):
 def _p_gelpurefcl(lat):
     if not _is_gelfand(lat):
         return _na("Gelfand instances only")
-    spec_h = spec_space(lat, "h")
-    maxset = set(maximal_filters(lat))
-    forms = set()
-    for c in spec_h.closed_sets:
-        g = lat.all_mask
-        for i in iter_bits(c):
-            if spec_h.labels[i] in maxset:
-                g &= D_operator(lat, spec_h.labels[i])
-        forms.add(g)
-    return _when(forms == set(pure_filters(lat)),
-                 lambda: {"closed_forms": [_toks(lat, f) for f in sorted(forms, key=mask_key)]})
+    return _when(pure_filters_closed_form(lat), lambda: {"closed_forms": [
+        _toks(lat, f) for f in sorted(gelfand_closed_forms(lat), key=mask_key)]})
 
 
 @_prop("gelfhulldmin", "gelfand")
 def _p_gelfhulldmin(lat):
     g = _is_gelfand(lat)
-    spec = prime_filters(lat)
-    maxset = set(maximal_filters(lat))
-    mmask = 0
-    for i, p in enumerate(spec):
-        if p in maxset:
-            mmask |= 1 << i
-    same = (subspace(spec_space(lat, "h"), mmask).opens ==
-            subspace(d_topology(lat), mmask).opens)
+    same = hull_kernel_equals_d_topology_on_max(lat)
     return _when(same == g, lambda: {"gelfand": g, "coincide": same})
 
 
@@ -1193,12 +1212,10 @@ def _p_quanorempxas(lat):
 @_prop("noco", "mp")
 def _p_noco(lat):
     m = _is_mp(lat)
-    minp = minimal_primes(lat)
-    c1 = all(_comaximal(lat, p, q) for p in minp for q in minp if p != q)
-    c4 = all(D_operator(lat, mx) in set(minp) for mx in maximal_filters(lat))
-    c5 = all(lat.join[x][y] != lat.top or
-             _comaximal(lat, x_perp(lat, x), x_perp(lat, y))
-             for x in range(lat.n) for y in range(lat.n))
+    minset = set(minimal_primes(lat))
+    c1 = minimal_primes_comaximal(lat)
+    c4 = all(D_operator(lat, mx) in minset for mx in maximal_filters(lat))
+    c5 = comaximal_coannulets(lat)
     return _when(c1 == m and c4 == m and c5 == m,
                  lambda: {"mp": m, "c1": c1, "c4": c4, "c5": c5})
 
@@ -1209,17 +1226,14 @@ def _p_mpmpropd(lat):
     # only the forward direction is testable at this scale.
     if not _is_mp(lat):
         return _na("mp instances only (converse is vacuous on finite instances)")
-    min_d = hull_kernel_space(lat, sorted(minimal_primes(lat), key=mask_key), "d")
-    return _when(separation_report(min_d)["hausdorff"],
-                 lambda: {"space": "Min_d"})
+    return _when(min_d_hausdorff(lat), lambda: {"space": "Min_d"})
 
 
 @_prop("norgammsig", "mp")
 def _p_norgammsig(lat):
     m = _is_mp(lat)
-    pure = set(pure_filters(lat))
-    c2 = set(omega_filters(lat)) <= pure
-    c3 = all(x_perp(lat, x) in pure for x in range(lat.n))
+    c2 = omega_filters_pure(lat)
+    c3 = coannulets_pure(lat)
     return _when(c2 == m and c3 == m, lambda: {"mp": m, "c2": c2, "c3": c3})
 
 
@@ -1239,9 +1253,7 @@ def _p_norgammsige(lat):
 @_prop("normpurprimxa", "mp")
 def _p_normpurprimxa(lat):
     m = _is_mp(lat)
-    spp = pure_spectrum(lat)
-    pmax = {p for p, is_m in zip(spp.points, spp.purely_maximal) if is_m}
-    same = set(minimal_primes(lat)) == pmax
+    same = min_equals_max_sigma(lat)
     return _when(same == m, lambda: {"mp": m, "min_equals_max_sigma": same})
 
 
@@ -1249,35 +1261,17 @@ def _p_normpurprimxa(lat):
 def _p_pureinterd(lat):
     if not _is_mp(lat):
         return _na("mp instances only")
-    minp = minimal_primes(lat)
-    for f in pure_filters(lat):
-        if f == lat.all_mask:
-            continue
-        inter = lat.all_mask
-        for q in minp:
-            if f & ~q == 0:
-                inter &= q
-        if inter != f:
-            return _fail({"filter": _toks(lat, f)})
-    return PASS
+    return _when(proper_pure_equal_kh_m(lat), lambda: {"filter": _toks(lat, next(
+        f for f in pure_filters(lat)
+        if f != lat.all_mask and kh_m(lat, f) != f))})
 
 
 @_prop("mppurefcl", "mp")
 def _p_mppurefcl(lat):
     if not _is_mp(lat):
         return _na("mp instances only")
-    spec = prime_filters(lat)
-    spec_d = spec_space(lat, "d")
-    minset = set(minimal_primes(lat))
-    forms = set()
-    for c in spec_d.closed_sets:
-        g = lat.all_mask
-        for i in iter_bits(c):
-            if spec[i] in minset:
-                g &= spec[i]
-        forms.add(g)
-    return _when(forms == set(pure_filters(lat)),
-                 lambda: {"closed_forms": [_toks(lat, f) for f in sorted(forms, key=mask_key)]})
+    return _when(pure_filters_closed_form_min(lat), lambda: {"closed_forms": [
+        _toks(lat, f) for f in sorted(mp_closed_forms(lat), key=mask_key)]})
 
 
 @_prop("mppureco1", "mp")
@@ -1285,52 +1279,39 @@ def _p_mppureco1(lat):
     if not _is_mp(lat):
         return _na("mp instances only")
     unit = 1 << lat.top
-    for a in range(lat.n):
-        if x_perp(lat, a) & f_a(lat, a) != unit:
-            return _fail({"a": lat.names[a]})
-    return PASS
+    return _when(coannulet_meets_fa_trivially(lat), lambda: {"a": next(
+        lat.names[a] for a in range(lat.n)
+        if x_perp(lat, a) & f_a(lat, a) != unit)})
 
 
 @_prop("mppu1re", "mp")
 def _p_mppu1re(lat):
     if not _is_mp(lat):
         return _na("mp instances only")
-    for q in minimal_primes(lat):
-        union = 0
-        for a in iter_bits(q):
-            union |= f_a(lat, a)
-        if generated_filter(lat, union) != q:
-            return _fail({"minimal_prime": _toks(lat, q)})
-    return PASS
+    return _when(minimal_prime_is_join_of_fa(lat), lambda: {
+        "minimal_prime": _toks(lat, next(q for q in minimal_primes(lat)
+                                         if fa_join(lat, q) != q))})
 
 
 @_prop("mpminspp", "mp")
 def _p_mpminspp(lat):
     if not _is_mp(lat):
         return _na("mp instances only")
-    spp = pure_spectrum(lat)
-    pmax = {p for p, is_m in zip(spp.points, spp.purely_maximal) if is_m}
-    return _when(set(spp.points) <= pmax,
-                 lambda: {"spp": [_toks(lat, p) for p in spp.points]})
+    return _when(spp_in_max_sigma(lat), lambda: {
+        "spp": [_toks(lat, p) for p in pure_spectrum(lat).points]})
 
 
 @_prop("mp2minspp", "mp")
 def _p_mp2minspp(lat):
     m = _is_mp(lat)
-    same = set(minimal_primes(lat)) == set(purely_prime_filters(lat))
+    same = min_equals_spp(lat)
     return _when(same == m, lambda: {"mp": m, "min_equals_spp": same})
 
 
 @_prop("equmpflatmin", "mp")
 def _p_equmpflatmin(lat):
     m = _is_mp(lat)
-    spp = pure_spectrum(lat)
-    homeo = False
-    if set(spp.points) == set(minimal_primes(lat)):
-        min_d = hull_kernel_space(lat, sorted(minimal_primes(lat), key=mask_key), "d")
-        pos = {p: i for i, p in enumerate(min_d.labels)}
-        pm = PointMap(spp.space, min_d, tuple(pos[p] for p in spp.points))
-        homeo = map_analysis(pm)["homeomorphism"]
+    homeo = iota_spp_to_min_d_homeomorphism(lat)
     return _when(homeo == m, lambda: {"mp": m, "identity_homeomorphism": homeo})
 
 
@@ -1338,23 +1319,17 @@ def _p_equmpflatmin(lat):
 def _p_mpspphau(lat):
     if not _is_mp(lat):
         return _na("mp instances only")
-    return _when(separation_report(pure_spectrum(lat).space)["hausdorff"],
-                 lambda: {"space": "Spp"})
+    return _when(spp_hausdorff(lat), lambda: {"space": "Spp"})
 
 
 @_prop("minspprick", "mp")
 def _p_minspprick(lat):
     if not _is_mp(lat):
         return _na("mp instances only")
-    spp = pure_spectrum(lat)
-    min_h = hull_kernel_space(lat, sorted(minimal_primes(lat), key=mask_key), "h")
-    idx = {p: i for i, p in enumerate(spp.points)}
-    if set(min_h.labels) != set(spp.points):
-        return _fail({"note": "point sets differ"})
-    pm = PointMap(min_h, spp.space, tuple(idx[p] for p in min_h.labels))
-    return _when(map_analysis(pm)["homeomorphism"],
-                 lambda: map_analysis(pm),
-                 note="finiteness makes the compactness hypothesis vacuous")
+    return _when(min_h_homeomorphic_to_spp(lat), lambda: {
+        "min_h": [_toks(lat, q) for q in min_space(lat, "h").labels],
+        "spp": [_toks(lat, p) for p in pure_spectrum(lat).points]},
+        note="finiteness makes the compactness hypothesis vacuous")
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ from .spectra import (D_operator, prime_filters, minimal_primes, spec_space,
 from .topology import FiniteSpace, PointMap, map_analysis
 
 
-class FormulaMismatch(LatticeError):
-    """The closed-form sink computations disagree (transcription bug)."""
-
-
 def _k(lat, prime_masks) -> int:
     out = lat.all_mask
     for p in prime_masks:
@@ -29,22 +25,28 @@ def _k(lat, prime_masks) -> int:
     return out
 
 
+def _generalizations(lat, f_mask: int) -> list[int]:
+    """Primes lying inside some prime that contains F."""
+    spec = prime_filters(lat)
+    h_f = [p for p in spec if f_mask & ~p == 0]
+    return [q for q in spec if any(q & ~p == 0 for p in h_f)]
+
+
+def sigma_def(lat: ResiduatedLattice, f_mask: int) -> int:
+    """The defining form of the sink: the kernel of the generalizations of h(F)."""
+    return _k(lat, _generalizations(lat, f_mask))
+
+
 def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     """All closed forms of the sink, keyed by formula id.
 
-    ``f3`` (coannulet comaximal with F) is the primary computation used by
-    :func:`sigma_filter`; the rest exist to be checked against it.
+    ``f3`` is :func:`sigma_filter` itself; the theorem suite checks every
+    other form against it (``sigmafequiv``).
     """
     full = lat.all_mask
-    spec = prime_filters(lat)
-    h_f = [p for p in spec if f_mask & ~p == 0]
-    gh_f = [q for q in spec if any(q & ~p == 0 for p in h_f)]
+    h_f = [p for p in prime_filters(lat) if f_mask & ~p == 0]
+    gh_f = _generalizations(lat, f_mask)
     mins = set(minimal_primes(lat))
-
-    f3 = 0
-    for a in range(lat.n):
-        if generated_filter(lat, x_perp(lat, a) | f_mask) == full:
-            f3 |= 1 << a
 
     f4 = 0
     for a in range(lat.n):
@@ -61,7 +63,7 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
         "def": _k(lat, gh_f),
         "f1": _k(lat, [q for q in gh_f if q in mins]),
         "f2": _k(lat, [D_operator(lat, p) for p in h_f]),
-        "f3": f3,
+        "f3": sigma_filter(lat, f_mask),
         "f4": f4,
         "f5": _k(lat, [D_operator(lat, m) for m in maximal_filters(lat)
                        if f_mask & ~m == 0]),
@@ -69,9 +71,8 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     }
 
 
-def sigma_filter(lat: ResiduatedLattice, f_mask: int,
-                 cross_check: bool = False) -> int:
-    """The sink of a filter; optionally verify every closed form agrees."""
+def sigma_filter(lat: ResiduatedLattice, f_mask: int) -> int:
+    """The sink of a filter: elements whose coannulet is comaximal with F."""
     def build():
         full = lat.all_mask
         out = 0
@@ -79,18 +80,7 @@ def sigma_filter(lat: ResiduatedLattice, f_mask: int,
             if generated_filter(lat, x_perp(lat, a) | f_mask) == full:
                 out |= 1 << a
         return out
-
-    s = cached(lat, ("sigma", f_mask), build)
-    if cross_check:
-        forms = sigma_formulas(lat, f_mask)
-        for key, val in forms.items():
-            if val != s:
-                diff = val ^ s
-                elt = lat.names[next(iter_bits(diff))]
-                raise FormulaMismatch(
-                    f"{lat.name}: sink of {lat.set_str(f_mask)}: formula "
-                    f"{key} disagrees with f3 at element {elt}")
-    return s
+    return cached(lat, ("sigma", f_mask), build)
 
 
 def is_pure(lat: ResiduatedLattice, f_mask: int) -> bool:
@@ -105,19 +95,13 @@ def pure_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def rho(lat: ResiduatedLattice, f_mask: int) -> int:
-    """Pure part: the largest pure filter inside F (verified, not assumed)."""
+    """Pure part: the join of the pure filters inside F."""
     def build():
-        inside = [g for g in pure_filters(lat) if g & ~f_mask == 0]
         union = 0
-        for g in inside:
-            union |= g
-        r = generated_filter(lat, union)
-        if not is_pure(lat, r) or r & ~f_mask:
-            raise LatticeError(f"{lat.name}: pure part of {lat.set_str(f_mask)} "
-                               "failed its defining checks")
-        if any(g & ~r for g in inside):
-            raise LatticeError(f"{lat.name}: pure part is not an upper bound")
-        return r
+        for g in pure_filters(lat):
+            if g & ~f_mask == 0:
+                union |= g
+        return generated_filter(lat, union)
     return cached(lat, ("rho", f_mask), build)
 
 
@@ -178,16 +162,6 @@ def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
         pts = purely_prime_filters(lat)
         pure = pure_filters(lat)
         fam = {d_kappa(pts, f) for f in pure}
-        # the basis is already a topology; both identities are asserted
-        fl = enumerate_filters(lat)
-        for i, f1 in enumerate(pure):
-            for f2 in pure[i:]:
-                inter = d_kappa(pts, f1) & d_kappa(pts, f2)
-                if inter != d_kappa(pts, f1 & f2):
-                    raise LatticeError(f"{lat.name}: d_kappa meet identity fails")
-                union = d_kappa(pts, f1) | d_kappa(pts, f2)
-                if union != d_kappa(pts, fl.join_mask(f1, f2)):
-                    raise LatticeError(f"{lat.name}: d_kappa join identity fails")
         space = FiniteSpace(pts, frozenset(fam), f"Spp({lat.name})",
                             tuple(lat.set_str(p) for p in pts))
         proper_pure = [f for f in pure if f != lat.all_mask]
@@ -199,16 +173,12 @@ def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
 
 
 def d_topology(lat: ResiduatedLattice) -> FiniteSpace:
-    """Opens d(F) for pure F, on the prime spectrum; coarser than flavor h."""
+    """Opens d(F) for pure F, on the prime spectrum."""
     def build():
         spec = prime_filters(lat)
         fam = frozenset(d_of(lat, f) for f in pure_filters(lat))
-        space = FiniteSpace(spec, fam, f"Spec_D({lat.name})",
-                            tuple(lat.set_str(p) for p in spec))
-        if not fam <= spec_space(lat, "h").opens:
-            raise LatticeError(f"{lat.name}: D-topology not coarser than "
-                               "the hull-kernel topology")
-        return space
+        return FiniteSpace(spec, fam, f"Spec_D({lat.name})",
+                           tuple(lat.set_str(p) for p in spec))
     return cached(lat, "d_topology", build)
 
 

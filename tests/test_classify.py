@@ -120,3 +120,55 @@ def test_f_a_construction(a6):
     unit = 1 << a6.top
     for a in range(a6.n):
         assert fi.x_perp(a6, a) & cl.f_a(a6, a) == unit
+
+
+# certificate clause -> the suite properties that state the same fact
+CLAUSE_TWINS = {
+    "rho_m_homeomorphism": ("sppgelfch",),
+    "spp_equals_max_sigma": ("gelfmaxpure",),
+    "spp_equals_rho_of_max": ("gelfmaxpure",),
+    "spp_hausdorff": ("gelspphau", "mpspphau"),
+    "pure_filters_closed_form": ("gelpurefcl",),
+    "hull_kernel_equals_d_topology_on_max": ("gelfhulldmin",),
+    "rho_rad_adjunction": ("equgelchapure",),
+    "hm_of_sigma_unchanged": ("equgelchaunit",),
+    "rho_below_max_implies_f_below": ("equgelchapure",),
+    "rho_equals_sigma": ("rhosigmanorg",),
+    "minimal_primes_comaximal": ("noco",),
+    "comaximal_coannulets": ("noco",),
+    "omega_filters_pure": ("norgammsig",),
+    "coannulets_pure": ("norgammsig",),
+    "min_equals_max_sigma": ("normpurprimxa",),
+    "min_equals_spp": ("mp2minspp",),
+    "spp_in_max_sigma": ("mpminspp",),
+    "iota_spp_to_min_d_homeomorphism": ("equmpflatmin",),
+    "min_d_hausdorff": ("mpmpropd",),
+    "proper_pure_equal_kh_m": ("pureinterd",),
+    "pure_filters_closed_form_min": ("mppurefcl",),
+    "coannulet_meets_fa_trivially": ("mppureco1",),
+    "minimal_prime_is_join_of_fa": ("mppu1re",),
+    "min_h_homeomorphic_to_spp": ("minspprick",),
+}
+
+
+def test_certificate_clauses_share_predicates_with_the_suite():
+    from reslat.harness import PROPERTIES
+    clauses = {cid: pred for cid, pred, _ in cl.GELFAND_CLAUSES + cl.MP_CLAUSES}
+    assert set(clauses) - set(CLAUSE_TWINS) == \
+        {"rho_m_well_defined", "d_of_maximal_pure_and_minimal"}
+    assert "rho_m_well_defined" in cl.rho_m_homeomorphism.__code__.co_names
+    for cid, pids in CLAUSE_TWINS.items():
+        pred = clauses[cid]
+        for pid in pids:
+            fn = PROPERTIES[pid][1]
+            assert pred.__name__ in fn.__code__.co_names, (cid, pid)
+            assert fn.__globals__[pred.__name__] is pred, (cid, pid)
+
+
+def test_certificate_names_the_failing_clause(b6, monkeypatch):
+    clauses = list(cl.GELFAND_CLAUSES)
+    clauses[4] = (clauses[4][0], lambda lat: False, clauses[4][2])
+    monkeypatch.setattr(cl, "GELFAND_CLAUSES", tuple(clauses))
+    with pytest.raises(cl.GelfandCertFailure) as exc:
+        cl.gelfand_structure(b6)
+    assert exc.value.clause == "spp_hausdorff"

@@ -90,6 +90,21 @@ def test_gen_size_cap(tmp_path):
     assert out["exit"] == 3
 
 
+def test_product_filter_tokens_round_trip(tmp_path):
+    g2 = tmp_path / "g2.rlat"
+    g2.write_text(run_cli(["gen", "--family", "godel", "--size", "2"])["stdout"],
+                  encoding="utf-8")
+    prod = tmp_path / "p.rlat"
+    prod.write_text(run_cli(["gen", "--product", str(g2), str(g2)])["stdout"],
+                    encoding="utf-8")
+    doc = json.loads(run_cli(["filters", str(prod), "--json"])["stdout"])
+    assert ["(1,1)"] in doc["result"]["filters"]
+    for toks in doc["result"]["filters"]:
+        for cmd in ("sigma", "rho", "quotient"):
+            res = run_cli([cmd, str(prod), "--filter", " ".join(toks)])
+            assert res["exit"] == 0, (cmd, toks, res["stderr"])
+
+
 def test_json_outputs_round_trip():
     for fixture_name, path in FIXTURE_PATHS.items():
         for command, mk in SUBCOMMANDS:

@@ -1,11 +1,14 @@
 """Filter generation, enumeration, coannihilators, quotients, flatness."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslat import filters as fi
-from reslat.core import LatticeError, iter_bits
-from reslat.harness import FIXTURE_EXPECT, godel_chain, lukasiewicz_chain
+from reslat.core import (LatticeError, RawTables, ResiduatedLattice, iter_bits,
+                         validate)
+from reslat.harness import (FIXTURE_EXPECT, godel_chain, lukasiewicz_chain,
+                            product_instance)
 
 from conftest import tokset, toksets
 
@@ -162,6 +165,44 @@ def test_quotient_filters_are_images(fixtures4):
             qr = fi.quotient(lat, f)
             images = {qr.push_mask(g) for g in fl.filters if f & ~g == 0}
             assert images == set(fi.enumerate_filters(qr.quotient).filters)
+
+
+def _quotient_cases(fixtures4):
+    lats = list(fixtures4) + [godel_chain(5), lukasiewicz_chain(6),
+                              product_instance(fixtures4[1], godel_chain(2))]
+    for lat in lats:
+        for f in fi.enumerate_filters(lat).filters:
+            yield lat, f, fi.quotient(lat, f)
+
+
+def test_quotient_tables_match_validation(fixtures4):
+    # the pushed tables equal what validation derives from leq and prod
+    for lat, f, qr in _quotient_cases(fixtures4):
+        q = qr.quotient
+        if q.n < 2:
+            continue
+        raw = RawTables(q.name, list(q.names), np.array(q.leq_np),
+                        np.array(q.prod_np), q.bottom, q.top)
+        v = validate(raw)
+        assert isinstance(v, ResiduatedLattice), str(v)
+        for op in ("join", "meet", "prod", "res"):
+            assert getattr(v, op) == getattr(q, op), (q.name, op)
+
+
+def test_quotient_projection_is_a_homomorphism_with_kernel_f(fixtures4):
+    for lat, f, qr in _quotient_cases(fixtures4):
+        q, proj = qr.quotient, qr.projection
+        assert sum(bin(c).count("1") for c in qr.classes) == lat.n
+        assert qr.pull_mask(q.all_mask) == lat.all_mask
+        for op in ("join", "meet", "prod", "res"):
+            src, dst = getattr(lat, op), getattr(q, op)
+            for x in range(lat.n):
+                for y in range(lat.n):
+                    assert proj[src[x][y]] == dst[proj[x]][proj[y]], \
+                        (q.name, op, lat.names[x], lat.names[y])
+        assert proj[lat.bottom] == q.bottom and proj[lat.top] == q.top
+        coker = sum(1 << x for x in range(lat.n) if proj[x] == q.top)
+        assert coker == f == qr.classes[q.top]
 
 
 def test_lattice_ideals_and_omega(b6, c6):

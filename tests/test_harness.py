@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from reslat import harness as hz
-from reslat.core import (RawTables, SizeLimit, ValidationReport, validate)
+from reslat.core import (MAX_ELEMENTS, RawTables, SizeLimit, ValidationReport,
+                         validate)
 from reslat.classify import boolean_center
 
 
@@ -23,7 +24,9 @@ def test_chain_generators():
     m = l3.index("x1")
     assert l3.prod[m][m] == l3.bottom and l3.neg(m) == m
     with pytest.raises(SizeLimit):
-        hz.lukasiewicz_chain(21)
+        hz.lukasiewicz_chain(MAX_ELEMENTS + 1)
+    with pytest.raises(SizeLimit):
+        hz.godel_chain(MAX_ELEMENTS + 1)
 
 
 def test_generate_families():
@@ -129,3 +132,62 @@ def test_suite_groups_partition_registry():
     assert total == sum(
         sum(1 for g, _ in hz.PROPERTIES.values() if g == grp)
         for grp in hz.GROUPS)
+
+
+def _verdict(pid, lat):
+    return hz.PROPERTIES[pid][1](lat)
+
+
+def test_omegprop_fails_with_witness(b6, monkeypatch):
+    assert _verdict("omegprop", b6) == hz.PASS
+    with monkeypatch.context() as m:
+        m.setattr(hz, "D_operator", lambda lat, p: lat.all_mask)
+        v = _verdict("omegprop", b6)
+    assert v.status == "fail" and v.witness["item"] == 2
+    assert v.witness["D"] == list(b6.names)
+    monkeypatch.setattr(hz, "is_filter", lambda lat, mask: False)
+    v = _verdict("omegprop", b6)
+    assert v.status == "fail" and "omega_filter" in v.witness
+
+
+def test_boleleprop_fails_with_witness(b6, monkeypatch):
+    assert _verdict("boleleprop", b6) == hz.PASS
+    bc = boolean_center(b6)
+    a = b6.index("a")
+    with monkeypatch.context() as m:
+        m.setattr(hz, "boolean_center", lambda lat: {
+            "elements": bc["elements"] & ~(1 << a),
+            "complements": bc["complements"]})
+        v = _verdict("boleleprop", b6)
+    assert v.status == "fail" and v.witness["item"] == 2
+    assert "a" in v.witness["negation_form"]
+    monkeypatch.setattr(hz, "boolean_center", lambda lat: {
+        "elements": bc["elements"],
+        "complements": {e: e for e in bc["complements"]}})
+    v = _verdict("boleleprop", b6)
+    assert v.status == "fail" and v.witness["item"] == 3
+
+
+def test_b9fxpro_fails_with_witness(b6, monkeypatch):
+    assert _verdict("b9fxpro", b6) == hz.PASS
+    monkeypatch.setattr(hz, "direct_summands",
+                        lambda lat: (1 << lat.top, lat.all_mask))
+    v = _verdict("b9fxpro", b6)
+    assert v.status == "fail"
+    assert v.witness["summands"] == [["1"], list(b6.names)]
+    assert len(v.witness["by_center"]) == len(v.witness["by_complement"]) == 4
+
+
+def test_sigmafequiv_fails_with_witness(b6, monkeypatch):
+    assert _verdict("sigmafequiv", b6) == hz.PASS
+    real = hz.sigma_formulas
+
+    def broken(lat, f):
+        forms = dict(real(lat, f))
+        forms["f4"] ^= 1 << lat.bottom
+        return forms
+    monkeypatch.setattr(hz, "sigma_formulas", broken)
+    v = _verdict("sigmafequiv", b6)
+    assert v.status == "fail"
+    assert v.witness["formula"] == "f4"
+    assert v.witness["element"] == b6.names[b6.bottom]

@@ -22,8 +22,9 @@ def test_sigma_formulas_agree_on_fixtures(fixtures4):
     for lat in fixtures4:
         for f in fi.enumerate_filters(lat).filters:
             forms = pu.sigma_formulas(lat, f)
-            assert len(set(forms.values())) == 1, (lat.name, lat.set_str(f))
-            pu.sigma_filter(lat, f, cross_check=True)
+            assert set(forms.values()) == {pu.sigma_filter(lat, f)}, \
+                (lat.name, lat.set_str(f))
+            assert pu.sigma_def(lat, f) == forms["def"]
 
 
 def test_is_pure_examples(a8, b6):

@@ -76,6 +76,23 @@ def test_D_operator_rejects_non_prime(a8):
         sp.D_operator(a8, a8.mask_of(["1"]))     # {1} is not prime in a8
 
 
+def test_D_operator_never_caches_non_prime(a8):
+    p = a8.mask_of(["1"])
+    for _ in range(2):
+        with pytest.raises(sp.NotPrime):
+            sp.D_operator(a8, p)
+    assert ("D", p) not in a8._cache
+
+
+def test_maximal_primes_are_maximal_filters(family):
+    for lat in family:
+        spec = sp.prime_filters(lat)
+        max_primes = tuple(p for p in spec
+                           if not any(q != p and p & ~q == 0 for q in spec))
+        assert max_primes == fi.maximal_filters(lat) == \
+            sp.spectrum(lat, "maximal").points, lat.name
+
+
 def test_D_fixed_points_are_minimal_primes(fixtures4):
     for lat in fixtures4:
         minset = set(sp.minimal_primes(lat))

@@ -92,7 +92,6 @@ class Flag:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    lattice: ResiduatedLattice
     gelfand: Flag
     mp: Flag
     hyperarchimedean: Flag
@@ -149,7 +148,7 @@ def classify(lat: ResiduatedLattice) -> ClassificationReport:
             extra = next(e for e in iter_bits(beta & ~trivial))
             ind = Flag(False, {"central_element": lat.names[extra]})
 
-        return ClassificationReport(lat, gelfand, mp, hyper, ind, beta,
+        return ClassificationReport(gelfand, mp, hyper, ind, beta,
                                     direct_summands(lat))
     return cached(lat, "classification", build)
 

@@ -53,12 +53,31 @@ def _load(path) -> ResiduatedLattice:
         raise _CliError(EXIT_INVALID, str(exc.report))
 
 
+def _split_commas(word: str) -> list[str]:
+    """Split on the commas outside parentheses: product tokens such as
+    ``(a,b)`` keep their own commas."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(word):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(word[start:i])
+            start = i + 1
+    parts.append(word[start:])
+    return parts
+
+
 def _filter_arg(lat, text) -> int:
-    """Parse ``--filter``: whitespace-separated words, each either one
-    element token or a comma-separated list of them."""
-    words = text.split()
-    toks = [t for w in words
-            for t in ([w] if w in lat.names else w.split(",")) if t]
+    """Parse ``--filter``: the set form ``{a,b}`` that reslat prints, or
+    whitespace-separated words, each either one element token or a
+    comma-separated list of them."""
+    text = text.strip()
+    if text[:1] == "{" and text[-1:] == "}" and text not in lat.names:
+        text = text[1:-1]
+    toks = [t for w in text.split()
+            for t in ([w] if w in lat.names else _split_commas(w)) if t]
     try:
         mask = lat.mask_of(toks)
     except LatticeError as exc:
@@ -370,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pure", _cmd_pure, help="enumerate pure filters")
     p.add_argument("path")
 
-    filter_help = "element tokens, separated by spaces or commas"
+    filter_help = ("element tokens, separated by spaces or commas, "
+                   "optionally in braces as printed: {a,b}")
     p = add("sigma", _cmd_sigma, help="sink of a filter")
     p.add_argument("path")
     p.add_argument("--filter", required=True, metavar="TOKENS",

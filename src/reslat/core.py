@@ -65,7 +65,11 @@ class ValidationFailure(LatticeError):
         self.report = report
 
 
-MAX_ELEMENTS = 20   # keeps 2^n subset sweeps affordable everywhere downstream
+# Carrier size cap.  Filters and ideals no longer need it; it still guards
+# the exponential paths: the 2^|Spec| sweep in the property closefalzai,
+# the fixpoint in topology.space_from_subbasis and the retraction search
+# of the property gelnor.
+MAX_ELEMENTS = 20
 
 
 def popcount(mask: int) -> int:

@@ -2,8 +2,19 @@
 
 A filter is a subset containing the unit, closed under the monoid product
 and under join with arbitrary elements (equivalently: a product-closed
-upset containing 1).  Filters are bitmasks; the whole filter lattice is
-enumerated exhaustively, which the global size cap keeps cheap.
+upset containing 1).  Filters are bitmasks.
+
+Everything here is built from element operations, never from a sweep over
+subsets, on two lemmas about finite integral residuated lattices
+(Galatos, Jipsen, Kowalski, Ono, *Residuated Lattices*, 2007):
+
+* every filter F is the principal upset of its least element, the product
+  of all its members, and that element is idempotent; conversely the
+  upset of an idempotent is a filter.  So Fil(A) = {up(e) : e*e = e}, with
+  up(e) n up(g) = up(e v g) and the join of up(e), up(g) equal to
+  up(e*g), both again upsets of idempotents;
+* every lattice ideal (nonempty join-closed downset) of a finite lattice is
+  the principal downset of its largest element.
 """
 
 from __future__ import annotations
@@ -41,24 +52,20 @@ def is_filter(lat: ResiduatedLattice, mask: int) -> bool:
 
 
 def generated_filter(lat: ResiduatedLattice, mask: int) -> int:
-    """Smallest filter containing the given subset.
+    """Smallest filter containing the given subset: up(p^oo).
 
-    Closes under products first and takes the upward closure once; the
-    product is monotone, so no further rounds are needed.
+    p is the product of the subset (the unit for the empty set) and p^oo
+    the idempotent that repeated squaring of p reaches.  Every finite
+    product of members lies above some power of p, hence above p^oo, and
+    up(p^oo) is a filter because p^oo is idempotent.
     """
-    closed = mask | (1 << lat.top)
     prod = lat.prod
-    frontier = closed
-    while frontier:
-        new = 0
-        for i in iter_bits(frontier):
-            row = prod[i]
-            for j in iter_bits(closed):
-                new |= 1 << row[j]
-        new &= ~closed
-        closed |= new
-        frontier = new
-    return lat.upset_of(closed)
+    p = lat.top
+    for x in iter_bits(mask):
+        p = prod[p][x]
+    while prod[p][p] != p:
+        p = prod[p][p]
+    return lat.up[p]
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,13 @@ class FiltersLattice:
     """All filters, in deterministic order, with meet/join tables.
 
     Meet is set intersection; join of two filters is the filter generated
-    by their union.  Tables hold filter indices.
+    by their union.  Tables hold filter indices.  Only the lattice's name
+    and element tokens are kept (for error messages): a back-reference to
+    the lattice, whose memo holds this object, would make a reference cycle.
     """
 
-    lattice: ResiduatedLattice
+    name: str
+    names: tuple[str, ...]
     filters: tuple[int, ...]
     index: dict
     meet_t: tuple
@@ -82,61 +92,38 @@ class FiltersLattice:
         try:
             return self.index[mask]
         except KeyError:
+            toks = ",".join(self.names[i] for i in iter_bits(mask))
             raise LatticeError(
-                f"{self.lattice.name}: {self.lattice.set_str(mask)} is not a filter"
-            ) from None
+                f"{self.name}: {{{toks}}} is not a filter") from None
 
     def join_mask(self, f: int, g: int) -> int:
         return self.filters[self.join_t[self.idx(f)][self.idx(g)]]
 
     @property
     def proper(self) -> tuple[int, ...]:
-        full = self.lattice.all_mask
+        full = (1 << len(self.names)) - 1
         return tuple(f for f in self.filters if f != full)
 
 
 def enumerate_filters(lat: ResiduatedLattice) -> FiltersLattice:
-    """Exhaustive sweep of all subsets, with early-exit closure checks."""
+    """Fil(A) as the upsets of the idempotents, in canonical mask order.
+
+    For idempotents e and g the meet table reads up(e v g) and the join
+    table up(e*g); both are idempotent, so each entry is one lookup.
+    """
 
     def build():
-        found = [s for s in range(1 << lat.n) if is_filter(lat, s)]
-        found.sort(key=mask_key)
+        prod, join, up = lat.prod, lat.join, lat.up
+        least = {up[e]: e for e in range(lat.n) if prod[e][e] == e}
+        found = sorted(least, key=mask_key)
         index = {f: i for i, f in enumerate(found)}
-        k = len(found)
-        meet_t = [[0] * k for _ in range(k)]
-        join_t = [[0] * k for _ in range(k)]
-        for i, f in enumerate(found):
-            for j in range(i, k):
-                g = found[j]
-                m = f & g
-                if m not in index:
-                    raise LatticeError(
-                        f"{lat.name}: intersection of filters is not a filter")
-                v = index[generated_filter(lat, f | g)]
-                meet_t[i][j] = meet_t[j][i] = index[m]
-                join_t[i][j] = join_t[j][i] = v
-        return FiltersLattice(lat, tuple(found), index,
-                              tuple(tuple(r) for r in meet_t),
-                              tuple(tuple(r) for r in join_t))
+        gens = [least[f] for f in found]
+        meet_t = tuple(tuple(index[up[join[e][g]]] for g in gens) for e in gens)
+        join_t = tuple(tuple(index[up[prod[e][g]]] for g in gens) for e in gens)
+        return FiltersLattice(lat.name, lat.names, tuple(found), index,
+                              meet_t, join_t)
 
     return cached(lat, "filters_lattice", build)
-
-
-def enumerate_filters_incremental(lat: ResiduatedLattice) -> tuple[int, ...]:
-    """Closure-generation oracle for the exhaustive enumeration."""
-    seen = {generated_filter(lat, 0)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for x in range(lat.n):
-                if not (f >> x) & 1:
-                    g = generated_filter(lat, f | (1 << x))
-                    if g not in seen:
-                        seen.add(g)
-                        nxt.append(g)
-        frontier = nxt
-    return tuple(sorted(seen, key=mask_key))
 
 
 def coannihilator(lat: ResiduatedLattice, f_mask: int, x_mask: int) -> int:
@@ -201,7 +188,6 @@ def radical(lat: ResiduatedLattice, f_mask: int) -> int:
 class QuotientResult:
     """Quotient algebra by the congruence a ~ b iff a->b and b->a lie in F."""
 
-    source: ResiduatedLattice
     quotient: ResiduatedLattice
     projection: tuple[int, ...]          # element index -> class index
     classes: tuple[int, ...]             # class index -> member mask
@@ -255,37 +241,20 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
         q = ResiduatedLattice(f"{lat.name}/{lat.set_str(f_mask)}", names, leq,
                               push(lat.join), push(lat.meet), push(lat.prod),
                               push(res), class_of[lat.bottom], class_of[lat.top])
-        return QuotientResult(lat, q, tuple(class_of), tuple(classes),
+        return QuotientResult(q, tuple(class_of), tuple(classes),
                               len(classes) == 1)
 
     return cached(lat, ("quotient", f_mask), build)
 
 
 def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
-    """Nonempty join-closed downsets of the underlying lattice."""
-    def build():
-        out = []
-        join = lat.join
-        for s in range(1, 1 << lat.n):
-            bits = list(iter_bits(s))
-            ok = True
-            for i in bits:
-                if lat.down[i] & ~s:
-                    ok = False
-                    break
-            if ok:
-                for ai, i in enumerate(bits):
-                    row = join[i]
-                    for j in bits[ai:]:
-                        if not (s >> row[j]) & 1:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                out.append(s)
-        return tuple(sorted(out, key=mask_key))
-    return cached(lat, "lattice_ideals", build)
+    """Nonempty join-closed downsets of the underlying lattice.
+
+    In a finite lattice each one is down(x) for its join x, so these are
+    the n principal downsets.
+    """
+    return cached(lat, "lattice_ideals",
+                  lambda: tuple(sorted(lat.down, key=mask_key)))
 
 
 def principal_ideal(lat: ResiduatedLattice, x: int) -> int:
@@ -293,21 +262,18 @@ def principal_ideal(lat: ResiduatedLattice, x: int) -> int:
 
 
 def ideal_generated(lat: ResiduatedLattice, mask: int) -> int:
-    """Smallest lattice ideal containing the subset (empty set refused)."""
+    """Smallest lattice ideal containing the subset: down of its join.
+
+    The empty set is refused: a lattice ideal is nonempty.
+    """
     if mask == 0:
         raise LatticeError("the empty set generates no ideal")
-    out = mask
     join = lat.join
-    while True:
-        ext = out
-        for i in iter_bits(out):
-            ext |= lat.down[i]
-            row = join[i]
-            for j in iter_bits(out):
-                ext |= 1 << row[j]
-        if ext == out:
-            return out
-        out = ext
+    bits = iter_bits(mask)
+    x = next(bits)
+    for y in bits:
+        x = join[x][y]
+    return lat.down[x]
 
 
 def omega_filter(lat: ResiduatedLattice, ideal_mask: int) -> int:

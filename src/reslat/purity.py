@@ -147,7 +147,6 @@ def purely_prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 class PureSpectrum:
     """Purely-prime points with the d_kappa topology and per-point flags."""
 
-    lattice: ResiduatedLattice
     points: tuple[int, ...]
     space: FiniteSpace
     purely_maximal: tuple[bool, ...]
@@ -168,7 +167,7 @@ def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
         pmax = tuple(not any(q != p and p & ~q == 0 for q in proper_pure)
                      for p in pts)
         pmin = tuple(not any(q != p and q & ~p == 0 for q in pts) for p in pts)
-        return PureSpectrum(lat, pts, space, pmax, pmin)
+        return PureSpectrum(pts, space, pmax, pmin)
     return cached(lat, "pure_spectrum", build)
 
 

@@ -105,6 +105,22 @@ def test_product_filter_tokens_round_trip(tmp_path):
             assert res["exit"] == 0, (cmd, toks, res["stderr"])
 
 
+def test_printed_filter_sets_round_trip(tmp_path):
+    g2 = tmp_path / "g2.rlat"
+    g2.write_text(run_cli(["gen", "--family", "godel", "--size", "2"])["stdout"],
+                  encoding="utf-8")
+    prod = tmp_path / "p.rlat"
+    prod.write_text(run_cli(["gen", "--product", str(g2), str(g2)])["stdout"],
+                    encoding="utf-8")
+    for path in list(FIXTURE_PATHS.values()) + [str(prod)]:
+        lines = run_cli(["filters", path])["stdout"].splitlines()[1:]
+        assert lines
+        for printed in (line.strip() for line in lines):
+            for cmd in ("sigma", "rho", "quotient"):
+                res = run_cli([cmd, path, "--filter", printed])
+                assert res["exit"] == 0, (cmd, path, printed, res["stderr"])
+
+
 def test_json_outputs_round_trip():
     for fixture_name, path in FIXTURE_PATHS.items():
         for command, mk in SUBCOMMANDS:

@@ -5,12 +5,65 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslat import filters as fi
-from reslat.core import (LatticeError, RawTables, ResiduatedLattice, iter_bits,
-                         validate)
-from reslat.harness import (FIXTURE_EXPECT, godel_chain, lukasiewicz_chain,
-                            product_instance)
+from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
+                         ResiduatedLattice, iter_bits, mask_key, validate)
+from reslat.harness import (FIXTURE_EXPECT, _subset_samples, godel_chain,
+                            lukasiewicz_chain, product_instance)
 
 from conftest import tokset, toksets
+
+
+# -- definition-level oracles: subset sweeps and closure fixpoints ----------
+
+
+def sweep_filters(lat):
+    """Every subset that contains 1 and is an upset closed under products."""
+    out = []
+    for s in range(1 << lat.n):
+        bits = list(iter_bits(s))
+        if (s >> lat.top) & 1 \
+                and not any(lat.up[i] & ~s for i in bits) \
+                and all((s >> lat.prod[i][j]) & 1 for i in bits for j in bits):
+            out.append(s)
+    return sorted(out, key=mask_key)
+
+
+def sweep_lattice_ideals(lat):
+    """Every nonempty subset that is a downset closed under joins."""
+    out = []
+    for s in range(1, 1 << lat.n):
+        bits = list(iter_bits(s))
+        if not any(lat.down[i] & ~s for i in bits) \
+                and all((s >> lat.join[i][j]) & 1 for i in bits for j in bits):
+            out.append(s)
+    return sorted(out, key=mask_key)
+
+
+def closure_generated_filter(lat, mask):
+    """Close under products until nothing new appears, then take the upset."""
+    closed = mask | (1 << lat.top)
+    while True:
+        new = closed
+        for i in iter_bits(closed):
+            for j in iter_bits(closed):
+                new |= 1 << lat.prod[i][j]
+        if new == closed:
+            return lat.upset_of(closed)
+        closed = new
+
+
+def fixpoint_ideal(lat, mask):
+    """Add downsets and pairwise joins until nothing new appears."""
+    out = mask
+    while True:
+        ext = out
+        for i in iter_bits(out):
+            ext |= lat.down[i]
+            for j in iter_bits(out):
+                ext |= 1 << lat.join[i][j]
+        if ext == out:
+            return out
+        out = ext
 
 
 def test_generated_filter_examples(a6):
@@ -26,10 +79,56 @@ def test_filter_tables_match_reference_sets(fixtures4):
         assert got == set(FIXTURE_EXPECT[lat.name]["filters"])
 
 
-def test_incremental_oracle_agrees(fixtures4):
-    for lat in list(fixtures4) + [godel_chain(5), lukasiewicz_chain(6)]:
-        assert tuple(fi.enumerate_filters(lat).filters) == \
-            fi.enumerate_filters_incremental(lat)
+def test_subset_sweep_oracle_agrees(family):
+    for lat in family:
+        if lat.n > 12:
+            continue
+        fl = fi.enumerate_filters(lat)
+        assert list(fl.filters) == sweep_filters(lat), lat.name
+        assert list(fi.lattice_ideals(lat)) == sweep_lattice_ideals(lat), \
+            lat.name
+        for i, f in enumerate(fl.filters):
+            for j, g in enumerate(fl.filters):
+                assert fl.filters[fl.meet_t[i][j]] == f & g
+                assert fl.filters[fl.join_t[i][j]] == \
+                    closure_generated_filter(lat, f | g)
+
+
+def test_generated_filter_matches_closure_oracle(family):
+    for lat in family:
+        for s in _subset_samples(lat):
+            assert fi.generated_filter(lat, s) == \
+                closure_generated_filter(lat, s), (lat.name, s)
+
+
+def test_ideal_generated_matches_fixpoint_oracle(family):
+    for lat in family:
+        for s in _subset_samples(lat):
+            if s:
+                assert fi.ideal_generated(lat, s) == fixpoint_ideal(lat, s), \
+                    (lat.name, s)
+
+
+def _fresh(lat):
+    """A copy of ``lat`` with an empty memo."""
+    return ResiduatedLattice(lat.name, lat.names, lat.leq_np, lat.join_np,
+                             lat.meet_np, lat.prod_np, lat.res_np, lat.bottom,
+                             lat.top)
+
+
+def test_no_subset_sweep_at_the_cap(monkeypatch):
+    calls = []
+    real = fi.is_filter
+    monkeypatch.setattr(fi, "is_filter",
+                        lambda lat, mask: calls.append(mask) or real(lat, mask))
+    n = MAX_ELEMENTS
+    cases = [(godel_chain(n), n), (lukasiewicz_chain(n), 2),
+             (product_instance(godel_chain(4), godel_chain(5)), 4 * 5)]
+    for lat, n_fil in cases:
+        lat = _fresh(lat)
+        assert len(fi.enumerate_filters(lat)) == n_fil, lat.name
+        assert len(fi.lattice_ideals(lat)) == lat.n, lat.name
+    assert calls == []
 
 
 def test_two_chain_has_two_filters():

@@ -1,13 +1,16 @@
 """Generators, registry self-inventory, suite determinism and verdicts."""
 
+import gc
+import importlib.resources
 import json
 
 import numpy as np
 import pytest
 
 from reslat import harness as hz
-from reslat.core import (MAX_ELEMENTS, RawTables, SizeLimit, ValidationReport,
-                         validate)
+from reslat.core import (MAX_ELEMENTS, RawTables, ResiduatedLattice,
+                         SizeLimit, ValidationReport, direct_product,
+                         load_lattice, validate)
 from reslat.classify import boolean_center
 
 
@@ -27,6 +30,27 @@ def test_chain_generators():
         hz.lukasiewicz_chain(MAX_ELEMENTS + 1)
     with pytest.raises(SizeLimit):
         hz.godel_chain(MAX_ELEMENTS + 1)
+
+
+def test_suite_leaves_no_lattice_in_a_reference_cycle():
+    # a lattice whose memo points back at it is freed only by a full cyclic
+    # collection; SAVEALL keeps whatever the collector finds, to inspect it
+    flags = gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        path = importlib.resources.files("reslat") / "fixtures" / "b6.rlat"
+        b6 = load_lattice(path)
+        instances = [b6, direct_product(b6, hz.godel_chain(2))]
+        hz.run_theorem_suite(instances, "all")
+        del instances, b6
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, ResiduatedLattice)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 def test_generate_families():

@@ -321,8 +321,8 @@ def pure_filters_closed_form(lat: ResiduatedLattice) -> bool:
 
 def hull_kernel_equals_d_topology_on_max(lat: ResiduatedLattice) -> bool:
     mmask = maximal_point_mask(lat)
-    return (subspace(spec_space(lat, "h"), mmask).opens ==
-            subspace(d_topology(lat), mmask).opens)
+    return (subspace(spec_space(lat, "h"), mmask).nbhd ==
+            subspace(d_topology(lat), mmask).nbhd)
 
 
 def rho_rad_adjunction(lat: ResiduatedLattice) -> bool:

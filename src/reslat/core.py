@@ -65,10 +65,14 @@ class ValidationFailure(LatticeError):
         self.report = report
 
 
-# Carrier size cap.  Filters and ideals no longer need it; it still guards
-# the exponential paths: the 2^|Spec| sweep in the property closefalzai,
-# the fixpoint in topology.space_from_subbasis and the retraction search
-# of the property gelnor.
+# Carrier size cap.  No path in the library is exponential in the carrier
+# size: filters and ideals come from at most n principal generators, and a
+# space from one minimal open set per point.  FiniteSpace.opens lists every
+# open set (2^|Spec| for the discrete patch topology), so the library lists
+# opens only of spaces with at most |Fil| + 1 of them: Spec_h, Spec_d, Spp,
+# Spec_D and their subspaces.  The cap bounds polynomial work (validate's
+# O(n^3) axiom checks, suite properties of order |Fil|^2 * n) and the
+# products that `gen --product` writes.
 MAX_ELEMENTS = 20
 
 

@@ -10,13 +10,12 @@ carries a concrete witness.
 from __future__ import annotations
 
 import importlib.resources
-import itertools
 import random
 from dataclasses import dataclass, field
 
 from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
                    direct_product, iter_bits, lattice_from_tables,
-                   load_lattice, mask_key)
+                   load_lattice, mask_key, popcount)
 from .filters import (coannihilator, enumerate_filters, generated_filter,
                       ideal_generated, is_filter, is_projection_flat,
                       lattice_ideals, maximal_filters, omega_filter,
@@ -42,8 +41,8 @@ from .classify import (
     rho_below_max_implies_f_below, rho_equals_sigma, rho_m_homeomorphism,
     rho_rad_adjunction, spp_equals_max_sigma, spp_equals_rho_of_max,
     spp_hausdorff, spp_in_max_sigma, verify_flag_witness)
-from .topology import (PointMap, irreducible_closed_sets, map_analysis,
-                       separation_report, subspace)
+from .topology import (PointMap, components, irreducible_closed_sets,
+                       map_analysis, separation_report, subspace)
 
 # ---------------------------------------------------------------------------
 # instance generators
@@ -607,28 +606,39 @@ def _p_hulkerinstr(lat):
 
 @_prop("opensd", "core")
 def _p_opensd(lat):
-    """Opens of the dual hull-kernel topology are the unions of h(x)."""
+    """Opens of the dual hull-kernel topology are the unions of h(x).
+
+    The h(x) form a basis: each is d-open, and each point p lies in some
+    h(x) inside its minimal open set U_p.
+    """
     spec = prime_filters(lat)
-    fam = {0} | {h_set(spec, 1 << x) for x in range(lat.n)}
-    while True:
-        extra = {u | v for u in fam for v in fam} - fam
-        if not extra:
-            break
-        fam |= extra
-    return _when(fam == set(spec_space(lat, "d").opens),
-                 lambda: {"missing": sorted(map(bin, fam ^ set(spec_space(lat, "d").opens)))})
+    sd = spec_space(lat, "d")
+    hx = [h_set(spec, 1 << x) for x in range(lat.n)]
+    for x, h in enumerate(hx):
+        if not sd.is_open(h):
+            return _fail({"element": lat.names[x], "note": "h(x) is not open"})
+    for p, u in enumerate(sd.nbhd):
+        if not any((h >> p) & 1 and not h & ~u for h in hx):
+            return _fail({"point": _toks(lat, spec[p]),
+                          "note": "no h(x) between p and U_p"})
+    return PASS
 
 
 @_prop("closefalzai", "core")
 def _p_closefalzai(lat):
-    """h-closed = patch-closed and stable under specialization."""
+    """h-closed = patch-closed and stable under specialization.
+
+    The h-closed, patch-closed and S-stable sets are each closed under
+    unions and intersections, so the two sides agree iff they agree on
+    the hull of every point: the patch closure of {p} is {p}, and the
+    h-closure of {p} is its S-stability hull.
+    """
     spec = prime_filters(lat)
     sh, sp = spec_space(lat, "h"), spec_space(lat, "patch")
-    for sub in range(1 << len(spec)):
-        lhs = sh.is_closed(sub)
-        rhs = sp.is_closed(sub) and stability(lat, spec, sub, "S")["is_stable"]
-        if lhs != rhs:
-            return _fail({"points": [_toks(lat, spec[i]) for i in iter_bits(sub)]})
+    for i in range(len(spec)):
+        if (sp.closure(1 << i) != 1 << i or sh.closure(1 << i) !=
+                stability(lat, spec, 1 << i, "S")["closure"]):
+            return _fail({"points": [_toks(lat, spec[i])]})
     return PASS
 
 
@@ -791,7 +801,7 @@ def _p_comxpureprime(lat):
 
 @_prop("huldtopohyper", "purity")
 def _p_huldtopohyper(lat):
-    same = d_topology(lat).opens == spec_space(lat, "h").opens
+    same = d_topology(lat).nbhd == spec_space(lat, "h").nbhd
     return _when(same == _spec_antichain(lat), lambda: {"coincide": same})
 
 
@@ -1076,27 +1086,16 @@ def _p_pmprop(lat):
 
 @_prop("gelnor", "gelfand")
 def _p_gelnor(lat):
-    """Gelfand iff the maximal spectrum is a hull-kernel retract."""
+    """Gelfand iff the maximal spectrum is a hull-kernel retract.
+
+    Max_h is discrete, so a continuous map onto it is constant on each
+    connected component of Spec_h; a retraction exists iff every component
+    holds exactly one maximal point.
+    """
     g = _is_gelfand(lat)
-    spec = prime_filters(lat)
-    sh = spec_space(lat, "h")
-    maxset = set(maximal_filters(lat))
-    sub = subspace(sh, maximal_point_mask(lat), "Max_h")
-    pos = {sub.labels[i]: i for i in range(sub.k)}
-    free = [i for i, p in enumerate(spec) if p not in maxset]
-    if sub.k ** len(free) > 200_000:
-        raise LatticeError(f"{lat.name}: retraction search too large")
-    found = False
-    for combo in itertools.product(range(sub.k), repeat=len(free)):
-        mapping = [0] * len(spec)
-        for i, p in enumerate(spec):
-            if p in maxset:
-                mapping[i] = pos[p]
-        for slot, i in enumerate(free):
-            mapping[i] = combo[slot]
-        if map_analysis(PointMap(sh, sub, tuple(mapping)))["continuous"]:
-            found = True
-            break
+    mmask = maximal_point_mask(lat)
+    found = all(popcount(c & mmask) == 1
+                for c in components(spec_space(lat, "h")))
     return _when(found == g, lambda: {"gelfand": g, "retraction": found})
 
 

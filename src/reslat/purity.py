@@ -15,7 +15,8 @@ from .filters import (cached, enumerate_filters, generated_filter,
                       maximal_filters, omega_filter, x_perp, double_perp)
 from .spectra import (D_operator, prime_filters, minimal_primes, spec_space,
                       h_set)
-from .topology import FiniteSpace, PointMap, map_analysis
+from .topology import (FiniteSpace, PointMap, map_analysis,
+                       space_from_subbasis)
 
 
 def _k(lat, prime_masks) -> int:
@@ -160,9 +161,9 @@ def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
     def build():
         pts = purely_prime_filters(lat)
         pure = pure_filters(lat)
-        fam = {d_kappa(pts, f) for f in pure}
-        space = FiniteSpace(pts, frozenset(fam), f"Spp({lat.name})",
-                            tuple(lat.set_str(p) for p in pts))
+        space = space_from_subbasis(pts, {d_kappa(pts, f) for f in pure},
+                                    f"Spp({lat.name})",
+                                    tuple(lat.set_str(p) for p in pts))
         proper_pure = [f for f in pure if f != lat.all_mask]
         pmax = tuple(not any(q != p and p & ~q == 0 for q in proper_pure)
                      for p in pts)
@@ -175,9 +176,9 @@ def d_topology(lat: ResiduatedLattice) -> FiniteSpace:
     """Opens d(F) for pure F, on the prime spectrum."""
     def build():
         spec = prime_filters(lat)
-        fam = frozenset(d_of(lat, f) for f in pure_filters(lat))
-        return FiniteSpace(spec, fam, f"Spec_D({lat.name})",
-                           tuple(lat.set_str(p) for p in spec))
+        fam = {d_of(lat, f) for f in pure_filters(lat)}
+        return space_from_subbasis(spec, fam, f"Spec_D({lat.name})",
+                                   tuple(lat.set_str(p) for p in spec))
     return cached(lat, "d_topology", build)
 
 

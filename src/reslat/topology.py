@@ -1,42 +1,43 @@
-"""Finite topological spaces as explicit open-set families.
+"""Finite topological spaces as specialization preorders.
 
-Points are indexed 0..k-1 and subsets of points are bitmasks, so every
-separation or continuity question reduces to set algebra over ints.
-Spaces verify at construction that the family really is a topology.
+A finite topology is determined by the smallest open set U_p around each
+point p, and q in U_p says p lies in the closure of q (Stong, 1966).  A
+space therefore stores one row per point, ``nbhd[p]`` = U_p, and reads
+everything else off those k rows: a set is open when it contains the row
+of each of its points, the closure of a set collects the points whose row
+meets it, and each separation axiom is a fact about the preorder.  Points
+are indexed 0..k-1 and subsets of points are bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import LatticeError, iter_bits, mask_key
 
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A finite space: point labels plus the full family of open sets.
+    """A finite space: point labels plus the minimal open set of each point.
 
     ``labels`` are opaque identity carriers (filter bitmasks for spectra);
     ``label_text`` is the printable form used in reports and DOT output.
     """
 
     labels: tuple
-    opens: frozenset
+    nbhd: tuple
     name: str = ""
     label_text: tuple = ()
 
     def __post_init__(self):
+        # one row per point, p in U_p, and q in U_p implies U_q inside U_p
         k = len(self.labels)
-        full = (1 << k) - 1
-        if 0 not in self.opens or full not in self.opens:
-            raise LatticeError(f"space {self.name!r}: missing trivial opens")
-        ops = list(self.opens)
-        for i, u in enumerate(ops):
-            for v in ops[i:]:
-                if u | v not in self.opens or u & v not in self.opens:
-                    raise LatticeError(
-                        f"space {self.name!r}: opens not closed under "
-                        "union/intersection")
+        if len(self.nbhd) != k or any(
+                not (u >> p) & 1 or u >> k or
+                any(self.nbhd[q] & ~u for q in iter_bits(u))
+                for p, u in enumerate(self.nbhd)):
+            raise LatticeError(f"space {self.name!r}: rows are not a preorder")
         if not self.label_text:
             object.__setattr__(self, "label_text",
                                tuple(str(l) for l in self.labels))
@@ -49,29 +50,37 @@ class FiniteSpace:
     def full(self) -> int:
         return (1 << self.k) - 1
 
+    @cached_property
+    def opens(self) -> frozenset:
+        """Every open set: the unions of rows, listed without repeats."""
+        fam = {0}
+        for u in self.nbhd:
+            fam |= {o | u for o in fam}
+        return frozenset(fam)
+
     @property
     def closed_sets(self) -> frozenset:
         full = self.full
         return frozenset(full ^ o for o in self.opens)
 
     def is_open(self, mask: int) -> bool:
-        return mask in self.opens
+        return all(not self.nbhd[p] & ~mask for p in iter_bits(mask))
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full ^ mask) in self.opens
+        return self.is_open(self.full ^ mask)
 
     def closure(self, mask: int) -> int:
-        out = self.full
-        for c in self.closed_sets:
-            if mask & ~c == 0:
-                out &= c
+        out = 0
+        for q, u in enumerate(self.nbhd):
+            if u & mask:
+                out |= 1 << q
         return out
 
     def interior(self, mask: int) -> int:
         out = 0
-        for o in self.opens:
-            if o & ~mask == 0:
-                out |= o
+        for p in iter_bits(mask):
+            if not self.nbhd[p] & ~mask:
+                out |= 1 << p
         return out
 
     def point_of_label(self, label) -> int:
@@ -85,95 +94,70 @@ class FiniteSpace:
 
 
 def space_from_subbasis(labels, subbasis, name="", label_text=()) -> FiniteSpace:
-    """Generate a topology: finite intersections, then arbitrary unions."""
+    """The topology a subbasis generates: U_p is the meet of its members at p."""
     k = len(labels)
-    full = (1 << k) - 1
-    fam = {0, full} | set(subbasis)
-    while True:
-        extra = set()
-        lst = list(fam)
-        for i, u in enumerate(lst):
-            for v in lst[i + 1:]:
-                for w in (u | v, u & v):
-                    if w not in fam:
-                        extra.add(w)
-        if not extra:
-            break
-        fam |= extra
-    return FiniteSpace(tuple(labels), frozenset(fam), name, tuple(label_text))
+    rows = [(1 << k) - 1] * k
+    for s in subbasis:
+        for p in iter_bits(s):
+            rows[p] &= s
+    return FiniteSpace(tuple(labels), tuple(rows), name, tuple(label_text))
 
 
 def subspace(space: FiniteSpace, point_mask: int, name="") -> FiniteSpace:
     """Induced topology on a subset of points (relabelled 0..m-1)."""
     pts = list(iter_bits(point_mask))
-    pos = {p: i for i, p in enumerate(pts)}
-    trace = set()
-    for o in space.opens:
-        m = 0
-        for p in pts:
-            if (o >> p) & 1:
-                m |= 1 << pos[p]
-        trace.add(m)
-    return FiniteSpace(tuple(space.labels[p] for p in pts), frozenset(trace),
+    rows = tuple(sum(1 << i for i, q in enumerate(pts)
+                     if (space.nbhd[p] >> q) & 1) for p in pts)
+    return FiniteSpace(tuple(space.labels[p] for p in pts), rows,
                        name or f"{space.name}|sub",
                        tuple(space.label_text[p] for p in pts))
 
 
-def clopens(space: FiniteSpace) -> list[int]:
-    return sorted((o for o in space.opens if space.is_closed(o)), key=mask_key)
+def components(space: FiniteSpace) -> list[int]:
+    """Connected components: the classes of the comparability graph.
 
-
-def irreducible_closed_sets(space: FiniteSpace):
-    """Nonempty closed sets not covered by two smaller closed pieces.
-
-    Returns (closed set, tuple of generic points) pairs; a generic point
-    is one whose closure is the whole set.
+    Each row is connected (its points lie over its own point), and two
+    comparable points share a row, so merging overlapping rows suffices.
     """
-    closed = sorted(space.closed_sets, key=mask_key)
     out = []
-    for c in closed:
-        if c == 0:
-            continue
-        # only maximal proper closed traces inside c can witness a cover
-        traces = {c & d for d in closed if c & ~d}
-        maximal = [t for t in traces
-                   if not any(t != u and t & ~u == 0 for u in traces)]
-        irreducible = not any(t1 | t2 == c
-                              for i, t1 in enumerate(maximal)
-                              for t2 in maximal[i:])
-        if irreducible:
-            gen = tuple(p for p in iter_bits(c) if space.closure(1 << p) == c)
-            out.append((c, gen))
+    for u in space.nbhd:
+        out = [c for c in out if not c & u] + \
+              [u | sum(c for c in out if c & u)]
     return out
 
 
-def minimal_neighborhoods(space: FiniteSpace) -> list[int]:
-    """Smallest open set around each point (an open, by intersection closure)."""
-    nb = [space.full] * space.k
-    for o in space.opens:
-        for i in iter_bits(o):
-            nb[i] &= o
-    return nb
+def clopens(space: FiniteSpace) -> list[int]:
+    """The unions of connected components."""
+    fam = {0}
+    for c in components(space):
+        fam |= {o | c for o in fam}
+    return sorted(fam, key=mask_key)
+
+
+def irreducible_closed_sets(space: FiniteSpace):
+    """The nonempty irreducible closed sets: the point closures.
+
+    Returns (closed set, tuple of generic points) pairs in ``mask_key``
+    order; the generic points of a closure are the points with that same
+    closure.
+    """
+    gens = {}
+    for p in range(space.k):
+        gens.setdefault(space.closure(1 << p), []).append(p)
+    return [(c, tuple(gens[c])) for c in sorted(gens, key=mask_key)]
 
 
 def separation_report(space: FiniteSpace) -> dict:
-    """Separation axioms and connectedness, all from first principles.
+    """Separation axioms and connectedness, read off the preorder.
 
-    Minimal neighborhoods decide T0 and Hausdorff exactly: every open
-    around a point contains its minimal one, so two points admit a
-    distinguishing (resp. disjoint) pair of opens iff their minimal
-    neighborhoods differ (resp. are disjoint).
+    T0: distinct points have distinct rows.  T1 and Hausdorff: every row
+    is a single point (a finite T1 space is discrete).  Sober: T0, since
+    every irreducible closed set of a finite space is a point closure.
     """
-    k = space.k
-    nb = minimal_neighborhoods(space)
-    t0 = len(set(nb)) == k
-    t1 = all(space.closure(1 << i) == 1 << i for i in range(k))
-    hausdorff = all(not nb[i] & nb[j]
-                    for i in range(k) for j in range(i + 1, k))
-    sober = all(len(gen) == 1 for _, gen in irreducible_closed_sets(space))
-    connected = len(clopens(space)) <= 2 if k else True
-    return {"t0": t0, "t1": t1, "hausdorff": hausdorff, "sober": sober,
-            "connected": connected,
+    t0 = len(set(space.nbhd)) == space.k
+    t1 = all(u == 1 << p for p, u in enumerate(space.nbhd))
+    return {"t0": t0, "t1": t1, "hausdorff": t1, "sober": t0,
+            "connected": len(components(space)) <= 1,
             "compact_note": "trivially compact (finite)"}
 
 
@@ -206,11 +190,16 @@ class PointMap:
 
 
 def map_analysis(pm: PointMap) -> dict:
-    """Continuity, openness, closedness and friends for a point map."""
+    """Continuity, openness, closedness and friends for a point map.
+
+    Opens are unions of rows and closed sets unions of point closures, so
+    each property needs checking on those generators only.
+    """
     src, tgt = pm.source, pm.target
-    continuous = all(pm.preimage_mask(o) in src.opens for o in tgt.opens)
-    open_map = all(pm.image_mask(o) in tgt.opens for o in src.opens)
-    closed_map = all(tgt.is_closed(pm.image_mask(c)) for c in src.closed_sets)
+    continuous = all(src.is_open(pm.preimage_mask(u)) for u in tgt.nbhd)
+    open_map = all(tgt.is_open(pm.image_mask(u)) for u in src.nbhd)
+    closed_map = all(tgt.is_closed(pm.image_mask(src.closure(1 << p)))
+                     for p in range(src.k))
     injective = len(set(pm.mapping)) == src.k
     surjective = set(pm.mapping) == set(range(tgt.k))
     homeo = continuous and open_map and injective and surjective

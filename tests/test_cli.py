@@ -105,20 +105,47 @@ def test_product_filter_tokens_round_trip(tmp_path):
             assert res["exit"] == 0, (cmd, toks, res["stderr"])
 
 
+def _listed_sets(argv):
+    """The sets a listing subcommand prints, one per line under its header."""
+    return [line.strip() for line in run_cli(argv)["stdout"].splitlines()[1:]]
+
+
 def test_printed_filter_sets_round_trip(tmp_path):
     g2 = tmp_path / "g2.rlat"
     g2.write_text(run_cli(["gen", "--family", "godel", "--size", "2"])["stdout"],
                   encoding="utf-8")
-    prod = tmp_path / "p.rlat"
-    prod.write_text(run_cli(["gen", "--product", str(g2), str(g2)])["stdout"],
-                    encoding="utf-8")
-    for path in list(FIXTURE_PATHS.values()) + [str(prod)]:
-        lines = run_cli(["filters", path])["stdout"].splitlines()[1:]
-        assert lines
-        for printed in (line.strip() for line in lines):
+    g3 = tmp_path / "g3.rlat"
+    g3.write_text(run_cli(["gen", "--family", "godel", "--size", "3"])["stdout"],
+                  encoding="utf-8")
+    products = []
+    for a, b in ((g2, g2), (g3, FIXTURE_PATHS["b6"])):
+        prod = tmp_path / f"{a.stem}x{Path(b).stem}.rlat"
+        prod.write_text(run_cli(["gen", "--product", str(a), str(b)])["stdout"],
+                        encoding="utf-8")
+        products.append(str(prod))
+    for path in list(FIXTURE_PATHS.values()) + products:
+        filters = _listed_sets(["filters", path])
+        assert filters
+        printed = set()
+        for kind in ("prime", "maximal", "minimal"):
+            printed.update(_listed_sets(["spectrum", path, "--kind", kind]))
+        printed.update(_listed_sets(["pure", path]))
+        printed.update(_listed_sets(["alpha", path]))
+        spp = run_cli(["spp", path])["stdout"].splitlines()
+        points = spp[1:next(i for i, l in enumerate(spp) if l.startswith("opens"))]
+        assert len(points) == int(spp[0].split(": ")[1].split()[0])
+        printed.update(line.split()[0] for line in points)
+        for f in filters:
             for cmd in ("sigma", "rho", "quotient"):
-                res = run_cli([cmd, path, "--filter", printed])
-                assert res["exit"] == 0, (cmd, path, printed, res["stderr"])
+                res = run_cli([cmd, path, "--filter", f])
+                assert res["exit"] == 0, (cmd, path, f, res["stderr"])
+                if cmd != "quotient":
+                    lhs, rhs = res["stdout"].strip().split(" = ")
+                    assert lhs == f"{cmd}({f})"
+                    printed.add(rhs)
+        for s in sorted(printed):
+            res = run_cli(["sigma", path, "--filter", s])
+            assert res["exit"] == 0, (path, s, res["stderr"])
 
 
 def test_json_outputs_round_trip():

@@ -12,6 +12,8 @@ from reslat.core import (MAX_ELEMENTS, RawTables, ResiduatedLattice,
                          SizeLimit, ValidationReport, direct_product,
                          load_lattice, validate)
 from reslat.classify import boolean_center
+from reslat.spectra import spec_space
+from reslat.topology import separation_report
 
 
 def test_fixture_generator(a6):
@@ -99,6 +101,19 @@ def test_suite_on_fixtures_passes(fixtures4):
     assert rep.verdict("A6", "gelspphau").status == "not_applicable"
     assert rep.verdict("A8", "pureinterd").status == "not_applicable"
     assert rep.verdict("A8", "gelspphau").status == "pass"
+
+
+def test_suite_finishes_at_the_cap():
+    # the patch topology on Spec(Godel20) is discrete on 19 points: 2^19
+    # opens, but 19 one-point rows
+    godel = hz.godel_chain(MAX_ELEMENTS)
+    instances = [godel, hz.lukasiewicz_chain(MAX_ELEMENTS),
+                 hz.product_instance(hz.godel_chain(4), hz.godel_chain(5))]
+    rep = hz.run_theorem_suite(instances, "all")
+    assert rep.counts()["fail"] == 0, rep.failures()
+    patch = spec_space(godel, "patch")
+    assert patch.nbhd == tuple(1 << p for p in range(MAX_ELEMENTS - 1))
+    assert separation_report(patch)["hausdorff"]
 
 
 def test_fixture_expectation_properties_na_off_fixture():

@@ -5,7 +5,7 @@ import pytest
 from reslat import spectra as sp
 from reslat import filters as fi
 from reslat.core import LatticeError, iter_bits
-from reslat.harness import FIXTURE_EXPECT
+from reslat.harness import FIXTURE_EXPECT, PROPERTIES
 from reslat.topology import separation_report
 
 from conftest import tokset, toksets
@@ -152,8 +152,9 @@ def test_support_examples(a6, b6):
     assert supp6 != d_of(a6, a6.mask_of(["d", "1"]))
 
 
-def test_opens_of_dual_topology_are_unions_of_hulls(fixtures4):
-    for lat in fixtures4:
+def test_opens_of_dual_topology_are_unions_of_hulls(family):
+    opensd = PROPERTIES["opensd"][1]
+    for lat in family:
         spec = sp.prime_filters(lat)
         fam = {0} | {sp.h_set(spec, 1 << x) for x in range(lat.n)}
         while True:
@@ -161,18 +162,21 @@ def test_opens_of_dual_topology_are_unions_of_hulls(fixtures4):
             if not extra:
                 break
             fam |= extra
-        assert fam == set(sp.spec_space(lat, "d").opens)
+        assert fam == set(sp.spec_space(lat, "d").opens), lat.name
+        assert opensd(lat).status == "pass", lat.name
 
 
-def test_h_closed_iff_patch_closed_and_stable(fixtures4):
-    for lat in fixtures4:
+def test_h_closed_iff_patch_closed_and_stable(family):
+    closefalzai = PROPERTIES["closefalzai"][1]
+    for lat in family:
         spec = sp.prime_filters(lat)
         sh, spatch = sp.spec_space(lat, "h"), sp.spec_space(lat, "patch")
         for sub in range(1 << len(spec)):
             lhs = sh.is_closed(sub)
             rhs = spatch.is_closed(sub) and \
                 sp.stability(lat, spec, sub, "S")["is_stable"]
-            assert lhs == rhs
+            assert lhs == rhs, (lat.name, sub)
+        assert closefalzai(lat).status == "pass", lat.name
 
 
 def test_unknown_flavor_rejected(a6):

@@ -7,8 +7,6 @@ derived and every axiom is checked.  Run:  python demos/01_validate_and_inspect.
 
 import importlib.resources
 
-import numpy as np
-
 from reslat import load_lattice, parse_lattice_text, validate
 from reslat.core import RawTables
 
@@ -39,10 +37,11 @@ print(f"second power of c: {b6.names[b6.power(c, 2)]}")
 
 # -- validation catches every broken axiom with a witness --------------------
 
-raw = RawTables("B6-broken", list(b6.names), np.array(b6.leq_np),
-                np.array(b6.prod_np), b6.bottom, b6.top)
+raw = RawTables("B6-broken", list(b6.names),
+                [[b6.leq(i, j) for j in range(b6.n)] for i in range(b6.n)],
+                [list(r) for r in b6.prod], b6.bottom, b6.top)
 a, d = b6.index("a"), b6.index("d")
-raw.prod[a, d] = raw.prod[d, a] = b6.index("c")     # a*d was 0
+raw.prod[a][d] = raw.prod[d][a] = b6.index("c")     # a*d was 0
 report = validate(raw)
 print(f"\ntampering with a*d gives: {report}")
 

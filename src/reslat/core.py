@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class LatticeError(Exception):
     """Base class for errors raised by this package."""
@@ -99,8 +97,8 @@ class RawTables:
 
     name: str
     element_names: list[str]
-    leq: np.ndarray                 # n x n bool
-    prod: np.ndarray                # n x n int
+    leq: list                       # n x n bools, read as leq[i][j]
+    prod: list                      # n x n element indices, read as prod[i][j]
     bottom: int
     top: int
     res_claims: list[tuple[int, int, int]] = field(default_factory=list)
@@ -109,36 +107,27 @@ class RawTables:
 class ResiduatedLattice:
     """A validated finite residuated lattice.
 
-    Immutable once built (tables are read-only numpy arrays plus plain
-    tuple mirrors for fast scalar access); safe to share across workers.
-    Construct via :func:`validate`, :func:`load_lattice` or
-    :func:`direct_product`, not directly.
+    Immutable once built: the operation tables are tuples of tuples and the
+    order is one bitmask row per element (``up[x]`` = {y : x <= y},
+    ``down[y]`` = {x : x <= y}); safe to share across workers.  Construct
+    via :func:`validate`, :func:`load_lattice` or :func:`direct_product`,
+    not directly.
     """
 
-    __slots__ = ("name", "n", "names", "leq_np", "join_np", "meet_np",
-                 "prod_np", "res_np", "join", "meet", "prod", "res",
+    __slots__ = ("name", "n", "names", "join", "meet", "prod", "res",
                  "up", "down", "bottom", "top", "all_mask", "_index",
                  "_cache")
 
-    def __init__(self, name, names, leq, join, meet, prod, res, bottom, top):
+    def __init__(self, name, names, up, join, meet, prod, res, bottom, top):
         self.name = name
         self.names = tuple(names)
         self.n = len(names)
-        for arr in (leq, join, meet, prod, res):
-            arr.setflags(write=False)
-        self.leq_np = leq
-        self.join_np = join
-        self.meet_np = meet
-        self.prod_np = prod
-        self.res_np = res
-        self.join = tuple(tuple(int(v) for v in row) for row in join)
-        self.meet = tuple(tuple(int(v) for v in row) for row in meet)
-        self.prod = tuple(tuple(int(v) for v in row) for row in prod)
-        self.res = tuple(tuple(int(v) for v in row) for row in res)
-        self.up = tuple(int(sum(1 << j for j in range(self.n) if leq[i, j]))
-                        for i in range(self.n))
-        self.down = tuple(int(sum(1 << j for j in range(self.n) if leq[j, i]))
-                          for i in range(self.n))
+        self.join = tuple(map(tuple, join))
+        self.meet = tuple(map(tuple, meet))
+        self.prod = tuple(map(tuple, prod))
+        self.res = tuple(map(tuple, res))
+        self.up = tuple(up)
+        self.down = _transpose(self.up, self.n)
         self.bottom = bottom
         self.top = top
         self.all_mask = (1 << self.n) - 1
@@ -194,9 +183,12 @@ class ResiduatedLattice:
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (x, y) with y covering x."""
-        lt = self.leq_np & ~np.eye(self.n, dtype=bool)
-        covers = lt & ~(lt @ lt)
-        return [(int(i), int(j)) for i, j in np.argwhere(covers)]
+        out = []
+        for x in range(self.n):
+            above = self.up[x] & ~(1 << x)
+            out += [(x, y) for y in iter_bits(above)
+                    if not above & self.down[y] & ~(1 << y)]
+        return out
 
     def hasse_dot(self) -> str:
         """Graphviz text for the Hasse diagram (bottom drawn at the bottom)."""
@@ -213,13 +205,22 @@ class ResiduatedLattice:
         return f"ResiduatedLattice({self.name!r}, n={self.n})"
 
 
-def _least_of(leq: np.ndarray, candidates: np.ndarray):
-    """Index of the least element of a candidate set, or None."""
-    idx = np.flatnonzero(candidates)
-    for i in idx:
-        if all(leq[i, j] for j in idx):
-            return int(i)
+def _transpose(rows, n: int) -> tuple[int, ...]:
+    """Bitmask rows of the converse relation."""
+    return tuple(sum(1 << i for i in range(n) if rows[i] >> j & 1)
+                 for j in range(n))
+
+
+def _least_of(rows, candidates: int):
+    """Least element of a candidate set under the bitmask ``rows``, or None."""
+    for i in iter_bits(candidates):
+        if not candidates & ~rows[i]:
+            return i
     return None
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
@@ -227,41 +228,51 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
 
     The residuum table is always derived from the order and the product;
     any res rows supplied in the input are cross-checked, never trusted.
+    Each check reports its first witness in index order (row-major).
     """
     rep = ValidationReport(raw.name)
     names = raw.element_names
     n = len(names)
-    leq = raw.leq.astype(bool)
-    prod = raw.prod.astype(np.int64)
 
     if not (2 <= n <= MAX_ELEMENTS):
         rep.add("Bounds", f"element count {n} outside 2..{MAX_ELEMENTS}")
         return rep
+    full = (1 << n) - 1
+    up = [sum(1 << j for j in range(n) if raw.leq[i][j]) for i in range(n)]
+    down = _transpose(up, n)
+    prod = [[int(v) for v in raw.prod[i]] for i in range(n)]
 
     # partial order
-    if not leq.diagonal().all():
-        i = int(np.flatnonzero(~leq.diagonal())[0])
-        rep.add("Order", f"{names[i]} not reflexive", (names[i],))
-    anti = leq & leq.T & ~np.eye(n, dtype=bool)
-    if anti.any():
-        i, j = map(int, np.argwhere(anti)[0])
-        rep.add("Order", f"antisymmetry fails at ({names[i]},{names[j]})",
-                (names[i], names[j]))
-    trans_gap = (leq @ leq) & ~leq
-    if trans_gap.any():
-        i, j = map(int, np.argwhere(trans_gap)[0])
-        rep.add("Order", f"transitivity fails reaching {names[j]} from {names[i]}",
-                (names[i], names[j]))
+    for i in range(n):
+        if not up[i] >> i & 1:
+            rep.add("Order", f"{names[i]} not reflexive", (names[i],))
+            break
+    for i in range(n):
+        anti = up[i] & down[i] & ~(1 << i)
+        if anti:
+            j = _low(anti)
+            rep.add("Order", f"antisymmetry fails at ({names[i]},{names[j]})",
+                    (names[i], names[j]))
+            break
+    for i in range(n):
+        reach = 0
+        for k in iter_bits(up[i]):
+            reach |= up[k]
+        if reach & ~up[i]:
+            j = _low(reach & ~up[i])
+            rep.add("Order", f"transitivity fails reaching {names[j]} from {names[i]}",
+                    (names[i], names[j]))
+            break
     if not rep.ok:
         return rep
 
     # bounded lattice with all joins/meets
-    join = np.zeros((n, n), dtype=np.int64)
-    meet = np.zeros((n, n), dtype=np.int64)
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
-            j = _least_of(leq, leq[x] & leq[y])
-            m = _least_of(leq.T, leq[:, x] & leq[:, y])
+            j = _least_of(up, up[x] & up[y])
+            m = _least_of(down, down[x] & down[y])
             if j is None:
                 rep.add("NotALattice", f"{names[x]} v {names[y]} has no least upper bound",
                         (names[x], names[y]))
@@ -270,104 +281,101 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
                         (names[x], names[y]))
             if j is None or m is None:
                 continue
-            join[x, y] = join[y, x] = j
-            meet[x, y] = meet[y, x] = m
+            join[x][y] = join[y][x] = j
+            meet[x][y] = meet[y][x] = m
     if not rep.ok:
         return rep
 
-    if not leq[raw.bottom].all():
-        x = int(np.flatnonzero(~leq[raw.bottom])[0])
+    if up[raw.bottom] != full:
+        x = _low(full & ~up[raw.bottom])
         rep.add("Bounds", f"declared bottom {names[raw.bottom]} is not below {names[x]}",
                 (names[raw.bottom], names[x]))
-    if not leq[:, raw.top].all():
-        x = int(np.flatnonzero(~leq[:, raw.top])[0])
+    if down[raw.top] != full:
+        x = _low(full & ~down[raw.top])
         rep.add("Bounds", f"declared top {names[raw.top]} is not above {names[x]}",
                 (names[raw.top], names[x]))
     if not rep.ok:
         return rep
 
     # commutative monoid with unit top
-    if (prod != prod.T).any():
-        x, y = map(int, np.argwhere(prod != prod.T)[0])
+    bad = next(((x, y) for x in range(n) for y in range(n)
+                if prod[x][y] != prod[y][x]), None)
+    if bad:
+        x, y = bad
         rep.add("NotMonoid", f"product not commutative at ({names[x]},{names[y]})",
                 (names[x], names[y]))
-    unit_bad = np.flatnonzero(prod[:, raw.top] != np.arange(n))
-    if unit_bad.size:
-        x = int(unit_bad[0])
-        rep.add("NotMonoid",
-                f"{names[x]} * 1 = {names[int(prod[x, raw.top])]} instead of {names[x]}",
-                (names[x],))
-    lhs = prod[prod]                      # lhs[x,y,z] = (x*y)*z
-    rhs = prod[:, prod]                   # rhs[x,y,z] = x*(y*z)
-    if (lhs != rhs).any():
-        x, y, z = map(int, np.argwhere(lhs != rhs)[0])
+    for x in range(n):
+        if prod[x][raw.top] != x:
+            rep.add("NotMonoid",
+                    f"{names[x]} * 1 = {names[prod[x][raw.top]]} instead of {names[x]}",
+                    (names[x],))
+            break
+    bad = next(((x, y, z) for x in range(n) for y in range(n)
+                for z in range(n) if prod[prod[x][y]][z] != prod[x][prod[y][z]]),
+               None)
+    if bad:
+        x, y, z = bad
         rep.add("NotMonoid",
                 f"associativity fails at ({names[x]},{names[y]},{names[z]})",
                 (names[x], names[y], names[z]))
 
     # residuum: x->y is the maximum of S = {z | x*z <= y}, which must
     # contain its own join
-    res = np.zeros((n, n), dtype=np.int64)
+    res = [[0] * n for _ in range(n)]
+    below = [[0] * n for _ in range(n)]       # below[x][y] = S as a bitmask
     gap = False
     for x in range(n):
         for y in range(n):
-            zs = np.flatnonzero(leq[prod[x], y])
-            if zs.size == 0:
+            zs = sum(1 << z for z in range(n) if down[y] >> prod[x][z] & 1)
+            below[x][y] = zs
+            if not zs:
                 rep.add("ResiduumGap",
                         f"no z at all with {names[x]}*z <= {names[y]}",
                         (names[x], names[y]))
                 gap = True
                 continue
-            j = zs[0]
-            for z in zs[1:]:
-                j = join[j, z]
-            if not leq[prod[x, j], y]:
+            j = _low(zs)
+            for z in iter_bits(zs):
+                j = join[j][z]
+            if not down[y] >> prod[x][j] & 1:
                 rep.add("ResiduumGap",
                         f"{{z | {names[x]}*z <= {names[y]}}} has no maximum",
                         (names[x], names[y]))
                 gap = True
                 continue
-            res[x, y] = j
+            res[x][y] = j
 
     if not gap:
         # adjunction: x*z <= y  iff  z <= x->y
-        left = np.transpose(leq[prod], (0, 2, 1))        # [x,y,z] = x*z <= y
-        right = np.transpose(leq[:, res], (1, 2, 0))     # [x,y,z] = z <= x->y
-        if (left != right).any():
-            x, y, z = map(int, np.argwhere(left != right)[0])
+        bad = next(((x, y, _low(below[x][y] ^ down[res[x][y]]))
+                    for x in range(n) for y in range(n)
+                    if below[x][y] != down[res[x][y]]), None)
+        if bad:
+            x, y, z = bad
             rep.add("NotAdjoint",
                     f"adjunction fails at x={names[x]}, y={names[y]}, z={names[z]}",
                     (names[x], names[y], names[z]))
 
     # x*y <= x^y (checked directly even though it follows from adjunction)
-    pm = np.array([[leq[prod[x, y], meet[x, y]] for y in range(n)] for x in range(n)])
-    if not pm.all():
-        x, y = map(int, np.argwhere(~pm)[0])
+    bad = next(((x, y) for x in range(n) for y in range(n)
+                if not down[meet[x][y]] >> prod[x][y] & 1), None)
+    if bad:
+        x, y = bad
         rep.add("NotAdjoint",
                 f"{names[x]}*{names[y]} is not below {names[x]}^{names[y]}",
                 (names[x], names[y]))
 
     for x, y, claimed in raw.res_claims:
-        if rep.ok and res[x, y] != claimed:
+        if rep.ok and res[x][y] != claimed:
             rep.add("ResMismatch",
                     f"file claims {names[x]}->{names[y]} = {names[claimed]}, "
-                    f"derived {names[int(res[x, y])]}",
+                    f"derived {names[res[x][y]]}",
                     (names[x], names[y], names[claimed]))
 
     if not rep.ok:
         return rep
-    return ResiduatedLattice(raw.name, names, leq, join, meet, prod, res,
+    return ResiduatedLattice(raw.name, names, up, join, meet, prod, res,
                              raw.bottom, raw.top)
-
-
-def residuum(lat: ResiduatedLattice, x: int, y: int) -> int:
-    """Largest z with x*z <= y (total on a validated lattice)."""
-    return lat.res[x][y]
-
-
-def derived_element_ops(lat: ResiduatedLattice, x: int, k: int = 1) -> dict:
-    """Negation and k-th power of an element."""
-    return {"negation": lat.neg(x), "power": lat.power(x, k)}
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -460,29 +468,30 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     if bottom is None or top is None:
         raise ParseError(0, f"{source}: bottom/top must name declared elements")
 
-    leq = np.eye(n, dtype=bool)
+    up = [1 << i for i in range(n)]
     for x, y in covers:
-        leq[x, y] = True
+        up[x] |= 1 << y
     for k in range(n):                      # Warshall closure
-        leq |= np.outer(leq[:, k], leq[k, :])
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
 
-    prod = np.full((n, n), -1, dtype=np.int64)
+    prod = [[None] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
             key = frozenset((x, y))
             if key in mul_rows:
-                prod[x, y] = mul_rows[key][0]
+                prod[x][y] = mul_rows[key][0]
             elif bottom in (x, y):
-                prod[x, y] = bottom
+                prod[x][y] = bottom
             elif x == top:
-                prod[x, y] = y
+                prod[x][y] = y
             elif y == top:
-                prod[x, y] = x
-    missing = np.argwhere(prod < 0)
-    if missing.size:
-        x, y = map(int, missing[0])
-        raise ParseError(0, f"{source}: missing mul row for "
-                            f"({element_names[x]},{element_names[y]})")
+                prod[x][y] = x
+            else:
+                raise ParseError(0, f"{source}: missing mul row for "
+                                    f"({element_names[x]},{element_names[y]})")
 
     return RawTables(name, element_names, leq, prod, bottom, top, res_claims)
 
@@ -499,8 +508,7 @@ def load_lattice(path) -> ResiduatedLattice:
 
 def lattice_from_tables(name, names, leq, prod, bottom, top) -> ResiduatedLattice:
     """Validate in-memory tables; raise ValidationFailure if bad."""
-    raw = RawTables(name, list(names), np.asarray(leq, dtype=bool),
-                    np.asarray(prod, dtype=np.int64), bottom, top)
+    raw = RawTables(name, list(names), leq, prod, bottom, top)
     out = validate(raw)
     if isinstance(out, ValidationReport):
         raise ValidationFailure(out)
@@ -516,17 +524,11 @@ def direct_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLatt
                         f"(cap {MAX_ELEMENTS})")
     n2 = b.n
     names = [f"({s},{t})" for s in a.names for t in b.names]
-    n = a.n * b.n
-    leq = np.zeros((n, n), dtype=bool)
-    prod = np.zeros((n, n), dtype=np.int64)
-    for x1 in range(a.n):
-        for x2 in range(b.n):
-            i = x1 * n2 + x2
-            for y1 in range(a.n):
-                for y2 in range(b.n):
-                    j = y1 * n2 + y2
-                    leq[i, j] = a.leq_np[x1, y1] and b.leq_np[x2, y2]
-                    prod[i, j] = a.prod[x1][y1] * n2 + b.prod[x2][y2]
+    pairs = [(x1, x2) for x1 in range(a.n) for x2 in range(b.n)]
+    leq = [[a.leq(x1, y1) and b.leq(x2, y2) for y1, y2 in pairs]
+           for x1, x2 in pairs]
+    prod = [[a.prod[x1][y1] * n2 + b.prod[x2][y2] for y1, y2 in pairs]
+            for x1, x2 in pairs]
     raw = RawTables(f"{a.name}x{b.name}", names, leq, prod,
                     a.bottom * n2 + b.bottom, a.top * n2 + b.top)
     out = validate(raw)

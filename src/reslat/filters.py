@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
 
 
@@ -232,13 +230,12 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
         reps = [next(iter_bits(m)) for m in classes]
 
         def push(op):
-            return np.array([[class_of[op[i][j]] for j in reps] for i in reps],
-                            dtype=np.int64)
+            return [[class_of[op[i][j]] for j in reps] for i in reps]
 
-        leq = np.array([[(f_mask >> res[i][j]) & 1 for j in reps] for i in reps],
-                       dtype=bool)
+        up = [sum(1 << cj for cj, j in enumerate(reps) if f_mask >> res[i][j] & 1)
+              for i in reps]
         names = ["|".join(lat.names[i] for i in iter_bits(m)) for m in classes]
-        q = ResiduatedLattice(f"{lat.name}/{lat.set_str(f_mask)}", names, leq,
+        q = ResiduatedLattice(f"{lat.name}/{lat.set_str(f_mask)}", names, up,
                               push(lat.join), push(lat.meet), push(lat.prod),
                               push(res), class_of[lat.bottom], class_of[lat.top])
         return QuotientResult(q, tuple(class_of), tuple(classes),

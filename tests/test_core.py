@@ -1,14 +1,21 @@
 """Parsing, validation, residuum derivation, and direct products."""
 
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from reslat import core
+from reslat import cli
 from reslat.core import (ParseError, RawTables, SizeLimit, ValidationFailure,
                          ValidationReport, direct_product, parse_lattice_text,
                          validate)
 from reslat.classify import boolean_center
-from reslat.harness import fixture, godel_chain, lukasiewicz_chain
+from reslat.harness import (acceptance_family, fixture, godel_chain,
+                            lukasiewicz_chain, product_instance)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TWO_CHAIN = """
 lattice Two
@@ -21,8 +28,25 @@ end
 
 
 def _raw_of(lat, name="copy"):
-    return RawTables(name, list(lat.names), np.array(lat.leq_np),
-                     np.array(lat.prod_np), lat.bottom, lat.top)
+    n = lat.n
+    return RawTables(name, list(lat.names),
+                     [[lat.leq(i, j) for j in range(n)] for i in range(n)],
+                     [list(r) for r in lat.prod], lat.bottom, lat.top)
+
+
+def _a6_mutant(a6, flip=(), prod=(), bottom=None, top=None):
+    """A6 with the ``flip`` order entries negated and ``prod`` entries set."""
+    raw = _raw_of(a6, "A6")
+    ix = a6.index
+    for x, y in flip:
+        raw.leq[ix(x)][ix(y)] = not raw.leq[ix(x)][ix(y)]
+    for x, y, v in prod:
+        raw.prod[ix(x)][ix(y)] = ix(v)
+    if bottom is not None:
+        raw.bottom = ix(bottom)
+    if top is not None:
+        raw.top = ix(top)
+    return raw
 
 
 def test_fixtures_validate(fixtures4):
@@ -41,7 +65,7 @@ def test_two_chain_is_boolean_algebra():
 
 def test_residuum_examples(a6):
     b, a, d = a6.index("b"), a6.index("a"), a6.index("d")
-    assert core.residuum(a6, b, a) == d
+    assert a6.res[b][a] == d
     for lat in (a6,):
         for y in range(lat.n):
             assert lat.res[lat.bottom][y] == lat.top
@@ -51,9 +75,10 @@ def test_residuum_examples(a6):
 
 def test_derived_element_ops(a6):
     c, b = a6.index("c"), a6.index("b")
-    assert core.derived_element_ops(a6, c)["negation"] == b
+    assert a6.neg(c) == b
     assert a6.neg(a6.top) == a6.bottom
-    assert core.derived_element_ops(a6, b, 2)["power"] == a6.index("a")
+    assert a6.power(c, 1) == c
+    assert a6.power(b, 2) == a6.index("a")
     assert a6.power(b, 0) == a6.top
     with pytest.raises(ValueError):
         a6.power(b, -1)
@@ -62,7 +87,7 @@ def test_derived_element_ops(a6):
 def test_mutated_product_is_not_adjoint(a6):
     raw = _raw_of(a6, "A6-mutated")
     ai, ci = a6.index("a"), a6.index("c")
-    raw.prod[ai, ci] = raw.prod[ci, ai] = ai       # was 0
+    raw.prod[ai][ci] = raw.prod[ci][ai] = ai       # was 0
     report = validate(raw)
     assert isinstance(report, ValidationReport)
     kinds = {v.kind for v in report.violations}
@@ -72,17 +97,106 @@ def test_mutated_product_is_not_adjoint(a6):
 
 def test_every_violation_kind_is_reachable(a6):
     raw = _raw_of(a6, "NotCommutative")
-    raw.prod[1, 2] = 3
+    raw.prod[1][2] = 3
     rep = validate(raw)
     assert any(v.kind == "NotMonoid" for v in rep.violations)
 
     # remove the top of the order: pairs lose their upper bounds
     n = a6.n
-    leq = np.eye(n, dtype=bool)
+    leq = [[i == j for j in range(n)] for i in range(n)]
     rep = validate(RawTables("NoJoins", list(a6.names), leq,
-                             np.array(a6.prod_np), a6.bottom, a6.top))
+                             [list(r) for r in a6.prod], a6.bottom, a6.top))
     assert any(v.kind in ("Order", "NotALattice", "Bounds")
                for v in rep.violations)
+
+
+# One case per violation template of ``validate``: the full report text and
+# every witness.  Each check reports its first witness in row-major index
+# order, so these pin which witness appears, not only the kind.
+VIOLATION_CASES = {
+    "element-count": (
+        lambda a6: RawTables("One", ["0"], [[True]], [[0]], 0, 0),
+        "One: 1 violation(s)\n  [Bounds] element count 1 outside 2..20",
+        [()]),
+    "not-reflexive": (
+        lambda a6: _a6_mutant(a6, flip=[("a", "a")]),
+        "A6: 1 violation(s)\n  [Order] a not reflexive",
+        [("a",)]),
+    "antisymmetry": (
+        lambda a6: _a6_mutant(a6, flip=[("b", "a")]),
+        "A6: 1 violation(s)\n  [Order] antisymmetry fails at (a,b)",
+        [("a", "b")]),
+    "transitivity": (
+        lambda a6: _a6_mutant(a6, flip=[("c", "1")]),
+        "A6: 1 violation(s)\n  [Order] transitivity fails reaching 1 from c",
+        [("c", "1")]),
+    "no-join": (
+        lambda a6: RawTables("V", ["0", "a", "b"],
+                             [[1, 1, 1], [0, 1, 0], [0, 0, 1]],
+                             [[0, 0, 0], [0, 1, 0], [0, 0, 2]], 0, 2),
+        "V: 1 violation(s)\n  [NotALattice] a v b has no least upper bound",
+        [("a", "b")]),
+    "no-meet": (
+        lambda a6: RawTables("W", ["a", "b", "1"],
+                             [[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                             [[0, 0, 0], [0, 1, 1], [0, 1, 2]], 0, 2),
+        "W: 1 violation(s)\n  [NotALattice] a ^ b has no greatest lower bound",
+        [("a", "b")]),
+    "bottom-not-least": (
+        lambda a6: _a6_mutant(a6, bottom="a"),
+        "A6: 1 violation(s)\n  [Bounds] declared bottom a is not below 0",
+        [("a", "0")]),
+    "top-not-greatest": (
+        lambda a6: _a6_mutant(a6, top="d"),
+        "A6: 1 violation(s)\n  [Bounds] declared top d is not above 1",
+        [("d", "1")]),
+    "not-commutative": (
+        lambda a6: _a6_mutant(a6, prod=[("d", "b", "b")]),
+        "A6: 1 violation(s)\n  [NotMonoid] product not commutative at (b,d)",
+        [("b", "d")]),
+    "unit": (
+        lambda a6: _a6_mutant(a6, prod=[("b", "1", "0"), ("1", "b", "0")]),
+        "A6: 3 violation(s)\n  [NotMonoid] b * 1 = 0 instead of b\n"
+        "  [NotMonoid] associativity fails at (a,b,1)\n"
+        "  [ResiduumGap] {z | 1*z <= c} has no maximum",
+        [("b",), ("a", "b", "1"), ("1", "c")]),
+    "associativity": (
+        lambda a6: _a6_mutant(a6, prod=[("d", "d", "0")]),
+        "A6: 2 violation(s)\n  [NotMonoid] associativity fails at (a,d,d)\n"
+        "  [NotAdjoint] adjunction fails at x=d, y=0, z=a",
+        [("a", "d", "d"), ("d", "0", "a")]),
+    "no-z-at-all": (
+        lambda a6: _a6_mutant(a6, prod=[("0", "d", "a"), ("d", "0", "a")]),
+        "A6: 3 violation(s)\n  [NotMonoid] associativity fails at (0,0,d)\n"
+        "  [ResiduumGap] no z at all with d*z <= 0\n"
+        "  [NotAdjoint] 0*d is not below 0^d",
+        [("0", "0", "d"), ("d", "0"), ("0", "d")]),
+    "no-maximum": (
+        lambda a6: _a6_mutant(a6, prod=[("b", "d", "b"), ("d", "b", "b")]),
+        "A6: 1 violation(s)\n  [ResiduumGap] {z | b*z <= a} has no maximum",
+        [("b", "a")]),
+    "adjunction": (
+        lambda a6: _a6_mutant(a6, flip=[("c", "b")]),
+        "A6: 1 violation(s)\n  [NotAdjoint] adjunction fails at x=c, y=0, z=c",
+        [("c", "0", "c")]),
+    "product-below-meet": (
+        lambda a6: _a6_mutant(a6, flip=[("c", "d")]),
+        "A6: 2 violation(s)\n  [ResiduumGap] {z | b*z <= a} has no maximum\n"
+        "  [NotAdjoint] c*d is not below c^d",
+        [("b", "a"), ("c", "d")]),
+    "res-mismatch": (
+        lambda a6: parse_lattice_text(TWO_CHAIN.replace("end", "res 1 0 1\nend")),
+        "Two: 1 violation(s)\n  [ResMismatch] file claims 1->0 = 1, derived 0",
+        [("1", "0", "1")]),
+}
+
+
+@pytest.mark.parametrize("case", VIOLATION_CASES)
+def test_validation_report_text(a6, case):
+    build, text, witnesses = VIOLATION_CASES[case]
+    report = validate(build(a6))
+    assert str(report) == text
+    assert [v.witness for v in report.violations] == witnesses
 
 
 def test_res_rows_cross_checked():
@@ -178,8 +292,12 @@ def test_cover_pairs_and_dot(a6):
 
 
 def test_tables_are_frozen(a6):
-    with pytest.raises(ValueError):
-        a6.leq_np[0, 0] = False
+    with pytest.raises(TypeError):
+        a6.prod[0][0] = 1
+    assert type(a6.up) is tuple and type(a6.down) is tuple
+    for table in (a6.join, a6.meet, a6.prod, a6.res):
+        assert type(table) is tuple
+        assert all(type(row) is tuple for row in table)
 
 
 def test_mask_helpers(a6):
@@ -188,3 +306,35 @@ def test_mask_helpers(a6):
     assert a6.set_str(mask) == "{d,1}"
     assert a6.is_upset(mask)
     assert not a6.is_upset(a6.mask_of(["d"]))
+
+
+def test_rlat_round_trip_at_the_edges():
+    # covers, the Warshall closure and validate on every acceptance instance
+    # and at the size cap
+    cap = [godel_chain(20), lukasiewicz_chain(20),
+           product_instance(godel_chain(4), godel_chain(5))]
+    for lat in list(acceptance_family()) + cap:
+        back = validate(parse_lattice_text(cli.to_rlat_text(lat)))
+        assert not isinstance(back, ValidationReport), str(back)
+        for attr in ("names", "up", "down", "join", "meet", "prod", "res",
+                     "bottom", "top"):
+            assert getattr(back, attr) == getattr(lat, attr), (lat.name, attr)
+
+
+# A fresh interpreter imports the CLI and lists the packages outside the
+# standard library that the import loaded.
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import reslat.cli
+loaded = {m.split(".")[0] for m in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names)))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "['reslat']"

@@ -1,6 +1,5 @@
 """Filter generation, enumeration, coannihilators, quotients, flatness."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,9 +110,8 @@ def test_ideal_generated_matches_fixpoint_oracle(family):
 
 def _fresh(lat):
     """A copy of ``lat`` with an empty memo."""
-    return ResiduatedLattice(lat.name, lat.names, lat.leq_np, lat.join_np,
-                             lat.meet_np, lat.prod_np, lat.res_np, lat.bottom,
-                             lat.top)
+    return ResiduatedLattice(lat.name, lat.names, lat.up, lat.join, lat.meet,
+                             lat.prod, lat.res, lat.bottom, lat.top)
 
 
 def test_no_subset_sweep_at_the_cap(monkeypatch):
@@ -280,8 +278,9 @@ def test_quotient_tables_match_validation(fixtures4):
         q = qr.quotient
         if q.n < 2:
             continue
-        raw = RawTables(q.name, list(q.names), np.array(q.leq_np),
-                        np.array(q.prod_np), q.bottom, q.top)
+        raw = RawTables(q.name, list(q.names),
+                        [[q.leq(i, j) for j in range(q.n)] for i in range(q.n)],
+                        [list(r) for r in q.prod], q.bottom, q.top)
         v = validate(raw)
         assert isinstance(v, ResiduatedLattice), str(v)
         for op in ("join", "meet", "prod", "res"):

@@ -4,7 +4,6 @@ import gc
 import importlib.resources
 import json
 
-import numpy as np
 import pytest
 
 from reslat import harness as hz
@@ -131,10 +130,11 @@ def test_suite_reports_are_deterministic(fixtures4):
 
 
 def test_mutated_fixture_fails_validation(a6):
-    raw = RawTables("A6-broken", list(a6.names), np.array(a6.leq_np),
-                    np.array(a6.prod_np), a6.bottom, a6.top)
+    raw = RawTables("A6-broken", list(a6.names),
+                    [[a6.leq(i, j) for j in range(a6.n)] for i in range(a6.n)],
+                    [list(r) for r in a6.prod], a6.bottom, a6.top)
     ai, ci = a6.index("a"), a6.index("c")
-    raw.prod[ai, ci] = raw.prod[ci, ai] = ai
+    raw.prod[ai][ci] = raw.prod[ci][ai] = ai
     rep = validate(raw)
     assert isinstance(rep, ValidationReport) and not rep.ok
     # the suite only accepts validated instances, so the pipeline stops here

@@ -20,7 +20,7 @@ a8 = load_lattice(FIXTURES / "a8.rlat")
 for lat in (a6, a8):
     print(f"{lat.name}:")
     for kind in ("prime", "maximal", "minimal_prime"):
-        pts = spectrum(lat, kind).points
+        pts = spectrum(lat, kind)
         print(f"  {kind:<14} {[lat.set_str(p) for p in pts]}")
 
 # -- D sends a prime to the intersection of the primes below it ---------------
@@ -30,7 +30,7 @@ for lat, toks in ((a6, ["a", "b", "d", "1"]), (a8, "acdef1")):
     print(f"\nD({lat.set_str(p)}) in {lat.name} = "
           f"{lat.set_str(D_operator(lat, p))}")
 print("a prime is minimal exactly when D fixes it:")
-for q in spectrum(a6, "minimal_prime").points:
+for q in spectrum(a6, "minimal_prime"):
     print(f"  D({a6.set_str(q)}) = {a6.set_str(D_operator(a6, q))}")
 
 # -- hull-kernel topology: the generic point of Spec_h(A6) ---------------------
@@ -44,7 +44,7 @@ print(specialization_dot(sh, "SpecA6"))
 
 # -- the dual flavor separates the two minimal primes of A8 --------------------
 
-min_d = hull_kernel_space(a8, spectrum(a8, "minimal_prime").points, "d")
+min_d = hull_kernel_space(a8, spectrum(a8, "minimal_prime"), "d")
 print(f"Min_d({a8.name}) has {len(min_d.opens)} opens "
       f"on {min_d.k} points (discrete)")
 
@@ -52,10 +52,10 @@ print(f"Min_d({a8.name}) has {len(min_d.opens)} opens "
 
 spec = prime_filters(a6)
 sub = 1 << spec.index(a6.mask_of(["1"]))
-res = stability(a6, spec, sub, "S")
-closure = [a6.set_str(spec[i]) for i in iter_bits(res["closure"])]
-print(f"\nS-closure of {{{{1}}}} in Spec({a6.name}): {closure} "
-      f"(stable: {res['is_stable']})")
+closure = stability(spec, sub)
+print(f"\nS-closure of {{{{1}}}} in Spec({a6.name}): "
+      f"{[a6.set_str(spec[i]) for i in iter_bits(closure)]} "
+      f"(stable: {closure == sub})")
 
 supp = support(a6, a6.mask_of(["d", "1"]))
 print(f"support of {{d,1}}: {[a6.set_str(spec[i]) for i in iter_bits(supp)]}")

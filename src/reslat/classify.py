@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 from .core import LatticeError, ResiduatedLattice, iter_bits
 from .filters import (cached, coannihilator, enumerate_filters,
-                      generated_filter, maximal_filters, omega_filters,
-                      radical, x_perp)
-from .spectra import (D_operator, hull_kernel_space, min_space,
-                      minimal_primes, prime_filters, spec_space)
-from .purity import (d_kappa, d_topology, pure_filters, pure_spectrum,
-                     rho, sigma_filter)
+                      generated_filter, hull, kernel, maximal_filters,
+                      omega_filters, radical, x_perp)
+from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
+                      minimal_primes, nested_pair, prime_filters, spec_space)
+from .purity import (d_topology, pure_filters, pure_spectrum, rho,
+                     sigma_filter)
 from .topology import (PointMap, clopens, map_analysis, separation_report,
                        subspace)
 
@@ -114,7 +114,7 @@ def classify(lat: ResiduatedLattice) -> ClassificationReport:
 
         gelfand = Flag(True, {"check": "every prime under exactly one maximal"})
         for p in spec:
-            over = [m for m in maxf if p & ~m == 0]
+            over = hull(maxf, p)
             if len(over) != 1:
                 gelfand = Flag(False, {"prime": toks(p),
                                        "maximals": [toks(m) for m in over]})
@@ -128,17 +128,10 @@ def classify(lat: ResiduatedLattice) -> ClassificationReport:
                                   "minimal_primes": [toks(q) for q in under]})
                 break
 
-        antichain = True
-        witness = {"check": "Spec is an antichain"}
-        for p in spec:
-            for q in spec:
-                if p != q and p & ~q == 0:
-                    antichain = False
-                    witness = {"lower": toks(p), "upper": toks(q)}
-                    break
-            if not antichain:
-                break
-        hyper = Flag(antichain, witness)
+        pair = nested_pair(spec)
+        hyper = (Flag(True, {"check": "Spec is an antichain"}) if pair is None
+                 else Flag(False, {"lower": toks(pair[0]),
+                                   "upper": toks(pair[1])}))
 
         beta = boolean_center(lat)["elements"]
         trivial = (1 << lat.bottom) | (1 << lat.top)
@@ -161,8 +154,7 @@ def verify_flag_witness(lat: ResiduatedLattice, name: str, flag: Flag) -> bool:
     if name == "gelfand":
         p = lat.mask_of(w["prime"])
         ms = [lat.mask_of(t) for t in w["maximals"]]
-        maxf = set(maximal_filters(lat))
-        actual = [m for m in maxf if p & ~m == 0]
+        actual = hull(maximal_filters(lat), p)
         return (p in set(prime_filters(lat)) and sorted(ms) == sorted(actual)
                 and len(ms) != 1)
     if name == "mp":
@@ -183,13 +175,13 @@ def verify_flag_witness(lat: ResiduatedLattice, name: str, flag: Flag) -> bool:
 
 
 def grothendieck_check(lat: ResiduatedLattice) -> dict:
-    """e -> d_kappa(F(e)) must biject the center onto the Spp clopens."""
+    """e -> d(up(e)) on Spp must biject the center onto the Spp clopens."""
     spp = pure_spectrum(lat)
     beta = boolean_center(lat)["elements"]
     pairs = []
     seen = {}
     for e in iter_bits(beta):
-        image = d_kappa(spp.points, lat.up[e])
+        image = d_set(spp.points, lat.up[e])
         if image in seen:
             raise BijectionFailure(
                 f"{lat.name}: {lat.names[seen[image]]} and {lat.names[e]} "
@@ -220,28 +212,20 @@ def comaximal(lat: ResiduatedLattice, f_mask: int, g_mask: int) -> bool:
     return enumerate_filters(lat).join_mask(f_mask, g_mask) == lat.all_mask
 
 
-def h_m(lat: ResiduatedLattice, f_mask: int) -> frozenset:
-    """The maximal filters containing F."""
-    return frozenset(m for m in maximal_filters(lat) if f_mask & ~m == 0)
+def h_m(lat: ResiduatedLattice, f_mask: int) -> int:
+    """Index mask of the maximal filters containing F."""
+    return h_set(maximal_filters(lat), f_mask)
 
 
 def kh_m(lat: ResiduatedLattice, f_mask: int) -> int:
     """The intersection of the minimal primes containing F."""
-    out = lat.all_mask
-    for q in minimal_primes(lat):
-        if f_mask & ~q == 0:
-            out &= q
-    return out
+    return kernel(lat, hull(minimal_primes(lat), f_mask))
 
 
 def maximal_point_mask(lat: ResiduatedLattice) -> int:
-    """Index mask of the maximal filters among the prime spectrum."""
-    maxset = set(maximal_filters(lat))
-    out = 0
-    for i, p in enumerate(prime_filters(lat)):
-        if p in maxset:
-            out |= 1 << i
-    return out
+    """Index mask of the maximal points of the prime spectrum: h(p) = {p}."""
+    spec = prime_filters(lat)
+    return sum(1 << i for i, p in enumerate(spec) if h_set(spec, p) == 1 << i)
 
 
 def purely_maximal_points(lat: ResiduatedLattice) -> set:
@@ -251,11 +235,8 @@ def purely_maximal_points(lat: ResiduatedLattice) -> set:
 
 def f_a(lat: ResiduatedLattice, a: int) -> int:
     """F_a: intersection of the pure parts of the maximal filters over a."""
-    out = lat.all_mask
-    for m in maximal_filters(lat):
-        if (m >> a) & 1:
-            out &= rho(lat, m)
-    return out
+    over_a = hull(maximal_filters(lat), 1 << a)
+    return kernel(lat, [rho(lat, m) for m in over_a])
 
 
 def _hull_closed_forms(lat, flavor, points) -> set:
@@ -264,12 +245,8 @@ def _hull_closed_forms(lat, flavor, points) -> set:
     space = spec_space(lat, flavor)
     forms = set()
     for c in space.closed_sets:
-        g = lat.all_mask
-        for i in iter_bits(c):
-            p = space.labels[i]
-            if p in points:
-                g &= points[p]
-        forms.add(g)
+        members = [space.labels[i] for i in iter_bits(c)]
+        forms.add(kernel(lat, [points[p] for p in members if p in points]))
     return forms
 
 

@@ -156,11 +156,11 @@ def _cmd_spectrum(args):
     lat = _load(args.path)
     kind = {"prime": "prime", "maximal": "maximal",
             "minimal": "minimal_prime"}[args.kind]
-    sel = _spectra.spectrum(lat, kind)
+    pts = _spectra.spectrum(lat, kind)
     if args.json:
         return _emit(args, lat.name, "spectrum",
-                     {"kind": args.kind, "points": _tok_sets(lat, sel.points)})
-    _print_sets(lat, sel.points, f"{lat.name}: {len(sel)} {args.kind} filters")
+                     {"kind": args.kind, "points": _tok_sets(lat, pts)})
+    _print_sets(lat, pts, f"{lat.name}: {len(pts)} {args.kind} filters")
     return EXIT_OK
 
 
@@ -345,7 +345,10 @@ def _cmd_gen(args):
 
 def _cmd_check(args):
     lats = [_load(p) for p in args.paths]
-    rep = _harness.run_theorem_suite(lats, args.suite)
+    try:
+        rep = _harness.run_theorem_suite(lats, args.suite)
+    except _harness.DuplicateInstance as exc:
+        raise _CliError(EXIT_USAGE, str(exc))
     if args.json:
         doc = {"lattice": [lat.name for lat in lats], "command": "check",
                "result": rep.as_dict(), "witnesses":

@@ -237,10 +237,26 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     if not (2 <= n <= MAX_ELEMENTS):
         rep.add("Bounds", f"element count {n} outside 2..{MAX_ELEMENTS}")
         return rep
+    # shapes and indices first: every later check indexes by them
+    for what, table in (("leq", raw.leq), ("prod", raw.prod)):
+        if len(table) != n or any(len(row) != n for row in table):
+            rep.add("Bounds", f"{what} is not {n}x{n}")
+    for what, v in (("bottom", raw.bottom), ("top", raw.top)):
+        if not 0 <= v < n:
+            rep.add("Bounds", f"{what} index {v} outside 0..{n - 1}")
+    if not rep.ok:
+        return rep
+    prod = [[int(v) for v in raw.prod[i]] for i in range(n)]
+    bad = next(((x, y) for x in range(n) for y in range(n)
+                if not 0 <= prod[x][y] < n), None)
+    if bad:
+        x, y = bad
+        rep.add("Bounds", f"product {names[x]}*{names[y]} = {prod[x][y]} "
+                          f"outside 0..{n - 1}", (names[x], names[y]))
+        return rep
     full = (1 << n) - 1
     up = [sum(1 << j for j in range(n) if raw.leq[i][j]) for i in range(n)]
     down = _transpose(up, n)
-    prod = [[int(v) for v in raw.prod[i]] for i in range(n)]
 
     # partial order
     for i in range(n):

@@ -33,6 +33,19 @@ def cached(lat: ResiduatedLattice, key, build):
         return val
 
 
+def hull(masks, x_mask: int) -> list[int]:
+    """h(X) over a family of subsets: the members that contain X, in order."""
+    return [p for p in masks if x_mask & ~p == 0]
+
+
+def kernel(lat: ResiduatedLattice, masks) -> int:
+    """k(S): the intersection of a family of subsets; all of A for S empty."""
+    out = lat.all_mask
+    for p in masks:
+        out &= p
+    return out
+
+
 def is_filter(lat: ResiduatedLattice, mask: int) -> bool:
     if not (mask >> lat.top) & 1:
         return False
@@ -174,12 +187,8 @@ def maximal_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def radical(lat: ResiduatedLattice, f_mask: int) -> int:
-    """Intersection of the maximal filters containing F (all of A for F = A)."""
-    out = lat.all_mask
-    for m in maximal_filters(lat):
-        if f_mask & ~m == 0:
-            out &= m
-    return out
+    """k(h_M(F)): the intersection of the maximal filters containing F."""
+    return kernel(lat, hull(maximal_filters(lat), f_mask))
 
 
 @dataclass(frozen=True)

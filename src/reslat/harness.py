@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
                    direct_product, iter_bits, lattice_from_tables,
                    load_lattice, mask_key, popcount)
-from .filters import (coannihilator, enumerate_filters, generated_filter,
-                      ideal_generated, is_filter, is_projection_flat,
-                      lattice_ideals, maximal_filters, omega_filter,
-                      omega_filters, principal_ideal, quotient, radical,
-                      x_perp, double_perp)
-from .spectra import (D_operator, h_set, hull_kernel_space, min_space,
-                      minimal_primes, prime_filters, spec_space, stability,
-                      support)
-from .purity import (d_kappa, d_of, d_topology, is_pure, pure_filters,
+from .filters import (coannihilator, double_perp, enumerate_filters,
+                      generated_filter, hull, ideal_generated, is_filter,
+                      is_projection_flat, kernel, lattice_ideals,
+                      maximal_filters, omega_filter, omega_filters,
+                      principal_ideal, quotient, radical, x_perp)
+from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
+                      minimal_primes, nested_pair, prime_filters, spec_space,
+                      stability, support)
+from .purity import (d_of, d_topology, is_pure, pure_filters,
                      pure_part_map_report, pure_spectrum,
                      purely_prime_filters, rho, sigma_def, sigma_filter,
                      sigma_formulas)
@@ -283,20 +283,6 @@ def _is_mp(lat):
     return classify(lat).mp.value
 
 
-def _spec_antichain(lat):
-    spec = prime_filters(lat)
-    return not any(p != q and p & ~q == 0 for p in spec for q in spec)
-
-
-def _meet_below(lat, primes, p_mask):
-    """Intersection of the given primes that lie inside p."""
-    out = lat.all_mask
-    for q in primes:
-        if q & ~p_mask == 0:
-            out &= q
-    return out
-
-
 # -- core properties --------------------------------------------------------
 
 
@@ -401,7 +387,7 @@ def _p_filqou(lat):
     fl = enumerate_filters(lat)
     for f in fl.filters:
         qr = quotient(lat, f)
-        images = {qr.push_mask(g) for g in fl.filters if f & ~g == 0}
+        images = {qr.push_mask(g) for g in hull(fl.filters, f)}
         actual = set(enumerate_filters(qr.quotient).filters)
         if images != actual:
             return _fail({"filter": _toks(lat, f)})
@@ -425,19 +411,14 @@ def _subset_samples(lat):
 def _p_intprimfilt(lat):
     """Generated filter = intersection of the primes containing the set."""
     spec = prime_filters(lat)
-    full = lat.all_mask
     for x_mask in _subset_samples(lat):
-        inter = full
-        for p in spec:
-            if x_mask & ~p == 0:
-                inter &= p
-        if generated_filter(lat, x_mask) != inter:
+        if generated_filter(lat, x_mask) != kernel(lat, hull(spec, x_mask)):
             return _fail({"subset": _toks(lat, x_mask)})
     fl = enumerate_filters(lat)
     for f in fl.filters:
         for g in fl.filters:
             if g & ~f:
-                if not any(f & ~p == 0 and g & ~p for p in spec):
+                if not any(g & ~p for p in hull(spec, f)):
                     return _fail({"item": 1, "filter": _toks(lat, f),
                                   "subset": _toks(lat, g)})
     return PASS
@@ -528,7 +509,7 @@ def _p_hperarchpri(lat):
                 {generated_filter(lat, 0)}
     c1 = set(direct_summands(lat)) == principal
     c2 = {lat.up[e] for e in iter_bits(boolean_center(lat)["elements"])} == principal
-    c3 = _spec_antichain(lat)
+    c3 = nested_pair(prime_filters(lat)) is None
     if principal != all_f:
         return _fail({"note": "finite instance has a non-principal filter"})
     return _when(c1 == c2 == c3, lambda: {"clauses": [c1, c2, c3]})
@@ -585,8 +566,8 @@ def _p_omegprop(lat):
     minp = minimal_primes(lat)
     for p in spec:
         d = D_operator(lat, p)
-        via_primes = _meet_below(lat, spec, p)
-        via_minimal = _meet_below(lat, minp, p)
+        via_primes = kernel(lat, [q for q in spec if q & ~p == 0])
+        via_minimal = kernel(lat, [q for q in minp if q & ~p == 0])
         if d != via_primes or d != via_minimal:
             return _fail({"item": 2, "prime": _toks(lat, p),
                           "D": _toks(lat, d),
@@ -636,8 +617,8 @@ def _p_closefalzai(lat):
     spec = prime_filters(lat)
     sh, sp = spec_space(lat, "h"), spec_space(lat, "patch")
     for i in range(len(spec)):
-        if (sp.closure(1 << i) != 1 << i or sh.closure(1 << i) !=
-                stability(lat, spec, 1 << i, "S")["closure"]):
+        if (sp.closure(1 << i) != 1 << i or
+                sh.closure(1 << i) != stability(spec, 1 << i)):
             return _fail({"points": [_toks(lat, spec[i])]})
     return PASS
 
@@ -735,16 +716,15 @@ def _p_flatpurethe(lat):
 
 @_prop("pureequalsupport", "purity")
 def _p_pureequalsupport(lat):
-    spec = prime_filters(lat)
-    full_pts = (1 << len(spec)) - 1
+    d_x = [d_set(prime_filters(lat), 1 << a) for a in range(lat.n)]
     for f in _filters(lat):
         if (d_of(lat, f) == support(lat, f)) != is_pure(lat, f):
             return _fail({"filter": _toks(lat, f)})
     for f in pure_filters(lat):
         supp = support(lat, f)
         via = 0
-        for a in range(lat.n):
-            if (full_pts ^ h_set(spec, 1 << a)) & ~supp == 0:
+        for a, d in enumerate(d_x):
+            if d & ~supp == 0:
                 via |= 1 << a
         if via != f:
             return _fail({"filter": _toks(lat, f),
@@ -756,7 +736,8 @@ def _p_pureequalsupport(lat):
 def _p_purestable(lat):
     spec = prime_filters(lat)
     for f in _filters(lat):
-        stable = stability(lat, spec, d_of(lat, f), "S")["is_stable"]
+        d = d_of(lat, f)
+        stable = stability(spec, d) == d
         if stable != is_pure(lat, f):
             return _fail({"filter": _toks(lat, f), "stable": stable})
     return PASS
@@ -784,7 +765,7 @@ def _p_sigmahyper(lat):
     pure = set(pure_filters(lat))
     principal = {generated_filter(lat, 1 << x) for x in range(lat.n)}
     c1 = principal <= pure
-    c2 = _spec_antichain(lat)
+    c2 = nested_pair(prime_filters(lat)) is None
     c3 = set(_filters(lat)) <= pure
     return _when(c1 == c2 == c3, lambda: {"clauses": [c1, c2, c3]})
 
@@ -802,7 +783,8 @@ def _p_comxpureprime(lat):
 @_prop("huldtopohyper", "purity")
 def _p_huldtopohyper(lat):
     same = d_topology(lat).nbhd == spec_space(lat, "h").nbhd
-    return _when(same == _spec_antichain(lat), lambda: {"coincide": same})
+    antichain = nested_pair(prime_filters(lat)) is None
+    return _when(same == antichain, lambda: {"coincide": same})
 
 
 @_prop("rfilter", "purity")
@@ -824,10 +806,8 @@ def _p_rfilter(lat):
             if _join(lat, rf, rho(lat, g)) & ~rho(lat, _join(lat, f, g)):
                 return _fail({"item": 5, "pair": [_toks(lat, f), _toks(lat, g)]})
     for f in pure:
-        inter = lat.all_mask
-        for m in h_m(lat, f):
-            inter &= rho(lat, m)
-        if inter != f:
+        over_f = hull(maximal_filters(lat), f)
+        if kernel(lat, [rho(lat, m) for m in over_f]) != f:
             return _fail({"item": 6, "filter": _toks(lat, f)})
         if rho(lat, radical(lat, f)) != f:
             return _fail({"item": 7, "filter": _toks(lat, f)})
@@ -843,7 +823,7 @@ def _p_purefilqou(lat):
     pure = pure_filters(lat)
     for f in pure:
         qr = quotient(lat, f)
-        images = {qr.push_mask(h) for h in pure if f & ~h == 0}
+        images = {qr.push_mask(h) for h in hull(pure, f)}
         actual = set(pure_filters(qr.quotient))
         if images != actual:
             return _fail({"filter": _toks(lat, f)})
@@ -904,11 +884,7 @@ def _p_r1filter(lat):
         if rho(lat, p) not in sppset:
             return _fail({"item": 2, "prime": _toks(lat, p)})
     for f in pure_filters(lat):
-        inter = lat.all_mask
-        for p in spp.points:
-            if f & ~p == 0:
-                inter &= p
-        if inter != f:
+        if kernel(lat, hull(spp.points, f)) != f:
             return _fail({"item": 3, "filter": _toks(lat, f)})
     return PASS
 
@@ -946,11 +922,7 @@ def _p_t0(lat):
 def _p_closurofp(lat):
     spp = pure_spectrum(lat)
     for i, p in enumerate(spp.points):
-        h_k = 0
-        for j, q in enumerate(spp.points):
-            if p & ~q == 0:
-                h_k |= 1 << j
-        if spp.space.closure(1 << i) != h_k:
+        if spp.space.closure(1 << i) != h_set(spp.points, p):
             return _fail({"point": _toks(lat, p)})
     return PASS
 
@@ -959,8 +931,7 @@ def _p_closurofp(lat):
 def _p_t1spaspp(lat):
     spp = pure_spectrum(lat)
     t1 = separation_report(spp.space)["t1"]
-    antichain = not any(p != q and p & ~q == 0
-                        for p in spp.points for q in spp.points)
+    antichain = nested_pair(spp.points) is None
     return _when(t1 == antichain, lambda: {"t1": t1, "antichain": antichain})
 
 
@@ -968,7 +939,7 @@ def _p_t1spaspp(lat):
 def _p_sigmad(lat):
     spp = pure_spectrum(lat)
     pure = pure_filters(lat)
-    images = {f: d_kappa(spp.points, f) for f in pure}
+    images = {f: d_set(spp.points, f) for f in pure}
     if len(set(images.values())) != len(pure):
         return _fail({"note": "map is not injective"})
     if set(images.values()) != set(spp.space.opens):
@@ -996,13 +967,7 @@ def _p_sober(lat):
 def _p_irrsppdclosub(lat):
     spp = pure_spectrum(lat)
     irr = {c for c, _ in irreducible_closed_sets(spp.space)}
-    h_ks = set()
-    for p in spp.points:
-        h_k = 0
-        for j, q in enumerate(spp.points):
-            if p & ~q == 0:
-                h_k |= 1 << j
-        h_ks.add(h_k)
+    h_ks = {h_set(spp.points, p) for p in spp.points}
     return _when(irr == h_ks, lambda: {"note": "irreducible closed sets "
                                                "differ from point hulls"})
 
@@ -1038,11 +1003,8 @@ def _p_qoepuruspec(lat):
     for f in pure_filters(lat):
         qr = quotient(lat, f)
         qspp = pure_spectrum(qr.quotient)
-        hull = 0
-        for i, p in enumerate(spp.points):
-            if f & ~p == 0:
-                hull |= 1 << i
-        target = subspace(spp.space, hull, f"h_k({lat.set_str(f)})")
+        target = subspace(spp.space, h_set(spp.points, f),
+                          f"h_k({lat.set_str(f)})")
         try:
             mapping = tuple(target.point_of_label(qr.pull_mask(p))
                             for p in qspp.points)
@@ -1397,14 +1359,22 @@ class SuiteReport:
         return lines
 
 
+class DuplicateInstance(LatticeError):
+    """Two suite instances share a name, which keys their verdicts."""
+
+
 def run_theorem_suite(instances, suite: str = "all") -> SuiteReport:
     """Run every applicable property of the chosen suite on each instance."""
     self_inventory_check()
     if suite != "all" and suite not in GROUPS:
         raise ValueError(f"unknown suite {suite!r}")
+    names = tuple(lat.name for lat in instances)
+    dup = next((x for i, x in enumerate(names) if x in names[:i]), None)
+    if dup is not None:
+        raise DuplicateInstance(f"two instances are named {dup!r}")
     pids = tuple(pid for pid, (grp, _) in PROPERTIES.items()
                  if suite == "all" or grp == suite)
-    report = SuiteReport(suite, pids, tuple(lat.name for lat in instances))
+    report = SuiteReport(suite, pids, names)
     for lat in instances:
         for pid in pids:
             _, fn = PROPERTIES[pid]

@@ -3,7 +3,7 @@
 The sink of a filter F collects the elements whose coannulet is comaximal
 with F; F is pure when it equals its sink.  Purely-prime filters (the
 meet-irreducible proper pure filters) carry the pure-spectrum topology
-with opens d_kappa(F) = points not containing F.
+with opens d(F) = the points not containing F, for pure F.
 """
 
 from __future__ import annotations
@@ -11,31 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
-from .filters import (cached, enumerate_filters, generated_filter,
-                      maximal_filters, omega_filter, x_perp, double_perp)
-from .spectra import (D_operator, prime_filters, minimal_primes, spec_space,
-                      h_set)
+from .filters import (cached, double_perp, enumerate_filters,
+                      generated_filter, hull, kernel, maximal_filters,
+                      omega_filter, x_perp)
+from .spectra import (D_operator, d_set, minimal_primes, prime_filters,
+                      spec_space)
 from .topology import (FiniteSpace, PointMap, map_analysis,
                        space_from_subbasis)
-
-
-def _k(lat, prime_masks) -> int:
-    out = lat.all_mask
-    for p in prime_masks:
-        out &= p
-    return out
 
 
 def _generalizations(lat, f_mask: int) -> list[int]:
     """Primes lying inside some prime that contains F."""
     spec = prime_filters(lat)
-    h_f = [p for p in spec if f_mask & ~p == 0]
-    return [q for q in spec if any(q & ~p == 0 for p in h_f)]
+    h_f = hull(spec, f_mask)
+    return [q for q in spec if hull(h_f, q)]
 
 
 def sigma_def(lat: ResiduatedLattice, f_mask: int) -> int:
     """The defining form of the sink: the kernel of the generalizations of h(F)."""
-    return _k(lat, _generalizations(lat, f_mask))
+    return kernel(lat, _generalizations(lat, f_mask))
 
 
 def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
@@ -45,7 +39,7 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     other form against it (``sigmafequiv``).
     """
     full = lat.all_mask
-    h_f = [p for p in prime_filters(lat) if f_mask & ~p == 0]
+    h_f = hull(prime_filters(lat), f_mask)
     gh_f = _generalizations(lat, f_mask)
     mins = set(minimal_primes(lat))
 
@@ -61,13 +55,13 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     f6 = omega_filter(lat, i_f)     # the bottom always lies in I_F
 
     return {
-        "def": _k(lat, gh_f),
-        "f1": _k(lat, [q for q in gh_f if q in mins]),
-        "f2": _k(lat, [D_operator(lat, p) for p in h_f]),
+        "def": kernel(lat, gh_f),
+        "f1": kernel(lat, [q for q in gh_f if q in mins]),
+        "f2": kernel(lat, [D_operator(lat, p) for p in h_f]),
         "f3": sigma_filter(lat, f_mask),
         "f4": f4,
-        "f5": _k(lat, [D_operator(lat, m) for m in maximal_filters(lat)
-                       if f_mask & ~m == 0]),
+        "f5": kernel(lat, [D_operator(lat, m)
+                           for m in hull(maximal_filters(lat), f_mask)]),
         "f6": f6,
     }
 
@@ -108,17 +102,7 @@ def rho(lat: ResiduatedLattice, f_mask: int) -> int:
 
 def d_of(lat: ResiduatedLattice, f_mask: int) -> int:
     """d(F) over Spec: index mask of the primes not containing F."""
-    spec = prime_filters(lat)
-    return ((1 << len(spec)) - 1) ^ h_set(spec, f_mask)
-
-
-def d_kappa(points, f_mask: int) -> int:
-    """d_kappa(F) over a point family: indices of points not containing F."""
-    out = 0
-    for i, p in enumerate(points):
-        if f_mask & ~p:
-            out |= 1 << i
-    return out
+    return d_set(prime_filters(lat), f_mask)
 
 
 def purely_prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
@@ -146,7 +130,7 @@ def purely_prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PureSpectrum:
-    """Purely-prime points with the d_kappa topology and per-point flags."""
+    """Purely-prime points with their topology and per-point flags."""
 
     points: tuple[int, ...]
     space: FiniteSpace
@@ -161,12 +145,11 @@ def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
     def build():
         pts = purely_prime_filters(lat)
         pure = pure_filters(lat)
-        space = space_from_subbasis(pts, {d_kappa(pts, f) for f in pure},
+        space = space_from_subbasis(pts, {d_set(pts, f) for f in pure},
                                     f"Spp({lat.name})",
                                     tuple(lat.set_str(p) for p in pts))
         proper_pure = [f for f in pure if f != lat.all_mask]
-        pmax = tuple(not any(q != p and p & ~q == 0 for q in proper_pure)
-                     for p in pts)
+        pmax = tuple(hull(proper_pure, p) == [p] for p in pts)
         pmin = tuple(not any(q != p and q & ~p == 0 for q in pts) for p in pts)
         return PureSpectrum(pts, space, pmax, pmin)
     return cached(lat, "pure_spectrum", build)
@@ -200,11 +183,11 @@ def pure_part_map(lat: ResiduatedLattice) -> PointMap:
 
 
 def pure_part_map_report(lat: ResiduatedLattice) -> dict:
-    """Continuity certificate: preimage of d_kappa(F) is d(F), every pure F."""
+    """Continuity certificate: preimage of d(F) on Spp is d(F) on Spec, F pure."""
     pm = pure_part_map(lat)
     spp = pure_spectrum(lat)
     preimages_match = all(
-        pm.preimage_mask(d_kappa(spp.points, f)) == d_of(lat, f)
+        pm.preimage_mask(d_set(spp.points, f)) == d_of(lat, f)
         for f in pure_filters(lat))
     analysis = map_analysis(pm)
     return {"continuous": analysis["continuous"],

@@ -2,14 +2,13 @@
 
 Spectrum points are filters (bitmasks over lattice elements); spaces over
 them re-index the points 0..k-1 and carry the filter masks as labels.
+``h_set`` and ``d_set`` are the hull h(X) and its complement d(X) over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
-from .filters import cached, enumerate_filters, maximal_filters, x_perp
+from .core import LatticeError, ResiduatedLattice, iter_bits
+from .filters import cached, enumerate_filters, hull, maximal_filters, x_perp
 from .topology import FiniteSpace, space_from_subbasis
 
 
@@ -50,50 +49,15 @@ def minimal_primes(lat: ResiduatedLattice) -> tuple[int, ...]:
     return cached(lat, "minimal_primes", build)
 
 
-@dataclass(frozen=True)
-class SpectrumSelection:
-    """A chosen family of prime filters, in canonical order."""
-
-    lattice: ResiduatedLattice
-    kind: str
-    points: tuple[int, ...]
-
-    def __post_init__(self):
-        lat = self.lattice
-        spec = set(prime_filters(lat))
-        for p in self.points:
-            if p == lat.all_mask:
-                raise LatticeError(f"{lat.name}: spectrum point is not proper")
-            if p not in spec:
-                raise LatticeError(f"{lat.name}: {lat.set_str(p)} is not prime")
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def spectrum(lat: ResiduatedLattice, kind: str, over: int = 0) -> SpectrumSelection:
-    """The requested prime subfamily.
-
-    ``kind``: prime | maximal | minimal_prime | minimal_prime_over
-    (the latter takes the reference subset ``over``).
-    """
-    spec = prime_filters(lat)
+def spectrum(lat: ResiduatedLattice, kind: str) -> tuple[int, ...]:
+    """The points of kind prime | maximal | minimal_prime, in mask_key order."""
     if kind == "prime":
-        pts = spec
-    elif kind == "maximal":
-        pts = maximal_filters(lat)
-    elif kind == "minimal_prime":
-        pts = minimal_primes(lat)
-    elif kind == "minimal_prime_over":
-        above = tuple(p for p in spec if over & ~p == 0)
-        pts = tuple(p for p in above
-                    if not any(q != p and q & ~p == 0 for q in above))
-    else:
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    return SpectrumSelection(lat, kind, tuple(sorted(pts, key=mask_key)))
+        return prime_filters(lat)
+    if kind == "maximal":
+        return maximal_filters(lat)
+    if kind == "minimal_prime":
+        return minimal_primes(lat)
+    raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
 def D_operator(lat: ResiduatedLattice, p_mask: int) -> int:
@@ -120,16 +84,19 @@ def D_operator(lat: ResiduatedLattice, p_mask: int) -> int:
 
 
 def h_set(points, x_mask: int) -> int:
-    """Index mask of the points containing every element of ``x_mask``."""
-    out = 0
-    for i, p in enumerate(points):
-        if x_mask & ~p == 0:
-            out |= 1 << i
-    return out
+    """h(X) as an index mask over distinct points: those that contain X."""
+    return sum(1 << points.index(p) for p in hull(points, x_mask))
 
 
 def d_set(points, x_mask: int) -> int:
+    """d(X) as an index mask: the points that do not contain X."""
     return ((1 << len(points)) - 1) ^ h_set(points, x_mask)
+
+
+def nested_pair(points):
+    """The first pair (p, q) of distinct points with p inside q, or None."""
+    return next(((p, q) for p in points for q in hull(points, p) if q != p),
+                None)
 
 
 def hull_kernel_space(lat: ResiduatedLattice, points, flavor: str,
@@ -169,18 +136,12 @@ def min_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
     return cached(lat, ("min_space", flavor), build)
 
 
-def stability(lat: ResiduatedLattice, points, subset_mask: int, mode: str):
-    """Closure of a subset under super-primes (S) or sub-primes (G)."""
-    pts = tuple(points)
-    chosen = [pts[i] for i in iter_bits(subset_mask)]
+def stability(points, subset_mask: int) -> int:
+    """S-closure of a subset: the points containing one of its points."""
     out = 0
-    for i, q in enumerate(pts):
-        for p in chosen:
-            hit = (p & ~q == 0) if mode == "S" else (q & ~p == 0)
-            if hit:
-                out |= 1 << i
-                break
-    return {"closure": out, "is_stable": out == subset_mask}
+    for i in iter_bits(subset_mask):
+        out |= h_set(points, points[i])
+    return out
 
 
 def support(lat: ResiduatedLattice, f_mask: int) -> int:

@@ -45,8 +45,8 @@ def test_criterion_02_spectra_tables(fixtures4):
     ok = True
     for lat in fixtures4:
         exp = hz.FIXTURE_EXPECT[lat.name]
-        ok &= toksets(lat, sp.spectrum(lat, "maximal").points) == set(exp["maximal"])
-        ok &= toksets(lat, sp.spectrum(lat, "minimal_prime").points) == \
+        ok &= toksets(lat, sp.spectrum(lat, "maximal")) == set(exp["maximal"])
+        ok &= toksets(lat, sp.spectrum(lat, "minimal_prime")) == \
             set(exp["minimal_prime"])
     _report(2, "maximal and minimal-prime tables of all four fixtures", ok)
 
@@ -102,7 +102,8 @@ def test_criterion_07_purity_quadrangle(family):
             pure = pu.is_pure(lat, f)
             flat, _ = fi.is_projection_flat(lat, f)
             supp = sp.support(lat, f) == pu.d_of(lat, f)
-            stab = sp.stability(lat, spec, pu.d_of(lat, f), "S")["is_stable"]
+            d = pu.d_of(lat, f)
+            stab = sp.stability(spec, d) == d
             if not pure == flat == supp == stab:
                 mismatches += 1
     _report(7, "pure = flat-projection = support = S-stable on every filter",

@@ -172,3 +172,12 @@ def test_certificate_names_the_failing_clause(b6, monkeypatch):
     with pytest.raises(cl.GelfandCertFailure) as exc:
         cl.gelfand_structure(b6)
     assert exc.value.clause == "spp_hausdorff"
+
+
+def test_mp_certificate_names_the_failing_clause(b6, monkeypatch):
+    clauses = list(cl.MP_CLAUSES)
+    clauses[9] = (clauses[9][0], lambda lat: False, clauses[9][2])
+    monkeypatch.setattr(cl, "MP_CLAUSES", tuple(clauses))
+    with pytest.raises(cl.MpCertFailure) as exc:
+        cl.mp_structure(b6)
+    assert exc.value.clause == "min_d_hausdorff"

@@ -192,6 +192,29 @@ def test_exit_codes(tmp_path):
     assert run_cli(["validate", str(truncated)])["exit"] == 3
 
 
+def test_check_refuses_duplicate_instance_names(tmp_path):
+    renamed = tmp_path / "B.rlat"
+    text = Path(FIXTURE_PATHS["a8"]).read_text(encoding="utf-8")
+    renamed.write_text(text.replace("lattice A8", "lattice A6"),
+                       encoding="utf-8")
+    for second in (str(renamed), FIXTURE_PATHS["a6"]):
+        res = run_cli(["check", FIXTURE_PATHS["a6"], second, "--suite", "core"])
+        assert res["exit"] == 3 and res["stdout"] == ""
+        assert "named 'A6'" in res["stderr"]
+
+
+@pytest.mark.parametrize("which,attr", [("gelfand", "GELFAND_CLAUSES"),
+                                        ("mp", "MP_CLAUSES")])
+def test_certificate_failure_exit(which, attr, monkeypatch):
+    from reslat import classify as cl
+    clauses = tuple((cid, (lambda lat: False) if cid == "spp_hausdorff" else
+                     holds, note) for cid, holds, note in getattr(cl, attr))
+    monkeypatch.setattr(cl, attr, clauses)
+    res = run_cli([which, FIXTURE_PATHS["b6"]])
+    assert res["exit"] == 2 and res["stdout"] == ""
+    assert res["stderr"] == "certificate failure: clause spp_hausdorff: failed\n"
+
+
 def test_unknown_flag_rejected():
     assert run_cli(["filters", FIXTURE_PATHS["a6"], "--frobnicate"])["exit"] == 3
 

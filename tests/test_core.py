@@ -1,5 +1,6 @@
 """Parsing, validation, residuum derivation, and direct products."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -47,6 +48,18 @@ def _a6_mutant(a6, flip=(), prod=(), bottom=None, top=None):
     if top is not None:
         raw.top = ix(top)
     return raw
+
+
+def _a6_raw(a6, **fields):
+    """A6's tables with whole RawTables fields replaced."""
+    return dataclasses.replace(_raw_of(a6, "A6"), **fields)
+
+
+def _a6_prod_entry(a6, x, y, v):
+    """A6's product table with one raw entry set, range unchecked."""
+    prod = [list(r) for r in a6.prod]
+    prod[a6.index(x)][a6.index(y)] = v
+    return _a6_raw(a6, prod=prod)
 
 
 def test_fixtures_validate(fixtures4):
@@ -117,6 +130,30 @@ VIOLATION_CASES = {
     "element-count": (
         lambda a6: RawTables("One", ["0"], [[True]], [[0]], 0, 0),
         "One: 1 violation(s)\n  [Bounds] element count 1 outside 2..20",
+        [()]),
+    "leq-shape": (
+        lambda a6: _a6_raw(a6, leq=[[True] * 6] * 5),
+        "A6: 1 violation(s)\n  [Bounds] leq is not 6x6",
+        [()]),
+    "prod-shape": (
+        lambda a6: _a6_raw(a6, prod=[[0] * 5] * 6),
+        "A6: 1 violation(s)\n  [Bounds] prod is not 6x6",
+        [()]),
+    "prod-entry-high": (
+        lambda a6: _a6_prod_entry(a6, "a", "b", 6),
+        "A6: 1 violation(s)\n  [Bounds] product a*b = 6 outside 0..5",
+        [("a", "b")]),
+    "prod-entry-negative": (
+        lambda a6: _a6_prod_entry(a6, "c", "d", -1),
+        "A6: 1 violation(s)\n  [Bounds] product c*d = -1 outside 0..5",
+        [("c", "d")]),
+    "bottom-index": (
+        lambda a6: _a6_raw(a6, bottom=-1),
+        "A6: 1 violation(s)\n  [Bounds] bottom index -1 outside 0..5",
+        [()]),
+    "top-index": (
+        lambda a6: _a6_raw(a6, top=7),
+        "A6: 1 violation(s)\n  [Bounds] top index 7 outside 0..5",
         [()]),
     "not-reflexive": (
         lambda a6: _a6_mutant(a6, flip=[("a", "a")]),

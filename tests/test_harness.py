@@ -7,9 +7,10 @@ import json
 import pytest
 
 from reslat import harness as hz
-from reslat.core import (MAX_ELEMENTS, RawTables, ResiduatedLattice,
-                         SizeLimit, ValidationReport, direct_product,
-                         load_lattice, validate)
+from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
+                         ResiduatedLattice, SizeLimit, ValidationReport,
+                         direct_product, load_lattice, parse_lattice_text,
+                         validate)
 from reslat.classify import boolean_center
 from reslat.spectra import spec_space
 from reslat.topology import separation_report
@@ -84,6 +85,16 @@ def test_suite_refuses_out_of_sync_registry(monkeypatch):
     monkeypatch.setattr(hz, "PROPERTIES", broken)
     with pytest.raises(Exception, match="out of sync"):
         hz.run_theorem_suite([hz.fixture("a6")], "core")
+
+
+def test_suite_refuses_duplicate_instance_names(a6):
+    path = importlib.resources.files("reslat") / "fixtures" / "a8.rlat"
+    text = path.read_text(encoding="utf-8")
+    renamed = validate(parse_lattice_text(text.replace("lattice A8",
+                                                       "lattice A6")))
+    for second in (renamed, a6):
+        with pytest.raises(LatticeError, match="named 'A6'"):
+            hz.run_theorem_suite([a6, second], "core")
 
 
 def test_unknown_suite_rejected(a6):

@@ -57,7 +57,7 @@ def test_sigma_vs_D_on_primes(fixtures4):
     for lat in fixtures4:
         for p in sp.prime_filters(lat):
             assert pu.sigma_filter(lat, p) & ~sp.D_operator(lat, p) == 0
-        for m in sp.spectrum(lat, "maximal").points:
+        for m in sp.spectrum(lat, "maximal"):
             assert pu.sigma_filter(lat, m) == sp.D_operator(lat, m)
 
 
@@ -133,7 +133,8 @@ def test_purity_quadrangle(fixtures4):
             pure = pu.is_pure(lat, f)
             flat, _ = fi.is_projection_flat(lat, f)
             supp = sp.support(lat, f) == pu.d_of(lat, f)
-            stab = sp.stability(lat, spec, pu.d_of(lat, f), "S")["is_stable"]
+            d = pu.d_of(lat, f)
+            stab = sp.stability(spec, d) == d
             assert pure == flat == supp == stab
 
 
@@ -186,7 +187,7 @@ def test_delta_is_a_lattice_isomorphism(fixtures4):
     for lat in fixtures4:
         spp = pu.pure_spectrum(lat)
         pure = pu.pure_filters(lat)
-        images = {f: pu.d_kappa(spp.points, f) for f in pure}
+        images = {f: sp.d_set(spp.points, f) for f in pure}
         assert len(set(images.values())) == len(pure)
         assert set(images.values()) == set(spp.space.opens)
         for f in pure:

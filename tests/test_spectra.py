@@ -4,7 +4,7 @@ import pytest
 
 from reslat import spectra as sp
 from reslat import filters as fi
-from reslat.core import LatticeError, iter_bits
+from reslat.core import iter_bits
 from reslat.harness import FIXTURE_EXPECT, PROPERTIES
 from reslat.topology import separation_report
 
@@ -14,13 +14,13 @@ from conftest import tokset, toksets
 def test_spectrum_tables(fixtures4):
     for lat in fixtures4:
         exp = FIXTURE_EXPECT[lat.name]
-        assert toksets(lat, sp.spectrum(lat, "maximal").points) == set(exp["maximal"])
-        assert toksets(lat, sp.spectrum(lat, "minimal_prime").points) == \
+        assert toksets(lat, sp.spectrum(lat, "maximal")) == set(exp["maximal"])
+        assert toksets(lat, sp.spectrum(lat, "minimal_prime")) == \
             set(exp["minimal_prime"])
 
 
 def test_b6_primes_are_an_antichain(b6):
-    primes = sp.spectrum(b6, "prime").points
+    primes = sp.spectrum(b6, "prime")
     assert toksets(b6, primes) == {frozenset("ac1"), frozenset("d1")}
     assert not sp.is_prime(b6, b6.mask_of(["1"]))    # a v d = 1 splits it
 
@@ -28,7 +28,7 @@ def test_b6_primes_are_an_antichain(b6):
 def test_max_in_spec_and_zorn(fixtures4):
     for lat in fixtures4:
         spec = set(sp.prime_filters(lat))
-        maxf = sp.spectrum(lat, "maximal").points
+        maxf = sp.spectrum(lat, "maximal")
         assert set(maxf) <= spec
         for f in fi.enumerate_filters(lat).proper:
             assert any(f & ~m == 0 for m in maxf)
@@ -49,20 +49,6 @@ def test_minimal_prime_characterization(fixtures4):
             crit = all(bool((p >> x) & 1) != (fi.x_perp(lat, x) & ~p == 0)
                        for x in range(lat.n))
             assert crit == (p in minset)
-
-
-def test_minimal_prime_over(a8):
-    over_f = sp.spectrum(a8, "minimal_prime_over", a8.mask_of(["f"]))
-    assert toksets(a8, over_f.points) == {frozenset("f1")}
-    over_1 = sp.spectrum(a8, "minimal_prime_over", 1 << a8.top)
-    assert set(over_1.points) == set(sp.minimal_primes(a8))
-
-
-def test_selection_rejects_non_prime(a8):
-    with pytest.raises(LatticeError):
-        sp.SpectrumSelection(a8, "prime", (a8.mask_of(["1"]), ))
-    with pytest.raises(LatticeError):
-        sp.SpectrumSelection(a8, "prime", (a8.all_mask, ))
 
 
 def test_D_operator_examples(a6, b6, a8):
@@ -90,7 +76,7 @@ def test_maximal_primes_are_maximal_filters(family):
         max_primes = tuple(p for p in spec
                            if not any(q != p and p & ~q == 0 for q in spec))
         assert max_primes == fi.maximal_filters(lat) == \
-            sp.spectrum(lat, "maximal").points, lat.name
+            sp.spectrum(lat, "maximal"), lat.name
 
 
 def test_D_fixed_points_are_minimal_primes(fixtures4):
@@ -123,20 +109,12 @@ def test_spec_h_of_a6_t0_not_t1(a6):
 def test_stability_examples(a6):
     spec = sp.prime_filters(a6)
     i = spec.index(a6.mask_of(["1"]))
-    res = sp.stability(a6, spec, 1 << i, "S")
-    assert res["closure"] == (1 << len(spec)) - 1 and not res["is_stable"]
-    assert sp.stability(a6, spec, 0, "S") == {"closure": 0, "is_stable": True}
+    assert sp.stability(spec, 1 << i) == (1 << len(spec)) - 1   # not stable
+    assert sp.stability(spec, 0) == 0
     from reslat.purity import d_of
     d = d_of(a6, a6.mask_of(["d", "1"]))
     assert d == 1 << i                      # only the prime {1} omits {d,1}
-    assert not sp.stability(a6, spec, d, "S")["is_stable"]
-
-
-def test_stability_generalization_mode(a8):
-    spec = sp.prime_filters(a8)
-    i = spec.index(a8.mask_of("acdef1"))
-    res = sp.stability(a8, spec, 1 << i, "G")
-    assert res["closure"] == (1 << len(spec)) - 1   # the maximal sits over all
+    assert sp.stability(spec, d) != d
 
 
 def test_support_examples(a6, b6):
@@ -174,7 +152,7 @@ def test_h_closed_iff_patch_closed_and_stable(family):
         for sub in range(1 << len(spec)):
             lhs = sh.is_closed(sub)
             rhs = spatch.is_closed(sub) and \
-                sp.stability(lat, spec, sub, "S")["is_stable"]
+                sp.stability(spec, sub) == sub
             assert lhs == rhs, (lat.name, sub)
         assert closefalzai(lat).status == "pass", lat.name
 

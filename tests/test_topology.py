@@ -15,7 +15,7 @@ from reslat import spectra as sp
 from reslat.classify import maximal_point_mask
 from reslat.core import LatticeError, iter_bits, mask_key
 from reslat.filters import maximal_filters
-from reslat.purity import (d_kappa, d_of, d_topology, pure_filters,
+from reslat.purity import (d_of, d_topology, pure_filters,
                            pure_part_map, pure_spectrum, rho)
 from reslat.topology import (FiniteSpace, PointMap, clopens, components,
                              irreducible_closed_sets, map_analysis,
@@ -132,7 +132,7 @@ def suite_spaces(lat):
     # Spp and Spec_D were once built straight from these families, which
     # must then already be topologies
     out["Spp"] = (spp.space, ExplicitSpace(
-        len(spp), {d_kappa(spp.points, f) for f in pure_filters(lat)}))
+        len(spp), {sp.d_set(spp.points, f) for f in pure_filters(lat)}))
     out["Spec_D"] = (d_topology(lat), ExplicitSpace(
         len(spec), {d_of(lat, f) for f in pure_filters(lat)}))
     return {name: pair for name, pair in out.items()
@@ -259,7 +259,7 @@ def test_point_map_totality_enforced(b6):
 
 def test_retraction_flag_respects_labels(a6):
     sh = sp.spec_space(a6, "h")
-    maxset = set(sp.spectrum(a6, "maximal").points)
+    maxset = set(sp.spectrum(a6, "maximal"))
     mmask = sum(1 << i for i, p in enumerate(sh.labels) if p in maxset)
     sub = subspace(sh, mmask)
     mapping = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import LatticeError, ResiduatedLattice, iter_bits
 from .filters import (cached, coannihilator, enumerate_filters,
-                      generated_filter, hull, kernel, maximal_filters,
+                      generated_filter, hull, inside, kernel, maximal_filters,
                       omega_filters, radical, x_perp)
 from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
                       minimal_primes, nested_pair, prime_filters, spec_space)
@@ -122,7 +122,7 @@ def classify(lat: ResiduatedLattice) -> ClassificationReport:
 
         mp = Flag(True, {"check": "every prime over exactly one minimal prime"})
         for p in spec:
-            under = [q for q in minp if q & ~p == 0]
+            under = inside(minp, p)
             if len(under) != 1:
                 mp = Flag(False, {"prime": toks(p),
                                   "minimal_primes": [toks(q) for q in under]})
@@ -160,7 +160,7 @@ def verify_flag_witness(lat: ResiduatedLattice, name: str, flag: Flag) -> bool:
     if name == "mp":
         p = lat.mask_of(w["prime"])
         qs = [lat.mask_of(t) for t in w["minimal_primes"]]
-        actual = [q for q in minimal_primes(lat) if q & ~p == 0]
+        actual = inside(minimal_primes(lat), p)
         return (p in set(prime_filters(lat)) and sorted(qs) == sorted(actual)
                 and len(qs) != 1)
     if name == "hyperarchimedean":

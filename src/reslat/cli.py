@@ -34,11 +34,11 @@ class _CliError(Exception):
         self.code = code
 
 
-def _emit(args, lat_name, command, result, witnesses=()):
-    if args.json:
-        doc = {"lattice": lat_name, "command": command, "result": result,
-               "witnesses": list(witnesses)}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(lattice, command, result, witnesses=()):
+    """Print the JSON document every ``--json`` output shares."""
+    doc = {"lattice": lattice, "command": command, "result": result,
+           "witnesses": list(witnesses)}
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -125,10 +125,7 @@ def _cmd_validate(args):
         lat = _load(args.path)
     except _CliError as exc:
         if exc.code == EXIT_INVALID and args.json:
-            print(json.dumps({"lattice": str(args.path), "command": "validate",
-                              "result": {"valid": False},
-                              "witnesses": [str(exc)]},
-                             indent=2, sort_keys=True))
+            _emit(str(args.path), "validate", {"valid": False}, [str(exc)])
         else:
             print(exc, file=sys.stderr)
         return exc.code
@@ -136,7 +133,7 @@ def _cmd_validate(args):
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(lat.hasse_dot())
     if args.json:
-        return _emit(args, lat.name, "validate",
+        return _emit(lat.name, "validate",
                      {"valid": True, "n": lat.n, "elements": list(lat.names)})
     print(f"{lat.name}: valid residuated lattice with {lat.n} elements")
     return EXIT_OK
@@ -146,7 +143,7 @@ def _cmd_filters(args):
     lat = _load(args.path)
     fl = _filters.enumerate_filters(lat)
     if args.json:
-        return _emit(args, lat.name, "filters",
+        return _emit(lat.name, "filters",
                      {"count": len(fl), "filters": _tok_sets(lat, fl.filters)})
     _print_sets(lat, fl.filters, f"{lat.name}: {len(fl)} filters")
     return EXIT_OK
@@ -158,7 +155,7 @@ def _cmd_spectrum(args):
             "minimal": "minimal_prime"}[args.kind]
     pts = _spectra.spectrum(lat, kind)
     if args.json:
-        return _emit(args, lat.name, "spectrum",
+        return _emit(lat.name, "spectrum",
                      {"kind": args.kind, "points": _tok_sets(lat, pts)})
     _print_sets(lat, pts, f"{lat.name}: {len(pts)} {args.kind} filters")
     return EXIT_OK
@@ -168,7 +165,7 @@ def _cmd_alpha(args):
     lat = _load(args.path)
     al = _filters.enumerate_alpha(lat)
     if args.json:
-        return _emit(args, lat.name, "alpha",
+        return _emit(lat.name, "alpha",
                      {"count": len(al), "filters": _tok_sets(lat, al)})
     _print_sets(lat, al, f"{lat.name}: {len(al)} alpha-filters")
     return EXIT_OK
@@ -178,7 +175,7 @@ def _cmd_pure(args):
     lat = _load(args.path)
     pf = _purity.pure_filters(lat)
     if args.json:
-        return _emit(args, lat.name, "pure",
+        return _emit(lat.name, "pure",
                      {"count": len(pf), "filters": _tok_sets(lat, pf)})
     _print_sets(lat, pf, f"{lat.name}: {len(pf)} pure filters")
     return EXIT_OK
@@ -189,7 +186,7 @@ def _cmd_sigma(args):
     f = _filter_arg(lat, args.filter)
     s = _purity.sigma_filter(lat, f)
     if args.json:
-        return _emit(args, lat.name, "sigma",
+        return _emit(lat.name, "sigma",
                      {"filter": lat.tokens_of(f), "sigma": lat.tokens_of(s)})
     print(f"sigma({lat.set_str(f)}) = {lat.set_str(s)}")
     return EXIT_OK
@@ -200,7 +197,7 @@ def _cmd_rho(args):
     f = _filter_arg(lat, args.filter)
     r = _purity.rho(lat, f)
     if args.json:
-        return _emit(args, lat.name, "rho",
+        return _emit(lat.name, "rho",
                      {"filter": lat.tokens_of(f), "rho": lat.tokens_of(r)})
     print(f"rho({lat.set_str(f)}) = {lat.set_str(r)}")
     return EXIT_OK
@@ -222,7 +219,7 @@ def _cmd_spp(args):
         "separation": sep,
     }
     if args.json:
-        return _emit(args, lat.name, "spp", result)
+        return _emit(lat.name, "spp", result)
     print(f"Spp({lat.name}): {len(spp)} purely-prime filters")
     for p, mx, mn in zip(spp.points, spp.purely_maximal, spp.purely_minimal):
         tags = [t for t, on in (("purely-maximal", mx), ("purely-minimal", mn)) if on]
@@ -243,7 +240,7 @@ def _cmd_dtop(args):
     opens = [[lat.tokens_of(spec[i]) for i in iter_bits(o)]
              for o in space.sorted_opens()]
     if args.json:
-        return _emit(args, lat.name, "dtop", {"opens": opens})
+        return _emit(lat.name, "dtop", {"opens": opens})
     print(f"D-topology on Spec({lat.name}): {len(space.opens)} opens")
     for o in space.sorted_opens():
         print("   {" + ", ".join(lat.set_str(spec[i]) for i in iter_bits(o)) + "}")
@@ -263,7 +260,7 @@ def _cmd_classify(args):
     witnesses = [{"flag": name, **flag.witness}
                  for name, flag in rep.flags().items() if not flag.value]
     if args.json:
-        return _emit(args, lat.name, "classify", result, witnesses)
+        return _emit(lat.name, "classify", result, witnesses)
     print(f"{lat.name}:")
     for name, flag in rep.flags().items():
         print(f"  {name}: {flag.value}  [{flag.witness}]")
@@ -280,10 +277,7 @@ def _structure_cmd(args, which):
         rep = fn(lat)
     except _classify.NotApplicable as exc:
         if args.json:
-            print(json.dumps({"lattice": lat.name, "command": which,
-                              "result": {"qualifies": False},
-                              "witnesses": [str(exc)]},
-                             indent=2, sort_keys=True))
+            _emit(lat.name, which, {"qualifies": False}, [str(exc)])
         else:
             print(exc, file=sys.stderr)
         return EXIT_VIOLATION
@@ -291,7 +285,7 @@ def _structure_cmd(args, which):
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     if args.json:
-        return _emit(args, lat.name, which,
+        return _emit(lat.name, which,
                      {"qualifies": True,
                       "clauses": [{"id": cid, "note": note}
                                   for cid, note in rep["clauses"]]})
@@ -313,7 +307,7 @@ def _cmd_quotient(args):
         "quotient_elements": list(q.names),
     }
     if args.json:
-        return _emit(args, lat.name, "quotient", result)
+        return _emit(lat.name, "quotient", result)
     print(f"{lat.name}/{lat.set_str(f)}: {q.n} classes"
           + (" (degenerate)" if qr.degenerate else ""))
     for c in qr.classes:
@@ -350,11 +344,9 @@ def _cmd_check(args):
     except _harness.DuplicateInstance as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     if args.json:
-        doc = {"lattice": [lat.name for lat in lats], "command": "check",
-               "result": rep.as_dict(), "witnesses":
-                   [{"lattice": i, "property": p, **(v.witness or {})}
-                    for i, p, v in rep.failures()]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit([lat.name for lat in lats], "check", rep.as_dict(),
+              [{"lattice": i, "property": p, **(v.witness or {})}
+               for i, p, v in rep.failures()])
     else:
         for line in rep.text_lines():
             print(line)

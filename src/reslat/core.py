@@ -172,15 +172,6 @@ class ResiduatedLattice:
     def set_str(self, mask: int) -> str:
         return "{" + ",".join(self.tokens_of(mask)) + "}"
 
-    def upset_of(self, mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= self.up[i]
-        return out
-
-    def is_upset(self, mask: int) -> bool:
-        return self.upset_of(mask) == mask
-
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (x, y) with y covering x."""
         out = []

@@ -38,6 +38,11 @@ def hull(masks, x_mask: int) -> list[int]:
     return [p for p in masks if x_mask & ~p == 0]
 
 
+def inside(masks, x_mask: int) -> list[int]:
+    """The order-dual of ``hull``: the members that lie inside X, in order."""
+    return [q for q in masks if q & ~x_mask == 0]
+
+
 def kernel(lat: ResiduatedLattice, masks) -> int:
     """k(S): the intersection of a family of subsets; all of A for S empty."""
     out = lat.all_mask
@@ -81,10 +86,10 @@ def generated_filter(lat: ResiduatedLattice, mask: int) -> int:
 
 @dataclass(frozen=True)
 class FiltersLattice:
-    """All filters, in deterministic order, with meet/join tables.
+    """All filters, in deterministic order, with their join table.
 
     Meet is set intersection; join of two filters is the filter generated
-    by their union.  Tables hold filter indices.  Only the lattice's name
+    by their union.  The table holds filter indices.  Only the lattice's name
     and element tokens are kept (for error messages): a back-reference to
     the lattice, whose memo holds this object, would make a reference cycle.
     """
@@ -93,7 +98,6 @@ class FiltersLattice:
     names: tuple[str, ...]
     filters: tuple[int, ...]
     index: dict
-    meet_t: tuple
     join_t: tuple
 
     def __len__(self):
@@ -119,20 +123,18 @@ class FiltersLattice:
 def enumerate_filters(lat: ResiduatedLattice) -> FiltersLattice:
     """Fil(A) as the upsets of the idempotents, in canonical mask order.
 
-    For idempotents e and g the meet table reads up(e v g) and the join
-    table up(e*g); both are idempotent, so each entry is one lookup.
+    For idempotents e and g the join table reads up(e*g); e*g is
+    idempotent, so each entry is one lookup.
     """
 
     def build():
-        prod, join, up = lat.prod, lat.join, lat.up
+        prod, up = lat.prod, lat.up
         least = {up[e]: e for e in range(lat.n) if prod[e][e] == e}
         found = sorted(least, key=mask_key)
         index = {f: i for i, f in enumerate(found)}
         gens = [least[f] for f in found]
-        meet_t = tuple(tuple(index[up[join[e][g]]] for g in gens) for e in gens)
         join_t = tuple(tuple(index[up[prod[e][g]]] for g in gens) for e in gens)
-        return FiltersLattice(lat.name, lat.names, tuple(found), index,
-                              meet_t, join_t)
+        return FiltersLattice(lat.name, lat.names, tuple(found), index, join_t)
 
     return cached(lat, "filters_lattice", build)
 
@@ -305,18 +307,6 @@ def omega_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 def is_alpha_filter(lat: ResiduatedLattice, f_mask: int) -> bool:
     """True when the double coannulet of every member stays inside."""
     return all(double_perp(lat, x) & ~f_mask == 0 for x in iter_bits(f_mask))
-
-
-def alpha_closure(lat: ResiduatedLattice, mask: int) -> int:
-    f = generated_filter(lat, mask)
-    while True:
-        ext = f
-        for x in iter_bits(f):
-            ext |= double_perp(lat, x)
-        nxt = generated_filter(lat, ext)
-        if nxt == f:
-            return f
-        f = nxt
 
 
 def enumerate_alpha(lat: ResiduatedLattice) -> tuple[int, ...]:

@@ -17,8 +17,8 @@ from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
                    direct_product, iter_bits, lattice_from_tables,
                    load_lattice, mask_key, popcount)
 from .filters import (coannihilator, double_perp, enumerate_filters,
-                      generated_filter, hull, ideal_generated, is_filter,
-                      is_projection_flat, kernel, lattice_ideals,
+                      generated_filter, hull, ideal_generated, inside,
+                      is_filter, is_projection_flat, kernel, lattice_ideals,
                       maximal_filters, omega_filter, omega_filters,
                       principal_ideal, quotient, radical, x_perp)
 from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
@@ -97,28 +97,6 @@ def product_instance(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLa
     if key not in _PRODUCTS:
         _PRODUCTS[key] = direct_product(a, b)
     return _PRODUCTS[key]
-
-
-@dataclass(frozen=True)
-class InstanceFamily:
-    """Generator id plus parameters; ``product`` nests two families."""
-
-    kind: str                 # fixture | godel_chain | lukasiewicz_chain | product
-    params: tuple = ()
-
-
-def generate(family: InstanceFamily) -> list[ResiduatedLattice]:
-    if family.kind == "fixture":
-        return [fixture(family.params[0])]
-    if family.kind == "godel_chain":
-        return [godel_chain(family.params[0])]
-    if family.kind == "lukasiewicz_chain":
-        return [lukasiewicz_chain(family.params[0])]
-    if family.kind == "product":
-        fa, fb = family.params
-        return [product_instance(a, b)
-                for a in generate(fa) for b in generate(fb)]
-    raise LatticeError(f"unknown family kind {family.kind!r}")
 
 
 def acceptance_family(max_product_size: int = 16,
@@ -228,6 +206,38 @@ def _prop(pid: str, group: str):
     return deco
 
 
+# The Gelfand and mp sections state two theorem shapes, each written here
+# once.  The hypothesis is read through ``_is_gelfand``/``_is_mp`` at call
+# time, so it always comes from the current ``classify``.
+_OFF_HYPOTHESIS = {"gelfand": "Gelfand instances only",
+                   "mp": "mp instances only"}
+
+
+def _hypothesis(lat, group):
+    return _is_gelfand(lat) if group == "gelfand" else _is_mp(lat)
+
+
+def _under(pid: str, group: str, holds, witness, note: str = ""):
+    """Register "if A is Gelfand (mp), then holds(A)": n/a off the hypothesis,
+    else ``holds`` decides and ``witness(lat)`` describes a failure."""
+    def fn(lat):
+        if not _hypothesis(lat, group):
+            return _na(_OFF_HYPOTHESIS[group])
+        return _when(holds(lat), lambda: witness(lat), note)
+    _prop(pid, group)(fn)
+
+
+def _iff(pid: str, group: str, **clauses):
+    """Register "A is Gelfand (mp) iff each clause": every clause must equal
+    the hypothesis; the witness gives the hypothesis, then every clause."""
+    def fn(lat):
+        h = _hypothesis(lat, group)
+        got = {name: holds(lat) for name, holds in clauses.items()}
+        return _when(all(v == h for v in got.values()),
+                     lambda: {group: h, **got})
+    _prop(pid, group)(fn)
+
+
 # The manifest of catalogued statement ids the registry must cover exactly.
 SPEC_ANCHOR_MANIFEST = (
     # core: algebra, filters, spectra groundwork
@@ -322,12 +332,9 @@ def _fixture_fidelity(lat, key):
     return PASS
 
 
-for _key in ("a6", "b6", "c6", "a8"):
-    def _mk(key):
-        def fn(lat, key=key):
-            return _fixture_fidelity(lat, key.upper())
-        return fn
-    _prop(f"ex{_key}", "core")(_mk(_key))
+for _key in FIXTURE_NAMES:
+    _prop(f"ex{_key}", "core")(
+        lambda lat, key=_key.upper(): _fixture_fidelity(lat, key))
 
 
 @_prop("compeleex", "core")
@@ -428,7 +435,7 @@ def _p_intprimfilt(lat):
 def _p_mp(lat):
     minp = minimal_primes(lat)
     for p in prime_filters(lat):
-        if not any(q & ~p == 0 for q in minp):
+        if not inside(minp, p):
             return _fail({"prime": _toks(lat, p)})
     return PASS
 
@@ -566,8 +573,8 @@ def _p_omegprop(lat):
     minp = minimal_primes(lat)
     for p in spec:
         d = D_operator(lat, p)
-        via_primes = kernel(lat, [q for q in spec if q & ~p == 0])
-        via_minimal = kernel(lat, [q for q in minp if q & ~p == 0])
+        via_primes = kernel(lat, inside(spec, p))
+        via_minimal = kernel(lat, inside(minp, p))
         if d != via_primes or d != via_minimal:
             return _fail({"item": 2, "prime": _toks(lat, p),
                           "D": _toks(lat, d),
@@ -795,8 +802,7 @@ def _p_rfilter(lat):
         rf = rho(lat, f)
         if rf & ~sigma_filter(lat, f):
             return _fail({"item": 1, "filter": _toks(lat, f)})
-        inside = [g for g in pure if g & ~f == 0]
-        if rf not in pure or rf & ~f or any(g & ~rf for g in inside):
+        if rf not in pure or rf & ~f or any(g & ~rf for g in inside(pure, f)):
             return _fail({"item": 2, "filter": _toks(lat, f)})
         if rho(lat, rf) != rf or (rf == f) != (f in pure):
             return _fail({"item": 3, "filter": _toks(lat, f)})
@@ -894,7 +900,7 @@ def _p_minpurfil(lat):
     spp = pure_spectrum(lat)
     minimal = [p for p, m in zip(spp.points, spp.purely_minimal) if m]
     for p in spp.points:
-        if not any(q & ~p == 0 for q in minimal):
+        if not inside(minimal, p):
             return _fail({"point": _toks(lat, p)})
     return PASS
 
@@ -1021,160 +1027,94 @@ def _p_qoepuruspec(lat):
 # -- Gelfand properties -----------------------------------------------------
 
 
-@_prop("quanorexas", "gelfand")
-def _p_quanorexas(lat):
+def _fixture_flag(lat, flag):
+    """The bundled fixture's expected flag, with a witness that re-verifies."""
     if lat.name not in FIXTURE_EXPECT:
         return _na("fixtures only")
-    rep = classify(lat)
-    want = FIXTURE_EXPECT[lat.name]["gelfand"]
-    if rep.gelfand.value != want:
-        return _fail({"got": rep.gelfand.value, "expected": want})
-    if not verify_flag_witness(lat, "gelfand", rep.gelfand):
+    got = getattr(classify(lat), flag)
+    want = FIXTURE_EXPECT[lat.name][flag]
+    if got.value != want:
+        return _fail({"got": got.value, "expected": want})
+    if not verify_flag_witness(lat, flag, got):
         return _fail({"note": "witness does not re-verify"})
     return PASS
 
 
-@_prop("pmprop", "gelfand")
-def _p_pmprop(lat):
-    g = _is_gelfand(lat)
-    maxf = maximal_filters(lat)
-    c3 = all(comaximal(lat, D_operator(lat, m), D_operator(lat, n))
-             for m in maxf for n in maxf if m != n)
-    c7 = all(not comaximal(lat, f, m) or
-             comaximal(lat, f, D_operator(lat, m))
-             for f in enumerate_filters(lat).proper for m in maxf)
-    return _when(c3 == g and c7 == g, lambda: {"gelfand": g, "c3": c3, "c7": c7})
-
-
-@_prop("gelnor", "gelfand")
-def _p_gelnor(lat):
-    """Gelfand iff the maximal spectrum is a hull-kernel retract.
+def _max_h_is_a_retract(lat):
+    """The maximal spectrum is a hull-kernel retract of the prime spectrum.
 
     Max_h is discrete, so a continuous map onto it is constant on each
     connected component of Spec_h; a retraction exists iff every component
     holds exactly one maximal point.
     """
-    g = _is_gelfand(lat)
     mmask = maximal_point_mask(lat)
-    found = all(popcount(c & mmask) == 1
-                for c in components(spec_space(lat, "h")))
-    return _when(found == g, lambda: {"gelfand": g, "retraction": found})
+    return all(popcount(c & mmask) == 1
+               for c in components(spec_space(lat, "h")))
 
 
-@_prop("equgelchaunit", "gelfand")
-def _p_equgelchaunit(lat):
-    g = _is_gelfand(lat)
-    fl = _filters(lat)
-    maxf = maximal_filters(lat)
-    c2 = all(sigma_filter(lat, f) & ~m or not f & ~m
-             for f in fl for m in maxf)
-    c3 = hm_of_sigma_unchanged(lat)
-    c4 = all(radical(lat, f) == radical(lat, sigma_filter(lat, f)) for f in fl)
-    c5 = all(not comaximal(lat, f, h) or
-             comaximal(lat, sigma_filter(lat, f), sigma_filter(lat, h))
-             for f in fl for h in fl)
-    c6 = all(_join(lat, sigma_filter(lat, f), sigma_filter(lat, h)) ==
-             sigma_filter(lat, _join(lat, f, h))
-             for f in fl for h in fl)
-    clauses = {"c2": c2, "c3": c3, "c4": c4, "c5": c5, "c6": c6}
-    return _when(all(v == g for v in clauses.values()),
-                 lambda: {"gelfand": g, **clauses})
-
-
-@_prop("equgelchapure", "gelfand")
-def _p_equgelchapure(lat):
-    g = _is_gelfand(lat)
-    fl = _filters(lat)
-    maxf = maximal_filters(lat)
-    c2 = rho_below_max_implies_f_below(lat)
-    c3 = all(h_m(lat, f) == h_m(lat, rho(lat, f)) for f in fl)
-    c4 = all(radical(lat, f) == radical(lat, rho(lat, f)) for f in fl)
-    c5 = all(not comaximal(lat, f, h) or
-             comaximal(lat, rho(lat, f), rho(lat, h))
-             for f in fl for h in fl)
-    c6 = all(_join(lat, rho(lat, f), rho(lat, h)) ==
-             rho(lat, _join(lat, f, h)) for f in fl for h in fl)
-    c7 = all(comaximal(lat, rho(lat, m), rho(lat, n))
-             for m in maxf for n in maxf if m != n)
-    adjunction = rho_rad_adjunction(lat)
-    clauses = {"c2": c2, "c3": c3, "c4": c4, "c5": c5, "c6": c6, "c7": c7,
-               "rho_rad_adjunction": adjunction}
-    return _when(all(v == g for v in clauses.values()),
-                 lambda: {"gelfand": g, **clauses})
-
-
-@_prop("rhosigmanorg", "gelfand")
-def _p_rhosigmanorg(lat):
-    if not _is_gelfand(lat):
-        return _na("Gelfand instances only")
-    return _when(rho_equals_sigma(lat), lambda: {"filter": _toks(lat, next(
-        f for f in _filters(lat) if rho(lat, f) != sigma_filter(lat, f)))})
-
-
-@_prop("gelfmaxpure", "gelfand")
-def _p_gelfmaxpure(lat):
-    if not _is_gelfand(lat):
-        return _na("Gelfand instances only")
-    ok = spp_equals_max_sigma(lat) and spp_equals_rho_of_max(lat)
-    return _when(ok, lambda: {
-        "purely_maximal": [_toks(lat, p) for p in purely_maximal_points(lat)],
-        "rho_of_max": [_toks(lat, rho(lat, m)) for m in maximal_filters(lat)]})
-
-
-@_prop("gelspphau", "gelfand")
-def _p_gelspphau(lat):
-    if not _is_gelfand(lat):
-        return _na("Gelfand instances only")
-    return _when(spp_hausdorff(lat), lambda: {"space": "Spp"})
-
-
-@_prop("sppgelfch", "gelfand")
-def _p_sppgelfch(lat):
-    g = _is_gelfand(lat)
-    homeo = rho_m_homeomorphism(lat)
-    return _when(homeo == g, lambda: {"gelfand": g, "homeomorphism": homeo})
-
-
-@_prop("gelpurefcl", "gelfand")
-def _p_gelpurefcl(lat):
-    if not _is_gelfand(lat):
-        return _na("Gelfand instances only")
-    return _when(pure_filters_closed_form(lat), lambda: {"closed_forms": [
-        _toks(lat, f) for f in sorted(gelfand_closed_forms(lat), key=mask_key)]})
-
-
-@_prop("gelfhulldmin", "gelfand")
-def _p_gelfhulldmin(lat):
-    g = _is_gelfand(lat)
-    same = hull_kernel_equals_d_topology_on_max(lat)
-    return _when(same == g, lambda: {"gelfand": g, "coincide": same})
+_prop("quanorexas", "gelfand")(lambda lat: _fixture_flag(lat, "gelfand"))
+_iff("pmprop", "gelfand",
+     c3=lambda lat: all(comaximal(lat, D_operator(lat, m), D_operator(lat, n))
+                        for m in maximal_filters(lat)
+                        for n in maximal_filters(lat) if m != n),
+     c7=lambda lat: all(not comaximal(lat, f, m) or
+                        comaximal(lat, f, D_operator(lat, m))
+                        for f in enumerate_filters(lat).proper
+                        for m in maximal_filters(lat)))
+_iff("gelnor", "gelfand", retraction=_max_h_is_a_retract)
+_iff("equgelchaunit", "gelfand",
+     c2=lambda lat: all(sigma_filter(lat, f) & ~m or not f & ~m
+                        for f in _filters(lat) for m in maximal_filters(lat)),
+     c3=hm_of_sigma_unchanged,
+     c4=lambda lat: all(radical(lat, f) == radical(lat, sigma_filter(lat, f))
+                        for f in _filters(lat)),
+     c5=lambda lat: all(not comaximal(lat, f, h) or
+                        comaximal(lat, sigma_filter(lat, f), sigma_filter(lat, h))
+                        for f in _filters(lat) for h in _filters(lat)),
+     c6=lambda lat: all(_join(lat, sigma_filter(lat, f), sigma_filter(lat, h)) ==
+                        sigma_filter(lat, _join(lat, f, h))
+                        for f in _filters(lat) for h in _filters(lat)))
+_iff("equgelchapure", "gelfand",
+     c2=rho_below_max_implies_f_below,
+     c3=lambda lat: all(h_m(lat, f) == h_m(lat, rho(lat, f))
+                        for f in _filters(lat)),
+     c4=lambda lat: all(radical(lat, f) == radical(lat, rho(lat, f))
+                        for f in _filters(lat)),
+     c5=lambda lat: all(not comaximal(lat, f, h) or
+                        comaximal(lat, rho(lat, f), rho(lat, h))
+                        for f in _filters(lat) for h in _filters(lat)),
+     c6=lambda lat: all(_join(lat, rho(lat, f), rho(lat, h)) ==
+                        rho(lat, _join(lat, f, h))
+                        for f in _filters(lat) for h in _filters(lat)),
+     c7=lambda lat: all(comaximal(lat, rho(lat, m), rho(lat, n))
+                        for m in maximal_filters(lat)
+                        for n in maximal_filters(lat) if m != n),
+     rho_rad_adjunction=rho_rad_adjunction)
+_under("rhosigmanorg", "gelfand", rho_equals_sigma, lambda lat: {
+    "filter": _toks(lat, next(f for f in _filters(lat)
+                              if rho(lat, f) != sigma_filter(lat, f)))})
+_under("gelfmaxpure", "gelfand",
+       lambda lat: spp_equals_max_sigma(lat) and spp_equals_rho_of_max(lat),
+       lambda lat: {
+           "purely_maximal": [_toks(lat, p) for p in purely_maximal_points(lat)],
+           "rho_of_max": [_toks(lat, rho(lat, m)) for m in maximal_filters(lat)]})
+_under("gelspphau", "gelfand", spp_hausdorff, lambda lat: {"space": "Spp"})
+_iff("sppgelfch", "gelfand", homeomorphism=rho_m_homeomorphism)
+_under("gelpurefcl", "gelfand", pure_filters_closed_form, lambda lat: {
+    "closed_forms": [_toks(lat, f) for f in
+                     sorted(gelfand_closed_forms(lat), key=mask_key)]})
+_iff("gelfhulldmin", "gelfand", coincide=hull_kernel_equals_d_topology_on_max)
 
 
 # -- mp properties ----------------------------------------------------------
 
 
-@_prop("quanorempxas", "mp")
-def _p_quanorempxas(lat):
-    if lat.name not in FIXTURE_EXPECT:
-        return _na("fixtures only")
-    rep = classify(lat)
-    want = FIXTURE_EXPECT[lat.name]["mp"]
-    if rep.mp.value != want:
-        return _fail({"got": rep.mp.value, "expected": want})
-    if not verify_flag_witness(lat, "mp", rep.mp):
-        return _fail({"note": "witness does not re-verify"})
-    return PASS
-
-
-@_prop("noco", "mp")
-def _p_noco(lat):
-    m = _is_mp(lat)
-    minset = set(minimal_primes(lat))
-    c1 = minimal_primes_comaximal(lat)
-    c4 = all(D_operator(lat, mx) in minset for mx in maximal_filters(lat))
-    c5 = comaximal_coannulets(lat)
-    return _when(c1 == m and c4 == m and c5 == m,
-                 lambda: {"mp": m, "c1": c1, "c4": c4, "c5": c5})
+_prop("quanorempxas", "mp")(lambda lat: _fixture_flag(lat, "mp"))
+_iff("noco", "mp",
+     c1=minimal_primes_comaximal,
+     c4=lambda lat: all(D_operator(lat, mx) in minimal_primes(lat)
+                        for mx in maximal_filters(lat)),
+     c5=comaximal_coannulets)
 
 
 @_prop("mpmpropd", "mp")
@@ -1186,12 +1126,7 @@ def _p_mpmpropd(lat):
     return _when(min_d_hausdorff(lat), lambda: {"space": "Min_d"})
 
 
-@_prop("norgammsig", "mp")
-def _p_norgammsig(lat):
-    m = _is_mp(lat)
-    c2 = omega_filters_pure(lat)
-    c3 = coannulets_pure(lat)
-    return _when(c2 == m and c3 == m, lambda: {"mp": m, "c2": c2, "c3": c3})
+_iff("norgammsig", "mp", c2=omega_filters_pure, c3=coannulets_pure)
 
 
 @_prop("norgammsige", "mp")
@@ -1207,86 +1142,29 @@ def _p_norgammsige(lat):
                  lambda: {"mp": m, "c2": c2, "c3": c3, "c4": c4})
 
 
-@_prop("normpurprimxa", "mp")
-def _p_normpurprimxa(lat):
-    m = _is_mp(lat)
-    same = min_equals_max_sigma(lat)
-    return _when(same == m, lambda: {"mp": m, "min_equals_max_sigma": same})
-
-
-@_prop("pureinterd", "mp")
-def _p_pureinterd(lat):
-    if not _is_mp(lat):
-        return _na("mp instances only")
-    return _when(proper_pure_equal_kh_m(lat), lambda: {"filter": _toks(lat, next(
-        f for f in pure_filters(lat)
-        if f != lat.all_mask and kh_m(lat, f) != f))})
-
-
-@_prop("mppurefcl", "mp")
-def _p_mppurefcl(lat):
-    if not _is_mp(lat):
-        return _na("mp instances only")
-    return _when(pure_filters_closed_form_min(lat), lambda: {"closed_forms": [
-        _toks(lat, f) for f in sorted(mp_closed_forms(lat), key=mask_key)]})
-
-
-@_prop("mppureco1", "mp")
-def _p_mppureco1(lat):
-    if not _is_mp(lat):
-        return _na("mp instances only")
-    unit = 1 << lat.top
-    return _when(coannulet_meets_fa_trivially(lat), lambda: {"a": next(
-        lat.names[a] for a in range(lat.n)
-        if x_perp(lat, a) & f_a(lat, a) != unit)})
-
-
-@_prop("mppu1re", "mp")
-def _p_mppu1re(lat):
-    if not _is_mp(lat):
-        return _na("mp instances only")
-    return _when(minimal_prime_is_join_of_fa(lat), lambda: {
-        "minimal_prime": _toks(lat, next(q for q in minimal_primes(lat)
-                                         if fa_join(lat, q) != q))})
-
-
-@_prop("mpminspp", "mp")
-def _p_mpminspp(lat):
-    if not _is_mp(lat):
-        return _na("mp instances only")
-    return _when(spp_in_max_sigma(lat), lambda: {
-        "spp": [_toks(lat, p) for p in pure_spectrum(lat).points]})
-
-
-@_prop("mp2minspp", "mp")
-def _p_mp2minspp(lat):
-    m = _is_mp(lat)
-    same = min_equals_spp(lat)
-    return _when(same == m, lambda: {"mp": m, "min_equals_spp": same})
-
-
-@_prop("equmpflatmin", "mp")
-def _p_equmpflatmin(lat):
-    m = _is_mp(lat)
-    homeo = iota_spp_to_min_d_homeomorphism(lat)
-    return _when(homeo == m, lambda: {"mp": m, "identity_homeomorphism": homeo})
-
-
-@_prop("mpspphau", "mp")
-def _p_mpspphau(lat):
-    if not _is_mp(lat):
-        return _na("mp instances only")
-    return _when(spp_hausdorff(lat), lambda: {"space": "Spp"})
-
-
-@_prop("minspprick", "mp")
-def _p_minspprick(lat):
-    if not _is_mp(lat):
-        return _na("mp instances only")
-    return _when(min_h_homeomorphic_to_spp(lat), lambda: {
-        "min_h": [_toks(lat, q) for q in min_space(lat, "h").labels],
-        "spp": [_toks(lat, p) for p in pure_spectrum(lat).points]},
-        note="finiteness makes the compactness hypothesis vacuous")
+_iff("normpurprimxa", "mp", min_equals_max_sigma=min_equals_max_sigma)
+_under("pureinterd", "mp", proper_pure_equal_kh_m, lambda lat: {
+    "filter": _toks(lat, next(f for f in pure_filters(lat)
+                              if f != lat.all_mask and kh_m(lat, f) != f))})
+_under("mppurefcl", "mp", pure_filters_closed_form_min, lambda lat: {
+    "closed_forms": [_toks(lat, f) for f in
+                     sorted(mp_closed_forms(lat), key=mask_key)]})
+_under("mppureco1", "mp", coannulet_meets_fa_trivially, lambda lat: {
+    "a": next(lat.names[a] for a in range(lat.n)
+              if x_perp(lat, a) & f_a(lat, a) != 1 << lat.top)})
+_under("mppu1re", "mp", minimal_prime_is_join_of_fa, lambda lat: {
+    "minimal_prime": _toks(lat, next(q for q in minimal_primes(lat)
+                                     if fa_join(lat, q) != q))})
+_under("mpminspp", "mp", spp_in_max_sigma, lambda lat: {
+    "spp": [_toks(lat, p) for p in pure_spectrum(lat).points]})
+_iff("mp2minspp", "mp", min_equals_spp=min_equals_spp)
+_iff("equmpflatmin", "mp",
+     identity_homeomorphism=iota_spp_to_min_d_homeomorphism)
+_under("mpspphau", "mp", spp_hausdorff, lambda lat: {"space": "Spp"})
+_under("minspprick", "mp", min_h_homeomorphic_to_spp, lambda lat: {
+    "min_h": [_toks(lat, q) for q in min_space(lat, "h").labels],
+    "spp": [_toks(lat, p) for p in pure_spectrum(lat).points]},
+    note="finiteness makes the compactness hypothesis vacuous")
 
 
 # ---------------------------------------------------------------------------

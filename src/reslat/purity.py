@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
 from .filters import (cached, double_perp, enumerate_filters,
-                      generated_filter, hull, kernel, maximal_filters,
+                      generated_filter, hull, inside, kernel, maximal_filters,
                       omega_filter, x_perp)
 from .spectra import (D_operator, d_set, minimal_primes, prime_filters,
                       spec_space)
@@ -150,7 +150,7 @@ def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
                                     tuple(lat.set_str(p) for p in pts))
         proper_pure = [f for f in pure if f != lat.all_mask]
         pmax = tuple(hull(proper_pure, p) == [p] for p in pts)
-        pmin = tuple(not any(q != p and q & ~p == 0 for q in pts) for p in pts)
+        pmin = tuple(inside(pts, p) == [p] for p in pts)
         return PureSpectrum(pts, space, pmax, pmin)
     return cached(lat, "pure_spectrum", build)
 

@@ -8,7 +8,8 @@ them re-index the points 0..k-1 and carry the filter masks as labels.
 from __future__ import annotations
 
 from .core import LatticeError, ResiduatedLattice, iter_bits
-from .filters import cached, enumerate_filters, hull, maximal_filters, x_perp
+from .filters import (cached, enumerate_filters, hull, inside,
+                      maximal_filters, x_perp)
 from .topology import FiniteSpace, space_from_subbasis
 
 
@@ -44,8 +45,7 @@ def prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 def minimal_primes(lat: ResiduatedLattice) -> tuple[int, ...]:
     def build():
         spec = prime_filters(lat)
-        return tuple(p for p in spec
-                     if not any(q != p and q & ~p == 0 for q in spec))
+        return tuple(p for p in spec if inside(spec, p) == [p])
     return cached(lat, "minimal_primes", build)
 
 

@@ -76,13 +76,6 @@ class FiniteSpace:
                 out |= 1 << q
         return out
 
-    def interior(self, mask: int) -> int:
-        out = 0
-        for p in iter_bits(mask):
-            if not self.nbhd[p] & ~mask:
-                out |= 1 << p
-        return out
-
     def point_of_label(self, label) -> int:
         for i, l in enumerate(self.labels):
             if l == label:

@@ -161,6 +161,36 @@ def test_json_outputs_round_trip():
             assert set(doc) == {"lattice", "command", "result", "witnesses"}
 
 
+def test_json_envelope_on_refusals_and_failures(tmp_path, monkeypatch):
+    # the three documents written off the success path share its envelope
+    from reslat import harness as hz
+    bad = tmp_path / "bad.rlat"
+    text = Path(FIXTURE_PATHS["a6"]).read_text(encoding="utf-8")
+    bad.write_text(text.replace("mul a c 0", "mul a c a"), encoding="utf-8")
+    res = run_cli(["validate", str(bad), "--json"])
+    doc = json.loads(res["stdout"])
+    assert res["exit"] == 1 and doc["result"] == {"valid": False}
+    assert doc["lattice"] == str(bad) and doc["command"] == "validate"
+    assert doc["witnesses"][0].startswith("A6: 3 violation(s)\n")
+    res = run_cli(["mp", FIXTURE_PATHS["a8"], "--json"])
+    assert res["exit"] == 2
+    assert res["stdout"] == json.dumps(
+        {"command": "mp", "lattice": "A8", "result": {"qualifies": False},
+         "witnesses": ["A8 is not mp"]}, indent=2) + "\n"
+    broken = dict(hz.PROPERTIES)
+    broken["resproposition"] = (
+        "core", lambda lat: hz._fail({"triple": ["a", "b", "c"]}))
+    monkeypatch.setattr(hz, "PROPERTIES", broken)
+    res = run_cli(["check", FIXTURE_PATHS["a6"], "--suite", "core", "--json"])
+    doc = json.loads(res["stdout"])
+    assert res["exit"] == 2 and list(doc) == [
+        "command", "lattice", "result", "witnesses"]
+    assert doc["lattice"] == ["A6"] and doc["command"] == "check"
+    assert doc["result"]["counts"]["fail"] == 1
+    assert doc["witnesses"] == [{"lattice": "A6", "property": "resproposition",
+                                 "triple": ["a", "b", "c"]}]
+
+
 def test_json_sets_are_token_arrays_in_file_order():
     res = run_cli(["filters", FIXTURE_PATHS["b6"], "--json"])
     doc = json.loads(res["stdout"])

@@ -341,8 +341,6 @@ def test_mask_helpers(a6):
     mask = a6.mask_of(["d", "1"])
     assert a6.tokens_of(mask) == ["d", "1"]
     assert a6.set_str(mask) == "{d,1}"
-    assert a6.is_upset(mask)
-    assert not a6.is_upset(a6.mask_of(["d"]))
 
 
 def test_rlat_round_trip_at_the_edges():

@@ -1,8 +1,10 @@
 """Generators, registry self-inventory, suite determinism and verdicts."""
 
+import dataclasses
 import gc
 import importlib.resources
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          ResiduatedLattice, SizeLimit, ValidationReport,
                          direct_product, load_lattice, parse_lattice_text,
                          validate)
-from reslat.classify import boolean_center
+from reslat.classify import Flag, boolean_center
 from reslat.spectra import spec_space
 from reslat.topology import separation_report
 
@@ -53,16 +55,6 @@ def test_suite_leaves_no_lattice_in_a_reference_cycle():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert cyclic == []
-
-
-def test_generate_families():
-    fam = hz.InstanceFamily("fixture", ("b6",))
-    assert hz.generate(fam)[0].name == "B6"
-    prod = hz.InstanceFamily(
-        "product", (hz.InstanceFamily("godel_chain", (2,)),
-                    hz.InstanceFamily("lukasiewicz_chain", (3,))))
-    (lat,) = hz.generate(prod)
-    assert lat.n == 6
 
 
 def test_acceptance_family_shape(family):
@@ -241,3 +233,43 @@ def test_sigmafequiv_fails_with_witness(b6, monkeypatch):
     assert v.status == "fail"
     assert v.witness["formula"] == "f4"
     assert v.witness["element"] == b6.names[b6.bottom]
+
+
+FLIPPED_EXPECT = Path(__file__).parent / "data" / "flipped_hypothesis.json"
+
+
+def _flipped_reports(monkeypatch):
+    """Gelfand and mp groups with both hypothesis flags negated.
+
+    Every conditional property then runs on the instances it skips, and
+    every equivalence compares its clauses with the wrong side, so the
+    failure witnesses of both groups are exercised.
+    """
+    real = hz.classify
+
+    def flipped(lat):
+        rep = real(lat)
+        return dataclasses.replace(
+            rep, gelfand=Flag(not rep.gelfand.value, rep.gelfand.witness),
+            mp=Flag(not rep.mp.value, rep.mp.witness))
+    monkeypatch.setattr(hz, "classify", flipped)
+    instances = hz.acceptance_family()[:20]   # fixtures, chains, 2 products
+    reports = {grp: hz.run_theorem_suite(instances, grp).as_dict()
+               for grp in ("gelfand", "mp")}
+    return json.dumps(reports, indent=1) + "\n"
+
+
+def test_flipped_hypothesis_verdicts(monkeypatch):
+    # compared as text, so the key order of each witness is pinned too
+    got = _flipped_reports(monkeypatch)
+    counts = {grp: rep["counts"] for grp, rep in json.loads(got).items()}
+    assert counts == {
+        "gelfand": {"pass": 12, "fail": 124, "not_applicable": 84},
+        "mp": {"pass": 5, "fail": 127, "not_applicable": 168}}
+    assert got == FLIPPED_EXPECT.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # rewrite the expected data: python tests/test_harness.py
+    with pytest.MonkeyPatch.context() as mp:
+        FLIPPED_EXPECT.write_text(_flipped_reports(mp), encoding="utf-8")

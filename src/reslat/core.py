@@ -69,9 +69,9 @@ class ValidationFailure(LatticeError):
 # open set (2^|Spec| for the discrete patch topology), so the library lists
 # opens only of spaces with at most |Fil| + 1 of them: Spec_h, Spec_d, Spp,
 # Spec_D and their subspaces.  The cap bounds polynomial work (validate's
-# O(n^3) axiom checks, suite properties of order |Fil|^2 * n) and the
-# products that `gen --product` writes.
-MAX_ELEMENTS = 20
+# O(n^3) axiom checks, suite properties of order |Fil|^2 * n and
+# |Fil| * n^2) and the products that `gen --product` writes.
+MAX_ELEMENTS = 64
 
 
 def popcount(mask: int) -> int:

@@ -15,6 +15,21 @@ subsets, on two lemmas about finite integral residuated lattices
   up(e*g), both again upsets of idempotents;
 * every lattice ideal (nonempty join-closed downset) of a finite lattice is
   the principal downset of its largest element.
+
+The filter primitives read per-lattice tables built once through ``cached``:
+
+* join rows: ``join_rows(lat)[t][x]`` = {a : a v x = t}.  An element a
+  satisfies a v x in F exactly when a lies in the row of t = a v x, so
+  (F : X) is the AND over x in X of the ORs over t in F of the rows; the
+  coannulet x^perp = (1 : x) is the row of the top, and omega(I) is the OR
+  of the coannulets of the members of I;
+* byte tables: ``prod`` is associative and commutative, so the product of a
+  subset is the product of the products of its 8-bit chunks, and a table
+  per chunk (one entry per byte value) gives it in ceil(n/8) lookups.
+
+The theorem suite calls these primitives hundreds of thousands of times on
+a 64-element instance, so they read the memo directly and go through
+``cached`` only to build a table.
 """
 
 from __future__ import annotations
@@ -73,15 +88,39 @@ def generated_filter(lat: ResiduatedLattice, mask: int) -> int:
     p is the product of the subset (the unit for the empty set) and p^oo
     the idempotent that repeated squaring of p reaches.  Every finite
     product of members lies above some power of p, hence above p^oo, and
-    up(p^oo) is a filter because p^oo is idempotent.
+    up(p^oo) is a filter because p^oo is idempotent.  p comes from the byte
+    tables and p^oo from a table of the idempotent reached by each element.
     """
+    chunks, stable = lat._cache.get("product_tables") or _product_tables(lat)
     prod = lat.prod
     p = lat.top
-    for x in iter_bits(mask):
-        p = prod[p][x]
-    while prod[p][p] != p:
-        p = prod[p][p]
-    return lat.up[p]
+    for t in chunks:
+        if not mask:
+            break
+        p = prod[p][t[mask & 255]]
+        mask >>= 8
+    return lat.up[stable[p]]
+
+
+def _product_tables(lat: ResiduatedLattice):
+    """(chunks, stable): chunks[k][b] is the product of the elements 8k + i
+    with bit i set in the byte b, and stable[p] the idempotent p^oo."""
+    def build():
+        n, prod = lat.n, lat.prod
+        chunks = []
+        for base in range(0, n, 8):
+            t = [lat.top] * (1 << min(8, n - base))
+            for b in range(1, len(t)):
+                low = b & -b
+                t[b] = prod[t[b ^ low]][base + low.bit_length() - 1]
+            chunks.append(tuple(t))
+        stable = []
+        for p in range(n):
+            while prod[p][p] != p:
+                p = prod[p][p]
+            stable.append(p)
+        return tuple(chunks), tuple(stable)
+    return cached(lat, "product_tables", build)
 
 
 @dataclass(frozen=True)
@@ -139,14 +178,29 @@ def enumerate_filters(lat: ResiduatedLattice) -> FiltersLattice:
     return cached(lat, "filters_lattice", build)
 
 
+def join_rows(lat: ResiduatedLattice) -> tuple:
+    """rows[t][x] = {a : a v x = t}, one bitmask per pair (t, x)."""
+    def build():
+        n, join = lat.n, lat.join
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            bit = 1 << a
+            for x, t in enumerate(join[a]):
+                rows[t][x] |= bit
+        return tuple(map(tuple, rows))
+    return cached(lat, "join_rows", build)
+
+
 def coannihilator(lat: ResiduatedLattice, f_mask: int, x_mask: int) -> int:
     """(F : X) = elements whose join with every member of X lands in F."""
-    out = 0
-    join = lat.join
-    for a in range(lat.n):
-        row = join[a]
-        if all((f_mask >> row[x]) & 1 for x in iter_bits(x_mask)):
-            out |= 1 << a
+    rows = lat._cache.get("join_rows") or join_rows(lat)
+    ts = [rows[t] for t in iter_bits(f_mask)]
+    out = lat.all_mask
+    for x in iter_bits(x_mask):
+        acc = 0
+        for row in ts:
+            acc |= row[x]
+        out &= acc
     return out
 
 
@@ -156,10 +210,7 @@ def x_perp(lat: ResiduatedLattice, x: int) -> int:
 
 
 def coannulets(lat: ResiduatedLattice) -> tuple[int, ...]:
-    def build():
-        unit = 1 << lat.top
-        return tuple(coannihilator(lat, unit, 1 << x) for x in range(lat.n))
-    return cached(lat, "coannulets", build)
+    return join_rows(lat)[lat.top]
 
 
 def double_perp(lat: ResiduatedLattice, x: int) -> int:
@@ -204,9 +255,12 @@ class QuotientResult:
 
     def push_mask(self, mask: int) -> int:
         """Image of a subset of the source under the projection."""
+        proj = self.projection
         out = 0
-        for x in iter_bits(mask):
-            out |= 1 << self.projection[x]
+        while mask:
+            low = mask & -mask
+            out |= 1 << proj[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def pull_mask(self, mask: int) -> int:
@@ -286,13 +340,10 @@ def ideal_generated(lat: ResiduatedLattice, mask: int) -> int:
 
 def omega_filter(lat: ResiduatedLattice, ideal_mask: int) -> int:
     """omega(I) = elements joining with some member of I to the top."""
+    perp = coannulets(lat)
     out = 0
-    join = lat.join
-    top = lat.top
-    for a in range(lat.n):
-        row = join[a]
-        if any(row[x] == top for x in iter_bits(ideal_mask)):
-            out |= 1 << a
+    for x in iter_bits(ideal_mask):
+        out |= perp[x]
     return out
 
 

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
                    direct_product, iter_bits, lattice_from_tables,
                    load_lattice, mask_key, popcount)
-from .filters import (coannihilator, double_perp, enumerate_filters,
-                      generated_filter, hull, ideal_generated, inside,
-                      is_filter, is_projection_flat, kernel, lattice_ideals,
-                      maximal_filters, omega_filter, omega_filters,
-                      principal_ideal, quotient, radical, x_perp)
+from .filters import (coannihilator, coannulet_table, double_perp,
+                      enumerate_filters, generated_filter, hull,
+                      ideal_generated, inside, is_filter, is_projection_flat,
+                      kernel, lattice_ideals, maximal_filters, omega_filter,
+                      omega_filters, principal_ideal, quotient, radical,
+                      x_perp)
 from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
-                      minimal_primes, nested_pair, prime_filters, spec_space,
-                      stability, support)
+                      minimal_primes, nested_pair, point_rows, prime_filters,
+                      spec_space, stability, support)
 from .purity import (d_of, d_topology, is_pure, pure_filters,
                      pure_part_map_report, pure_spectrum,
                      purely_prime_filters, rho, sigma_def, sigma_filter,
@@ -350,37 +351,42 @@ def _p_compeleex(lat):
 
 @_prop("genfilprop", "core")
 def _p_genfilprop(lat):
-    """Generation formula, antitone law, meet/join transport, principality."""
+    """Generation formula, antitone law, meet/join transport, principality.
+
+    The powers of each element and the rows of each x do not depend on the
+    filter or on y, so they are read once.
+    """
     fl = enumerate_filters(lat)
-    up, prod = lat.up, lat.prod
+    n, up, prod, join = lat.n, lat.up, lat.prod, lat.join
+    powers = []
+    for x in range(n):
+        row, p = [lat.top], lat.top
+        while prod[p][x] != p:
+            p = prod[p][x]
+            row.append(p)
+        powers.append(row)
     for f in fl.filters:
-        gen_x = {}
-        for x in range(lat.n):
-            fx = generated_filter(lat, f | (1 << x))
-            gen_x[x] = fx
-            powers, p = [lat.top], lat.top
-            while True:
-                p2 = prod[p][x]
-                if p2 == p:
-                    break
-                powers.append(p2)
-                p = p2
+        gen_x = [generated_filter(lat, f | (1 << x)) for x in range(n)]
+        for x in range(n):
             via = 0
             for fe in iter_bits(f):
                 row = prod[fe]
-                for pw in powers:
+                for pw in powers[x]:
                     via |= up[row[pw]]
-            if via != fx:
+            if via != gen_x[x]:
                 return _fail({"item": 1, "filter": _toks(lat, f), "x": lat.names[x]})
-        for x in range(lat.n):
-            for y in range(lat.n):
-                if lat.leq(x, y) and gen_x[y] & ~gen_x[x]:
+        for x in range(n):
+            gx, f_x, above_x, join_x, prod_x = \
+                gen_x[x], f | (1 << x), up[x], join[x], prod[x]
+            for y in range(n):
+                gy = gen_x[y]
+                if (above_x >> y) & 1 and gy & ~gx:
                     return _fail({"item": 2, "x": lat.names[x], "y": lat.names[y]})
-                if gen_x[x] & gen_x[y] != gen_x[lat.join[x][y]]:
+                if gx & gy != gen_x[join_x[y]]:
                     return _fail({"item": 3, "x": lat.names[x], "y": lat.names[y]})
-                joined = generated_filter(lat, gen_x[x] | gen_x[y])
-                if joined != gen_x[prod[x][y]] or \
-                        joined != generated_filter(lat, f | (1 << x) | (1 << y)):
+                joined = generated_filter(lat, gx | gy)
+                if joined != gen_x[prod_x[y]] or \
+                        joined != generated_filter(lat, f_x | (1 << y)):
                     return _fail({"item": 4, "x": lat.names[x], "y": lat.names[y]})
     for f in fl.filters:
         if generated_filter(lat, 1 << _principal_generator(lat, f)) != f:
@@ -416,18 +422,40 @@ def _subset_samples(lat):
 
 @_prop("intprimfilt", "core")
 def _p_intprimfilt(lat):
-    """Generated filter = intersection of the primes containing the set."""
+    """Generated filter = intersection of the primes containing the set.
+
+    h(X) is an index mask over the primes: the AND of the rows of the
+    members of X, each row holding the primes that contain that element.
+    The intersection is taken once per distinct h(X).
+    """
     spec = prime_filters(lat)
+    rows = point_rows(lat, spec)
+    every = (1 << len(spec)) - 1
+
+    def h(x_mask):
+        out = every
+        while x_mask:
+            low = x_mask & -x_mask
+            out &= rows[low.bit_length() - 1]
+            x_mask ^= low
+        return out
+
+    kernels = {}
     for x_mask in _subset_samples(lat):
-        if generated_filter(lat, x_mask) != kernel(lat, hull(spec, x_mask)):
+        h_x = h(x_mask)
+        if h_x not in kernels:
+            kernels[h_x] = kernel(lat, [p for i, p in enumerate(spec)
+                                        if h_x >> i & 1])
+        if generated_filter(lat, x_mask) != kernels[h_x]:
             return _fail({"subset": _toks(lat, x_mask)})
+    # some prime containing F misses G exactly when h(F) is not inside h(G)
     fl = enumerate_filters(lat)
-    for f in fl.filters:
-        for g in fl.filters:
-            if g & ~f:
-                if not any(g & ~p for p in hull(spec, f)):
-                    return _fail({"item": 1, "filter": _toks(lat, f),
-                                  "subset": _toks(lat, g)})
+    hulls = [h(f) for f in fl.filters]
+    for f, h_f in zip(fl.filters, hulls):
+        for g, h_g in zip(fl.filters, hulls):
+            if g & ~f and not h_f & ~h_g:
+                return _fail({"item": 1, "filter": _toks(lat, f),
+                              "subset": _toks(lat, g)})
     return PASS
 
 
@@ -524,24 +552,26 @@ def _p_hperarchpri(lat):
 
 @_prop("canonflat", "core")
 def _p_canonflat(lat):
-    """Flatness of the projection: definition vs coannihilator criterion."""
+    """Flatness of the projection: definition vs coannihilator criterion.
+
+    The definition compares <pi((G : a))> with (<pi(G)> : pi(a)) in the
+    quotient for every filter G and element a.  <pi(H)> is computed once
+    per set H among the filters and the (G : a), and the right side depends
+    on a only through its class.
+    """
     fl = enumerate_filters(lat)
+    co = coannulet_table(lat)
+    pushed = set(fl.filters).union(*co)
     for f in fl.filters:
         crit, _ = is_projection_flat(lat, f)
         qr = quotient(lat, f)
-        q = qr.quotient
+        q, proj = qr.quotient, qr.projection
+        image = {h: generated_filter(q, qr.push_mask(h)) for h in pushed}
         direct = True
-        for g in fl.filters:
-            for a in range(lat.n):
-                lhs = generated_filter(
-                    q, qr.push_mask(coannihilator(lat, g, 1 << a)))
-                rhs = coannihilator(
-                    q, generated_filter(q, qr.push_mask(g)),
-                    1 << qr.projection[a])
-                if lhs != rhs:
-                    direct = False
-                    break
-            if not direct:
+        for gi, g in enumerate(fl.filters):
+            rhs = [coannihilator(q, image[g], 1 << c) for c in range(q.n)]
+            if any(image[co_a] != rhs[proj[a]] for a, co_a in enumerate(co[gi])):
+                direct = False
                 break
         if crit != direct:
             return _fail({"filter": _toks(lat, f),
@@ -551,10 +581,27 @@ def _p_canonflat(lat):
 
 @_prop("omegprop", "core")
 def _p_omegprop(lat):
-    """Coannulets sit inside the omega-filters as a sublattice; D facts."""
+    """Coannulets sit inside the omega-filters as a sublattice; D facts.
+
+    omega(I) is taken element-wise here, {a : a v y = 1 for some y in I},
+    because the library reads both omega and the coannulets off one table;
+    ``omega_filter`` must agree with it on every principal ideal.
+    """
+    join, top = lat.join, lat.top
+    by_ideal = {}
+
+    def omega(ideal):
+        if ideal not in by_ideal:
+            members = list(iter_bits(ideal))
+            by_ideal[ideal] = sum(
+                1 << a for a in range(lat.n)
+                if any(join[a][y] == top for y in members))
+        return by_ideal[ideal]
+
     omeg = set(omega_filters(lat))
     for x in range(lat.n):
-        if omega_filter(lat, principal_ideal(lat, x)) != x_perp(lat, x):
+        down_x = principal_ideal(lat, x)
+        if not omega(down_x) == omega_filter(lat, down_x) == x_perp(lat, x):
             return _fail({"item": 1, "x": lat.names[x]})
         if x_perp(lat, x) not in omeg:
             return _fail({"item": 1, "x": lat.names[x]})
@@ -562,8 +609,7 @@ def _p_omegprop(lat):
             meet = x_perp(lat, x) & x_perp(lat, y)
             if meet != x_perp(lat, lat.prod[x][y]):
                 return _fail({"item": 1, "pair": [lat.names[x], lat.names[y]]})
-            oj = omega_filter(lat, ideal_generated(
-                lat, principal_ideal(lat, x) | principal_ideal(lat, y)))
+            oj = omega(ideal_generated(lat, down_x | principal_ideal(lat, y)))
             if oj != x_perp(lat, lat.join[x][y]):
                 return _fail({"item": 1, "pair": [lat.names[x], lat.names[y]]})
     for f in omeg:
@@ -601,7 +647,7 @@ def _p_opensd(lat):
     """
     spec = prime_filters(lat)
     sd = spec_space(lat, "d")
-    hx = [h_set(spec, 1 << x) for x in range(lat.n)]
+    hx = point_rows(lat, spec)
     for x, h in enumerate(hx):
         if not sd.is_open(h):
             return _fail({"element": lat.names[x], "note": "h(x) is not open"})

@@ -88,6 +88,22 @@ def h_set(points, x_mask: int) -> int:
     return sum(1 << points.index(p) for p in hull(points, x_mask))
 
 
+def point_rows(lat: ResiduatedLattice, points) -> tuple[int, ...]:
+    """h(x) for every element x, as index masks over the points.
+
+    Built once per point family and shared by every space over it.
+    """
+    pts = tuple(points)
+
+    def build():
+        rows = [0] * lat.n
+        for i, p in enumerate(pts):
+            for x in iter_bits(p):
+                rows[x] |= 1 << i
+        return tuple(rows)
+    return cached(lat, ("point_rows", pts), build)
+
+
 def d_set(points, x_mask: int) -> int:
     """d(X) as an index mask: the points that do not contain X."""
     return ((1 << len(points)) - 1) ^ h_set(points, x_mask)
@@ -108,7 +124,7 @@ def hull_kernel_space(lat: ResiduatedLattice, points, flavor: str,
     """
     pts = tuple(points)
     full = (1 << len(pts)) - 1
-    hx = [h_set(pts, 1 << x) for x in range(lat.n)]
+    hx = list(point_rows(lat, pts))
     if flavor == "h":
         sub = [full ^ m for m in hx]
     elif flavor == "d":

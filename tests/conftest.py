@@ -1,6 +1,7 @@
 import pytest
 
 from reslat import harness
+from reslat.core import ResiduatedLattice
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,9 @@ def tokset(lat, mask):
 
 def toksets(lat, masks):
     return {frozenset(lat.tokens_of(m)) for m in masks}
+
+
+def fresh(lat):
+    """A copy of ``lat`` with an empty memo."""
+    return ResiduatedLattice(lat.name, lat.names, lat.up, lat.join, lat.meet,
+                             lat.prod, lat.res, lat.bottom, lat.top)

@@ -83,10 +83,12 @@ def test_gen_roundtrip(tmp_path):
 
 
 def test_gen_size_cap(tmp_path):
-    res = run_cli(["gen", "--family", "godel", "--size", "5"])
-    path = tmp_path / "g5.rlat"
-    path.write_text(res["stdout"], encoding="utf-8")
-    out = run_cli(["gen", "--product", str(path), str(path)])
+    paths = []
+    for size in ("5", "13"):
+        res = run_cli(["gen", "--family", "godel", "--size", size])
+        paths.append(tmp_path / f"g{size}.rlat")
+        paths[-1].write_text(res["stdout"], encoding="utf-8")
+    out = run_cli(["gen", "--product", *map(str, paths)])
     assert out["exit"] == 3
 
 

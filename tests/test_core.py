@@ -129,7 +129,7 @@ def test_every_violation_kind_is_reachable(a6):
 VIOLATION_CASES = {
     "element-count": (
         lambda a6: RawTables("One", ["0"], [[True]], [[0]], 0, 0),
-        "One: 1 violation(s)\n  [Bounds] element count 1 outside 2..20",
+        "One: 1 violation(s)\n  [Bounds] element count 1 outside 2..64",
         [()]),
     "leq-shape": (
         lambda a6: _a6_raw(a6, leq=[[True] * 6] * 5),
@@ -277,7 +277,7 @@ def test_product_with_godel_three_chain():
 
 def test_product_size_cap():
     with pytest.raises(SizeLimit):
-        direct_product(godel_chain(5), godel_chain(5))
+        direct_product(godel_chain(5), godel_chain(13))
 
 
 def test_product_of_fixtures_validates(fixtures4):
@@ -317,7 +317,7 @@ def test_chain_constructions():
     assert l3.prod[m][m] == l3.bottom
     assert l3.neg(m) == m
     with pytest.raises(SizeLimit):
-        godel_chain(25)
+        godel_chain(65)
 
 
 def test_cover_pairs_and_dot(a6):

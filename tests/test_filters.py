@@ -1,5 +1,8 @@
 """Filter generation, enumeration, coannihilators, quotients, flatness."""
 
+import random
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +12,7 @@ from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
 from reslat.harness import (FIXTURE_EXPECT, _subset_samples, godel_chain,
                             lukasiewicz_chain, product_instance)
 
-from conftest import tokset, toksets
+from conftest import fresh, tokset, toksets
 
 
 # -- definition-level oracles: subset sweeps and closure fixpoints ----------
@@ -68,6 +71,98 @@ def fixpoint_ideal(lat, mask):
         out = ext
 
 
+# -- element-wise oracles: the per-element loops behind the table-driven
+# primitives, compared on every acceptance instance, on the largest
+# instances the cap admits (several 8-bit chunks) and on seeded random masks
+
+
+def elementwise_coannihilator(lat, f_mask, x_mask):
+    return sum(1 << a for a in range(lat.n)
+               if all((f_mask >> lat.join[a][x]) & 1 for x in iter_bits(x_mask)))
+
+
+def elementwise_omega(lat, ideal_mask):
+    return sum(1 << a for a in range(lat.n)
+               if any(lat.join[a][x] == lat.top for x in iter_bits(ideal_mask)))
+
+
+def elementwise_generated_filter(lat, mask):
+    p = lat.top
+    for x in iter_bits(mask):
+        p = lat.prod[p][x]
+    while lat.prod[p][p] != p:
+        p = lat.prod[p][p]
+    return lat.up[p]
+
+
+def elementwise_push(qr, mask):
+    out = 0
+    for x in iter_bits(mask):
+        out |= 1 << qr.projection[x]
+    return out
+
+
+def _oracle_instances(family):
+    power = lambda base, k: reduce(product_instance, [base] * k)
+    n = MAX_ELEMENTS
+    return list(family) + [godel_chain(n), lukasiewicz_chain(n),
+                           power(godel_chain(2), 6), power(godel_chain(4), 3)]
+
+
+def _random_masks(lat, k):
+    rng = random.Random(lat.name)
+    return [0, lat.all_mask] + [rng.getrandbits(lat.n) for _ in range(k)]
+
+
+def _masks(lat, k):
+    """0, the carrier, the singletons, the filters and k seeded random masks."""
+    return ([1 << x for x in range(lat.n)]
+            + list(fi.enumerate_filters(lat).filters) + _random_masks(lat, k))
+
+
+def test_coannihilator_matches_elementwise_oracle(family):
+    for lat in _oracle_instances(family):
+        for f in list(fi.enumerate_filters(lat).filters) + _random_masks(lat, 4):
+            for x in _random_masks(lat, 8):
+                assert fi.coannihilator(lat, f, x) == \
+                    elementwise_coannihilator(lat, f, x), (lat.name, f, x)
+        unit = 1 << lat.top
+        for x in range(lat.n):
+            perp = elementwise_coannihilator(lat, unit, 1 << x)
+            assert fi.x_perp(lat, x) == perp, (lat.name, x)
+            assert fi.double_perp(lat, x) == \
+                elementwise_coannihilator(lat, unit, perp), (lat.name, x)
+    for lat in family:
+        table = fi.coannulet_table(lat)
+        for f, row in zip(fi.enumerate_filters(lat).filters, table):
+            assert row == tuple(elementwise_coannihilator(lat, f, 1 << a)
+                                for a in range(lat.n)), lat.name
+
+
+def test_omega_filter_matches_elementwise_oracle(family):
+    for lat in _oracle_instances(family):
+        for i in list(fi.lattice_ideals(lat)) + _masks(lat, 40):
+            assert fi.omega_filter(lat, i) == elementwise_omega(lat, i), \
+                (lat.name, i)
+
+
+def test_generated_filter_matches_elementwise_oracle(family):
+    for lat in _oracle_instances(family):
+        for s in _masks(lat, 200):
+            assert fi.generated_filter(lat, s) == \
+                elementwise_generated_filter(lat, s), (lat.name, s)
+
+
+def test_push_mask_matches_elementwise_oracle(family):
+    for lat in _oracle_instances(family):
+        masks = _masks(lat, 8)
+        for f in fi.enumerate_filters(lat).filters:
+            qr = fi.quotient(lat, f)
+            for s in masks:
+                assert qr.push_mask(s) == elementwise_push(qr, s), \
+                    (lat.name, f, s)
+
+
 def test_generated_filter_examples(a6):
     assert tokset(a6, fi.generated_filter(a6, a6.mask_of(["d"]))) == {"d", "1"}
     assert tokset(a6, fi.generated_filter(a6, 0)) == {"1"}
@@ -111,12 +206,6 @@ def test_ideal_generated_matches_fixpoint_oracle(family):
                     (lat.name, s)
 
 
-def _fresh(lat):
-    """A copy of ``lat`` with an empty memo."""
-    return ResiduatedLattice(lat.name, lat.names, lat.up, lat.join, lat.meet,
-                             lat.prod, lat.res, lat.bottom, lat.top)
-
-
 def test_no_subset_sweep_at_the_cap(monkeypatch):
     calls = []
     real = fi.is_filter
@@ -126,7 +215,7 @@ def test_no_subset_sweep_at_the_cap(monkeypatch):
     cases = [(godel_chain(n), n), (lukasiewicz_chain(n), 2),
              (product_instance(godel_chain(4), godel_chain(5)), 4 * 5)]
     for lat, n_fil in cases:
-        lat = _fresh(lat)
+        lat = fresh(lat)
         assert len(fi.enumerate_filters(lat)) == n_fil, lat.name
         assert len(fi.lattice_ideals(lat)) == lat.n, lat.name
     assert calls == []

@@ -4,10 +4,13 @@ import dataclasses
 import gc
 import importlib.resources
 import json
+import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
+from reslat import classify as cl
 from reslat import harness as hz
 from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          ResiduatedLattice, SizeLimit, ValidationReport,
@@ -16,6 +19,8 @@ from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
 from reslat.classify import Flag, boolean_center
 from reslat.spectra import spec_space
 from reslat.topology import separation_report
+
+from conftest import fresh
 
 
 def test_fixture_generator(a6):
@@ -106,13 +111,23 @@ def test_suite_on_fixtures_passes(fixtures4):
 
 
 def test_suite_finishes_at_the_cap():
-    # the patch topology on Spec(Godel20) is discrete on 19 points: 2^19
-    # opens, but 19 one-point rows
+    # each instance of the cap's size gets the full suite, timed from an
+    # empty memo, in at most 5 s
+    power = lambda base, k: reduce(hz.product_instance, [base] * k)
     godel = hz.godel_chain(MAX_ELEMENTS)
-    instances = [godel, hz.lukasiewicz_chain(MAX_ELEMENTS),
-                 hz.product_instance(hz.godel_chain(4), hz.godel_chain(5))]
-    rep = hz.run_theorem_suite(instances, "all")
-    assert rep.counts()["fail"] == 0, rep.failures()
+    at_cap = [godel, hz.lukasiewicz_chain(MAX_ELEMENTS),
+              power(hz.godel_chain(2), 6), power(hz.godel_chain(4), 3)]
+    assert [lat.n for lat in at_cap] == [MAX_ELEMENTS] * 4
+    for lat in at_cap + [hz.product_instance(hz.godel_chain(4),
+                                             hz.godel_chain(5))]:
+        lat = fresh(lat)
+        start = time.perf_counter()
+        rep = hz.run_theorem_suite([lat], "all")
+        elapsed = time.perf_counter() - start
+        assert rep.counts()["fail"] == 0, rep.failures()
+        assert elapsed <= 5.0, (lat.name, elapsed)
+    # the patch topology on Spec(Godel64) is discrete on 63 points: 2^63
+    # opens, but 63 one-point rows
     patch = spec_space(godel, "patch")
     assert patch.nbhd == tuple(1 << p for p in range(MAX_ELEMENTS - 1))
     assert separation_report(patch)["hausdorff"]
@@ -233,6 +248,46 @@ def test_sigmafequiv_fails_with_witness(b6, monkeypatch):
     assert v.status == "fail"
     assert v.witness["formula"] == "f4"
     assert v.witness["element"] == b6.names[b6.bottom]
+
+
+def test_fixture_flag_fails_when_the_witness_does_not_reverify(a6,
+                                                              monkeypatch):
+    for pid in ("quanorexas", "quanorempxas"):
+        assert _verdict(pid, a6) == hz.PASS
+    monkeypatch.setattr(hz, "verify_flag_witness", lambda lat, flag, got: False)
+    for pid in ("quanorexas", "quanorempxas"):
+        assert _verdict(pid, a6) == hz.Verdict(
+            "fail", {"note": "witness does not re-verify"}), pid
+
+
+def test_gelfand_conclusions_fail_with_witness(b6, monkeypatch):
+    # B6 is Gelfand and every conclusion holds; each one is broken in turn
+    # through what its predicate reads, and the witness lambda still runs
+    # on the real structures
+    lat = fresh(b6)
+    unit = 1 << lat.top
+    pids = ("rhosigmanorg", "gelfmaxpure", "gelspphau", "gelpurefcl")
+    assert [_verdict(pid, lat) for pid in pids] == [hz.PASS] * 4
+    monkeypatch.setattr(hz, "_is_gelfand", lambda lat: True)
+    with monkeypatch.context() as m:
+        m.setattr(cl, "sigma_filter", lambda lat, f: unit)
+        m.setattr(hz, "sigma_filter", lambda lat, f: unit)
+        assert _verdict("rhosigmanorg", lat) == hz.Verdict(
+            "fail", {"filter": ["d", "1"]})
+    with monkeypatch.context() as m:
+        m.setattr(hz, "spp_equals_max_sigma", lambda lat: False)
+        assert _verdict("gelfmaxpure", lat) == hz.Verdict(
+            "fail", {"purely_maximal": [["d", "1"], ["a", "c", "1"]],
+                     "rho_of_max": [["d", "1"], ["a", "c", "1"]]})
+    with monkeypatch.context() as m:
+        m.setattr(cl, "separation_report", lambda space: {"hausdorff": False})
+        assert _verdict("gelspphau", lat) == hz.Verdict(
+            "fail", {"space": "Spp"})
+    with monkeypatch.context() as m:
+        m.setattr(cl, "gelfand_closed_forms", lambda lat: set())
+        assert _verdict("gelpurefcl", lat) == hz.Verdict(
+            "fail", {"closed_forms": [["1"], ["d", "1"], ["a", "c", "1"],
+                                      list(lat.names)]})
 
 
 FLIPPED_EXPECT = Path(__file__).parent / "data" / "flipped_hypothesis.json"

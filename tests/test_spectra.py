@@ -160,3 +160,13 @@ def test_h_closed_iff_patch_closed_and_stable(family):
 def test_unknown_flavor_rejected(a6):
     with pytest.raises(ValueError):
         sp.hull_kernel_space(a6, sp.prime_filters(a6), "weird")
+
+
+def test_point_rows_match_h_set(family):
+    # one row set per point family, shared by the spaces built over it
+    for lat in family:
+        for kind in ("prime", "maximal", "minimal_prime"):
+            pts = sp.spectrum(lat, kind)
+            rows = sp.point_rows(lat, pts)
+            assert rows == tuple(sp.h_set(pts, 1 << x) for x in range(lat.n))
+            assert sp.point_rows(lat, list(pts)) is rows

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -317,16 +318,18 @@ def _cmd_quotient(args):
 
 def _cmd_gen(args):
     if args.product:
-        a = _load(args.product[0])
-        b = _load(args.product[1])
+        if len(args.product) < 2:
+            raise _CliError(EXIT_USAGE, "gen --product needs at least two "
+                                        "lattice files")
+        factors = [_load(p) for p in args.product]
         try:
-            lat = direct_product(a, b)
+            lat = functools.reduce(direct_product, factors)
         except SizeLimit as exc:
             raise _CliError(EXIT_USAGE, str(exc))
     else:
         if not args.family or not args.size:
             raise _CliError(EXIT_USAGE, "gen needs --family and --size, "
-                                        "or --product A B")
+                                        "or --product A B [C ...]")
         try:
             maker = {"godel": _harness.godel_chain,
                      "lukasiewicz": _harness.lukasiewicz_chain}[args.family]
@@ -353,7 +356,12 @@ def _cmd_check(args):
     return EXIT_OK if rep.all_pass else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call.  Parsing leaves it unchanged: argparse writes each result
+    into a fresh namespace and resolves ``sys.stdout``/``sys.stderr`` when it
+    prints, and each handler looks up its library functions when it runs."""
     ap = argparse.ArgumentParser(
         prog="reslat",
         description="workbench for finite residuated lattices")
@@ -424,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen", _cmd_gen, help="emit a generated instance as a lattice file")
     p.add_argument("--family", choices=("godel", "lukasiewicz"))
     p.add_argument("--size", type=int)
-    p.add_argument("--product", nargs=2, metavar=("A", "B"),
-                   help="two lattice files to multiply")
+    p.add_argument("--product", nargs="+", metavar="FILE",
+                   help="two or more lattice files to multiply, left to right")
 
     p = add("check", _cmd_check, help="run the theorem suite")
     p.add_argument("paths", nargs="+")

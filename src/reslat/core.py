@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class LatticeError(Exception):
@@ -174,12 +175,8 @@ class ResiduatedLattice:
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (x, y) with y covering x."""
-        out = []
-        for x in range(self.n):
-            above = self.up[x] & ~(1 << x)
-            out += [(x, y) for y in iter_bits(above)
-                    if not above & self.down[y] & ~(1 << y)]
-        return out
+        lower = _lower_covers(self.up, self.down, self.n)
+        return sorted((c, y) for y in range(self.n) for c in lower[y])
 
     def hasse_dot(self) -> str:
         """Graphviz text for the Hasse diagram (bottom drawn at the bottom)."""
@@ -202,12 +199,14 @@ def _transpose(rows, n: int) -> tuple[int, ...]:
                  for j in range(n))
 
 
-def _least_of(rows, candidates: int):
-    """Least element of a candidate set under the bitmask ``rows``, or None."""
-    for i in iter_bits(candidates):
-        if not candidates & ~rows[i]:
-            return i
-    return None
+def _lower_covers(up, down, n: int) -> list[list[int]]:
+    """The lower covers of each element, from the order's bitmask rows."""
+    out = []
+    for y in range(n):
+        strict = down[y] & ~(1 << y)
+        out.append([c for c in iter_bits(strict)
+                    if not strict & up[c] & ~(1 << c)])
+    return out
 
 
 def _low(mask: int) -> int:
@@ -237,7 +236,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
             rep.add("Bounds", f"{what} index {v} outside 0..{n - 1}")
     if not rep.ok:
         return rep
-    prod = [[int(v) for v in raw.prod[i]] for i in range(n)]
+    prod = [tuple(map(int, raw.prod[i])) for i in range(n)]
     bad = next(((x, y) for x in range(n) for y in range(n)
                 if not 0 <= prod[x][y] < n), None)
     if bad:
@@ -273,13 +272,16 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     if not rep.ok:
         return rep
 
-    # bounded lattice with all joins/meets
+    # bounded lattice with all joins/meets: the upper bounds of {x, y} have
+    # a least member j exactly when they form the row up[j]
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
+    up_of = {row: i for i, row in enumerate(up)}
+    down_of = {row: i for i, row in enumerate(down)}
     for x in range(n):
         for y in range(x, n):
-            j = _least_of(up, up[x] & up[y])
-            m = _least_of(down, down[x] & down[y])
+            j = up_of.get(up[x] & up[y])
+            m = down_of.get(down[x] & down[y])
             if j is None:
                 rep.add("NotALattice", f"{names[x]} v {names[y]} has no least upper bound",
                         (names[x], names[y]))
@@ -317,40 +319,52 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
                     f"{names[x]} * 1 = {names[prod[x][raw.top]]} instead of {names[x]}",
                     (names[x],))
             break
-    bad = next(((x, y, z) for x in range(n) for y in range(n)
-                for z in range(n) if prod[prod[x][y]][z] != prod[x][prod[y][z]]),
-               None)
-    if bad:
-        x, y, z = bad
-        rep.add("NotMonoid",
-                f"associativity fails at ({names[x]},{names[y]},{names[z]})",
-                (names[x], names[y], names[z]))
+    # associativity, one x at a time: the row z -> (x*y)*z against the row
+    # z -> x*(y*z) for every y; by_y[y](prod[x]) reads the second one
+    by_y = [itemgetter(*r) for r in prod]
+    for x, px in enumerate(prod):
+        lhs, rhs = [prod[v] for v in px], [g(px) for g in by_y]
+        if lhs != rhs:
+            y = next(y for y in range(n) if lhs[y] != rhs[y])
+            z = next(z for z in range(n) if lhs[y][z] != rhs[y][z])
+            rep.add("NotMonoid",
+                    f"associativity fails at ({names[x]},{names[y]},{names[z]})",
+                    (names[x], names[y], names[z]))
+            break
 
-    # residuum: x->y is the maximum of S = {z | x*z <= y}, which must
-    # contain its own join
+    # residuum: x->y is the maximum of S(x, y) = {z | x*z <= y}, which must
+    # contain its own join.  S(x, y) is the fibre {z | x*z = y} together with
+    # S(x, c) for each lower cover c of y, so S and its join are built up
+    # the order from the fibres, one lower cover at a time.
+    lower = _lower_covers(up, down, n)
+    upward = sorted(range(n), key=lambda y: popcount(down[y]))
     res = [[0] * n for _ in range(n)]
-    below = [[0] * n for _ in range(n)]       # below[x][y] = S as a bitmask
+    below = []                        # below[x][y] = S(x, y) as a bitmask
     gap = False
-    for x in range(n):
+    for x, px in enumerate(prod):
+        zs, js = [0] * n, [raw.bottom] * n     # S(x, y) and its join, per y
+        for z, v in enumerate(px):             # the fibres first
+            zs[v] |= 1 << z
+            js[v] = join[js[v]][z]
+        for y in upward:
+            for c in lower[y]:
+                zs[y] |= zs[c]
+                js[y] = join[js[y]][js[c]]
+        below.append(zs)
         for y in range(n):
-            zs = sum(1 << z for z in range(n) if down[y] >> prod[x][z] & 1)
-            below[x][y] = zs
-            if not zs:
+            j = js[y]
+            if not zs[y]:
                 rep.add("ResiduumGap",
                         f"no z at all with {names[x]}*z <= {names[y]}",
                         (names[x], names[y]))
                 gap = True
-                continue
-            j = _low(zs)
-            for z in iter_bits(zs):
-                j = join[j][z]
-            if not down[y] >> prod[x][j] & 1:
+            elif not zs[y] >> j & 1:
                 rep.add("ResiduumGap",
                         f"{{z | {names[x]}*z <= {names[y]}}} has no maximum",
                         (names[x], names[y]))
                 gap = True
-                continue
-            res[x][y] = j
+            else:
+                res[x][y] = j
 
     if not gap:
         # adjunction: x*z <= y  iff  z <= x->y

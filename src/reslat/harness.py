@@ -271,8 +271,23 @@ def _filters(lat):
     return enumerate_filters(lat).filters
 
 
-def _join(lat, f, g):
-    return enumerate_filters(lat).join_mask(f, g)
+def _joins(lat):
+    """(F, G) -> F v G for filters F and G, read off the join table of
+    Fil(A); a mask that is not a filter raises LatticeError.  Fetch it once
+    per property, outside the loops over pairs of filters."""
+    fl = enumerate_filters(lat)
+    filters, join_t, idx = fl.filters, fl.join_t, fl.idx
+    return lambda f, g: filters[join_t[idx(f)][idx(g)]]
+
+
+def _preserves_joins(op):
+    """The clause op(F) v op(H) = op(F v H) for all filters F and H."""
+    def holds(lat):
+        fl, join = _filters(lat), _joins(lat)
+        image = {f: op(lat, f) for f in fl}
+        return all(join(image[f], image[h]) == op(lat, join(f, h))
+                   for f in fl for h in fl)
+    return holds
 
 
 def _toks(lat, mask):
@@ -354,7 +369,10 @@ def _p_genfilprop(lat):
     """Generation formula, antitone law, meet/join transport, principality.
 
     The powers of each element and the rows of each x do not depend on the
-    filter or on y, so they are read once.
+    filter or on y, so they are read once.  Items 3 and 4 are symmetric in
+    x and y, so they run only for y >= x: a failure at (x, y) with y < x
+    would already have failed at (y, x), earlier in row-major order.  The
+    filter generated by gx | gy is computed once per distinct union.
     """
     fl = enumerate_filters(lat)
     n, up, prod, join = lat.n, lat.up, lat.prod, lat.join
@@ -365,6 +383,7 @@ def _p_genfilprop(lat):
             p = prod[p][x]
             row.append(p)
         powers.append(row)
+    joined_of = {}                         # gx | gy -> <gx | gy>
     for f in fl.filters:
         gen_x = [generated_filter(lat, f | (1 << x)) for x in range(n)]
         for x in range(n):
@@ -382,9 +401,13 @@ def _p_genfilprop(lat):
                 gy = gen_x[y]
                 if (above_x >> y) & 1 and gy & ~gx:
                     return _fail({"item": 2, "x": lat.names[x], "y": lat.names[y]})
+                if y < x:
+                    continue
                 if gx & gy != gen_x[join_x[y]]:
                     return _fail({"item": 3, "x": lat.names[x], "y": lat.names[y]})
-                joined = generated_filter(lat, gx | gy)
+                joined = joined_of.get(gx | gy)
+                if joined is None:
+                    joined = joined_of[gx | gy] = generated_filter(lat, gx | gy)
                 if joined != gen_x[prod_x[y]] or \
                         joined != generated_filter(lat, f_x | (1 << y)):
                     return _fail({"item": 4, "x": lat.names[x], "y": lat.names[y]})
@@ -726,7 +749,7 @@ def _p_sigmafequiv(lat):
 
 @_prop("primesigmad", "purity")
 def _p_primesigmad(lat):
-    fl = _filters(lat)
+    fl, join = _filters(lat), _joins(lat)
     for f in fl:
         sf = sigma_filter(lat, f)
         if sf & ~f:
@@ -735,7 +758,7 @@ def _p_primesigmad(lat):
             sg = sigma_filter(lat, g)
             if sigma_filter(lat, f & g) != sf & sg:
                 return _fail({"item": 2, "pair": [_toks(lat, f), _toks(lat, g)]})
-            if _join(lat, sf, sg) & ~sigma_filter(lat, _join(lat, f, g)):
+            if join(sf, sg) & ~sigma_filter(lat, join(f, g)):
                 return _fail({"item": 3, "pair": [_toks(lat, f), _toks(lat, g)]})
     return PASS
 
@@ -798,18 +821,29 @@ def _p_purestable(lat):
 
 @_prop("sigmfiltlatt", "purity")
 def _p_sigmfiltlatt(lat):
+    """Pure filters form a sublattice of Fil(A), and it is distributive.
+
+    Works on filter indices: the joins g v h are listed once, the indices
+    of f ^ h once per f, and each (f, g) compares a whole row over h.
+    """
+    fl = enumerate_filters(lat)
+    filters, join_t, idx = fl.filters, fl.join_t, fl.idx
     pure = pure_filters(lat)
     pset = set(pure)
-    for f in pure:
-        for g in pure:
-            if f & g not in pset or _join(lat, f, g) not in pset:
+    ids = [idx(f) for f in pure]
+    joins = [[filters[join_t[gi][hi]] for hi in ids] for gi in ids]
+    for f, f_joins in zip(pure, joins):
+        meets = [idx(f & h) for h in pure]
+        for g, f_join_g, g_joins, fg in zip(pure, f_joins, joins, meets):
+            if f & g not in pset or f_join_g not in pset:
                 return _fail({"pair": [_toks(lat, f), _toks(lat, g)]})
-            for h in pure:
-                lhs = f & _join(lat, g, h)
-                rhs = _join(lat, f & g, f & h)
-                if lhs != rhs:
-                    return _fail({"triple": [_toks(lat, f), _toks(lat, g),
-                                             _toks(lat, h)]})
+            row = join_t[fg]
+            lhs = [f & gh for gh in g_joins]
+            rhs = [filters[row[fh]] for fh in meets]
+            if lhs != rhs:
+                h = pure[next(k for k, v in enumerate(lhs) if v != rhs[k])]
+                return _fail({"triple": [_toks(lat, f), _toks(lat, g),
+                                         _toks(lat, h)]})
     return PASS
 
 
@@ -842,7 +876,7 @@ def _p_huldtopohyper(lat):
 
 @_prop("rfilter", "purity")
 def _p_rfilter(lat):
-    fl = _filters(lat)
+    fl, join = _filters(lat), _joins(lat)
     pure = set(pure_filters(lat))
     for f in fl:
         rf = rho(lat, f)
@@ -855,7 +889,7 @@ def _p_rfilter(lat):
         for g in fl:
             if rho(lat, f & g) != rf & rho(lat, g):
                 return _fail({"item": 4, "pair": [_toks(lat, f), _toks(lat, g)]})
-            if _join(lat, rf, rho(lat, g)) & ~rho(lat, _join(lat, f, g)):
+            if join(rf, rho(lat, g)) & ~rho(lat, join(f, g)):
                 return _fail({"item": 5, "pair": [_toks(lat, f), _toks(lat, g)]})
     for f in pure:
         over_f = hull(maximal_filters(lat), f)
@@ -1117,9 +1151,7 @@ _iff("equgelchaunit", "gelfand",
      c5=lambda lat: all(not comaximal(lat, f, h) or
                         comaximal(lat, sigma_filter(lat, f), sigma_filter(lat, h))
                         for f in _filters(lat) for h in _filters(lat)),
-     c6=lambda lat: all(_join(lat, sigma_filter(lat, f), sigma_filter(lat, h)) ==
-                        sigma_filter(lat, _join(lat, f, h))
-                        for f in _filters(lat) for h in _filters(lat)))
+     c6=_preserves_joins(sigma_filter))
 _iff("equgelchapure", "gelfand",
      c2=rho_below_max_implies_f_below,
      c3=lambda lat: all(h_m(lat, f) == h_m(lat, rho(lat, f))
@@ -1129,9 +1161,7 @@ _iff("equgelchapure", "gelfand",
      c5=lambda lat: all(not comaximal(lat, f, h) or
                         comaximal(lat, rho(lat, f), rho(lat, h))
                         for f in _filters(lat) for h in _filters(lat)),
-     c6=lambda lat: all(_join(lat, rho(lat, f), rho(lat, h)) ==
-                        rho(lat, _join(lat, f, h))
-                        for f in _filters(lat) for h in _filters(lat)),
+     c6=_preserves_joins(rho),
      c7=lambda lat: all(comaximal(lat, rho(lat, m), rho(lat, n))
                         for m in maximal_filters(lat)
                         for n in maximal_filters(lat) if m != n),

@@ -4,12 +4,15 @@ import importlib.resources
 import io
 import json
 import os
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from reslat.cli import main
+from reslat import harness
+from reslat.cli import build_parser, main, to_rlat_text
+from reslat.core import direct_product
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("REGEN_GOLDENS"))
@@ -67,6 +70,34 @@ def test_subcommand_golden(command, mk, fixture_name):
                  mk(path, FILTER_ARG[fixture_name]))
 
 
+def test_shared_parser_keeps_no_state_between_calls():
+    # every golden call twice, shuffled, with usage errors and --help in
+    # between: each result is its golden, or the same as its first run
+    assert build_parser() is build_parser()
+    calls = [(f"{fx}__{command}", mk(path, FILTER_ARG[fx]), None)
+             for fx, path in FIXTURE_PATHS.items()
+             for command, mk in SUBCOMMANDS] * 2
+    a6 = FIXTURE_PATHS["a6"]
+    calls += [("kind", ["spectrum", a6, "--kind", "weird"], 3),
+              ("flag", ["filters", a6, "--frobnicate"], 3),
+              ("nocmd", [], 3), ("help", ["--help"], 0),
+              ("subhelp", ["sigma", "--help"], 0)] * 4
+    random.Random(9).shuffle(calls)
+    first = {}
+    for name, argv, code in calls:
+        got = run_cli(argv)
+        if code is None:
+            want = json.loads((GOLDEN_DIR / f"{name}.json")
+                              .read_text(encoding="utf-8"))
+            assert got == want, name
+            continue
+        assert got["exit"] == code, name
+        assert (got["stdout"] != "") == (code == 0), name
+        assert got == first.setdefault(name, got), name
+    assert "usage: reslat sigma" in first["subhelp"]["stdout"]
+    assert "required: command" in first["nocmd"]["stderr"]
+
+
 def test_gen_goldens():
     check_golden("gen__godel3", ["gen", "--family", "godel", "--size", "3"])
     check_golden("gen__luk4", ["gen", "--family", "lukasiewicz", "--size", "4"])
@@ -82,14 +113,30 @@ def test_gen_roundtrip(tmp_path):
     assert res2["exit"] == 0 and "Luk4xLuk4" in res2["stdout"]
 
 
+def _gen_chain_file(tmp_path, size):
+    path = tmp_path / f"g{size}.rlat"
+    res = run_cli(["gen", "--family", "godel", "--size", str(size)])
+    path.write_text(res["stdout"], encoding="utf-8")
+    return str(path)
+
+
 def test_gen_size_cap(tmp_path):
-    paths = []
-    for size in ("5", "13"):
-        res = run_cli(["gen", "--family", "godel", "--size", size])
-        paths.append(tmp_path / f"g{size}.rlat")
-        paths[-1].write_text(res["stdout"], encoding="utf-8")
-    out = run_cli(["gen", "--product", *map(str, paths)])
-    assert out["exit"] == 3
+    g3, g5, g13 = (_gen_chain_file(tmp_path, k) for k in (3, 5, 13))
+    for factors in ((g5, g13), (g5, g5, g3), (g3, g3, g3, g3)):
+        out = run_cli(["gen", "--product", *factors])
+        assert out["exit"] == 3 and out["stdout"] == "", factors
+        assert "(cap 64)" in out["stderr"]
+
+
+def test_gen_product_of_three_factors(tmp_path):
+    g2 = _gen_chain_file(tmp_path, 2)
+    res = run_cli(["gen", "--product", g2, g2, g2])
+    two = harness.godel_chain(2)
+    want = to_rlat_text(direct_product(direct_product(two, two), two))
+    assert res == {"exit": 0, "stdout": want, "stderr": ""}
+    out = run_cli(["gen", "--product", g2])
+    assert out["exit"] == 3 and out["stdout"] == ""
+    assert out["stderr"] == "gen --product needs at least two lattice files\n"
 
 
 def test_product_filter_tokens_round_trip(tmp_path):

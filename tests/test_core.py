@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from reslat import cli
-from reslat.core import (ParseError, RawTables, SizeLimit, ValidationFailure,
-                         ValidationReport, direct_product, parse_lattice_text,
-                         validate)
+from reslat.core import (ParseError, RawTables, ResiduatedLattice, SizeLimit,
+                         ValidationFailure, ValidationReport, direct_product,
+                         parse_lattice_text, validate)
 from reslat.classify import boolean_center
 from reslat.harness import (acceptance_family, fixture, godel_chain,
                             lukasiewicz_chain, product_instance)
@@ -234,6 +235,161 @@ def test_validation_report_text(a6, case):
     report = validate(build(a6))
     assert str(report) == text
     assert [v.witness for v in report.violations] == witnesses
+
+
+def _elementwise_report(raw):
+    """``validate``'s report on in-range tables, from element-wise loops:
+    least bounds by scanning candidates, associativity over every triple,
+    and each residuum as the join of S(x, y) = {z | x*z <= y} folded one
+    element at a time.  Returns (report, residuum table)."""
+    rep, nm, n = ValidationReport(raw.name), raw.element_names, len(raw.leq)
+    leq, prod, r = raw.leq, raw.prod, range(n)
+
+    def first(gen):
+        return next(gen, None)
+
+    bad = first(i for i in r if not leq[i][i])
+    if bad is not None:
+        rep.add("Order", f"{nm[bad]} not reflexive", (nm[bad],))
+    bad = first((i, j) for i in r for j in r
+                if i != j and leq[i][j] and leq[j][i])
+    if bad:
+        rep.add("Order", f"antisymmetry fails at ({nm[bad[0]]},{nm[bad[1]]})",
+                (nm[bad[0]], nm[bad[1]]))
+    bad = first((i, j) for i in r for j in r if not leq[i][j]
+                and any(leq[i][k] and leq[k][j] for k in r))
+    if bad:
+        i, j = bad
+        rep.add("Order", f"transitivity fails reaching {nm[j]} from {nm[i]}",
+                (nm[i], nm[j]))
+    if not rep.ok:
+        return rep, None
+
+    def least(cands, le):
+        return first(c for c in cands if all(le(c, d) for d in cands))
+
+    join = [[None] * n for _ in r]
+    meet = [[None] * n for _ in r]
+    for x in r:
+        for y in range(x, n):
+            j = least([z for z in r if leq[x][z] and leq[y][z]],
+                      lambda a, b: leq[a][b])
+            m = least([z for z in r if leq[z][x] and leq[z][y]],
+                      lambda a, b: leq[b][a])
+            if j is None:
+                rep.add("NotALattice", f"{nm[x]} v {nm[y]} has no least "
+                        "upper bound", (nm[x], nm[y]))
+            if m is None:
+                rep.add("NotALattice", f"{nm[x]} ^ {nm[y]} has no greatest "
+                        "lower bound", (nm[x], nm[y]))
+            join[x][y] = join[y][x] = j
+            meet[x][y] = meet[y][x] = m
+    if not rep.ok:
+        return rep, None
+    bot, top = raw.bottom, raw.top
+    bad = first(x for x in r if not leq[bot][x])
+    if bad is not None:
+        rep.add("Bounds", f"declared bottom {nm[bot]} is not below {nm[bad]}",
+                (nm[bot], nm[bad]))
+    bad = first(x for x in r if not leq[x][top])
+    if bad is not None:
+        rep.add("Bounds", f"declared top {nm[top]} is not above {nm[bad]}",
+                (nm[top], nm[bad]))
+    if not rep.ok:
+        return rep, None
+
+    bad = first((x, y) for x in r for y in r if prod[x][y] != prod[y][x])
+    if bad:
+        rep.add("NotMonoid", f"product not commutative at "
+                f"({nm[bad[0]]},{nm[bad[1]]})", (nm[bad[0]], nm[bad[1]]))
+    bad = first(x for x in r if prod[x][top] != x)
+    if bad is not None:
+        rep.add("NotMonoid", f"{nm[bad]} * 1 = {nm[prod[bad][top]]} instead "
+                f"of {nm[bad]}", (nm[bad],))
+    bad = first((x, y, z) for x in r for y in r for z in r
+                if prod[prod[x][y]][z] != prod[x][prod[y][z]])
+    if bad:
+        rep.add("NotMonoid", "associativity fails at ({},{},{})".format(
+            *(nm[i] for i in bad)), tuple(nm[i] for i in bad))
+
+    res, below, gap = [[None] * n for _ in r], {}, False
+    for x in r:
+        for y in r:
+            zs = below[x, y] = [z for z in r if leq[prod[x][z]][y]]
+            if not zs:
+                rep.add("ResiduumGap", f"no z at all with {nm[x]}*z <= {nm[y]}",
+                        (nm[x], nm[y]))
+                gap = True
+                continue
+            j = zs[0]
+            for z in zs:
+                j = join[j][z]
+            if not leq[prod[x][j]][y]:
+                rep.add("ResiduumGap", f"{{z | {nm[x]}*z <= {nm[y]}}} has no "
+                        "maximum", (nm[x], nm[y]))
+                gap = True
+                continue
+            res[x][y] = j
+    if not gap:
+        bad = first((x, y, z) for x in r for y in r for z in r
+                    if (z in below[x, y]) != leq[z][res[x][y]])
+        if bad:
+            rep.add("NotAdjoint", "adjunction fails at x={}, y={}, z={}".format(
+                *(nm[i] for i in bad)), tuple(nm[i] for i in bad))
+    bad = first((x, y) for x in r for y in r if not leq[prod[x][y]][meet[x][y]])
+    if bad:
+        x, y = bad
+        rep.add("NotAdjoint", f"{nm[x]}*{nm[y]} is not below {nm[x]}^{nm[y]}",
+                (nm[x], nm[y]))
+    return rep, res
+
+
+def _seeded_mutants(lat, count, rng):
+    """``count`` copies of ``lat``'s raw tables, each with one entry of
+    ``prod`` set to another element or one entry of ``leq`` negated."""
+    for k in range(count):
+        raw = _raw_of(lat, f"{lat.name}-m{k}")
+        x, y = rng.randrange(lat.n), rng.randrange(lat.n)
+        if k % 2:
+            raw.leq[x][y] = not raw.leq[x][y]
+        else:
+            raw.prod[x][y] = rng.choice([v for v in range(lat.n)
+                                         if v != raw.prod[x][y]])
+        yield raw
+
+
+# A phrase of each violation template that single-entry mutations of
+# in-range tables can reach.
+TEMPLATE_PHRASES = ("not reflexive", "antisymmetry", "transitivity",
+                    "least upper bound", "greatest lower bound", "commutative",
+                    "instead of", "associativity", "no z at all",
+                    "has no maximum", "adjunction fails", "is not below")
+
+
+def test_validate_matches_elementwise_reference(fixtures4):
+    rng = random.Random(20)
+    two = godel_chain(2)
+    cases = [(lat, 40) for lat in fixtures4]
+    cases += [(godel_chain(k), 12) for k in (5, 12)]
+    cases += [(lukasiewicz_chain(k), 12) for k in (7, 20)]
+    cases += [(direct_product(godel_chain(3), lukasiewicz_chain(3)), 20),
+              (direct_product(direct_product(two, two), two), 20)]
+    cases += [(godel_chain(64), 3), (lukasiewicz_chain(64), 3)]
+    seen = set()
+    for lat, count in cases:
+        for raw in [_raw_of(lat, lat.name), *_seeded_mutants(lat, count, rng)]:
+            want, res = _elementwise_report(raw)
+            got = validate(raw)
+            if want.ok:
+                assert isinstance(got, ResiduatedLattice), raw.name
+                assert [list(row) for row in got.res] == res, raw.name
+                continue
+            assert str(got) == str(want), raw.name
+            assert [v.witness for v in got.violations] == \
+                [v.witness for v in want.violations], raw.name
+            seen.update(p for v in want.violations
+                        for p in TEMPLATE_PHRASES if p in v.message)
+    assert seen == set(TEMPLATE_PHRASES)
 
 
 def test_res_rows_cross_checked():

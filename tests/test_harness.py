@@ -250,6 +250,30 @@ def test_sigmafequiv_fails_with_witness(b6, monkeypatch):
     assert v.witness["element"] == b6.names[b6.bottom]
 
 
+def test_genfilprop_fails_with_witness(a6, b6, monkeypatch):
+    # <X> loses the top on one mask X = gx | gy: item 4 fails at the first
+    # (x, y) in row-major order, which has y >= x
+    real = hz.generated_filter
+    for lat, toks, want in ((a6, "0 a d 1", ("0", "a")),
+                            (b6, "0 b 1", ("0", "b"))):
+        assert _verdict("genfilprop", lat) == hz.PASS
+        bad = lat.mask_of(toks.split())
+        with monkeypatch.context() as m:
+            m.setattr(hz, "generated_filter", lambda lat, mask: real(
+                lat, mask) & ~(1 << lat.top) if mask == bad else real(lat, mask))
+            v = _verdict("genfilprop", lat)
+        assert v == hz.Verdict("fail", {"item": 4, "x": want[0], "y": want[1]})
+
+
+def test_sigmfiltlatt_fails_with_witness(a6, monkeypatch):
+    # {c,d,1} v {a,b,d,1} is not in the family
+    family = tuple(a6.mask_of(t.split()) for t in ("d 1", "c d 1", "a b d 1"))
+    assert _verdict("sigmfiltlatt", a6) == hz.PASS
+    monkeypatch.setattr(hz, "pure_filters", lambda lat: family)
+    assert _verdict("sigmfiltlatt", a6) == hz.Verdict(
+        "fail", {"pair": [["c", "d", "1"], ["a", "b", "d", "1"]]})
+
+
 def test_fixture_flag_fails_when_the_witness_does_not_reverify(a6,
                                                               monkeypatch):
     for pid in ("quanorexas", "quanorempxas"):

@@ -5,6 +5,9 @@ stable JSON layout ({lattice, command, result, witnesses}) in which sets
 are token arrays ordered like the lattice file.  Exit codes: 0 success,
 1 validation failure, 2 property/certificate violation, 3 parse or usage
 error.
+
+Each subcommand loads only the layers it uses: the module imports only
+``reslat.core``, and each handler imports the rest of the library it calls.
 """
 
 from __future__ import annotations
@@ -14,14 +17,8 @@ import functools
 import json
 import sys
 
-from . import classify as _classify
-from . import filters as _filters
-from . import harness as _harness
-from . import purity as _purity
-from . import spectra as _spectra
 from .core import (LatticeError, ParseError, ResiduatedLattice, SizeLimit,
                    ValidationFailure, direct_product, iter_bits, load_lattice)
-from .topology import separation_report, specialization_dot
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -74,6 +71,7 @@ def _filter_arg(lat, text) -> int:
     """Parse ``--filter``: the set form ``{a,b}`` that reslat prints, or
     whitespace-separated words, each either one element token or a
     comma-separated list of them."""
+    from . import filters as _filters
     text = text.strip()
     if text[:1] == "{" and text[-1:] == "}" and text not in lat.names:
         text = text[1:-1]
@@ -141,6 +139,7 @@ def _cmd_validate(args):
 
 
 def _cmd_filters(args):
+    from . import filters as _filters
     lat = _load(args.path)
     fl = _filters.enumerate_filters(lat)
     if args.json:
@@ -151,6 +150,7 @@ def _cmd_filters(args):
 
 
 def _cmd_spectrum(args):
+    from . import spectra as _spectra
     lat = _load(args.path)
     kind = {"prime": "prime", "maximal": "maximal",
             "minimal": "minimal_prime"}[args.kind]
@@ -163,6 +163,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_alpha(args):
+    from . import filters as _filters
     lat = _load(args.path)
     al = _filters.enumerate_alpha(lat)
     if args.json:
@@ -173,6 +174,7 @@ def _cmd_alpha(args):
 
 
 def _cmd_pure(args):
+    from . import purity as _purity
     lat = _load(args.path)
     pf = _purity.pure_filters(lat)
     if args.json:
@@ -183,6 +185,7 @@ def _cmd_pure(args):
 
 
 def _cmd_sigma(args):
+    from . import purity as _purity
     lat = _load(args.path)
     f = _filter_arg(lat, args.filter)
     s = _purity.sigma_filter(lat, f)
@@ -194,6 +197,7 @@ def _cmd_sigma(args):
 
 
 def _cmd_rho(args):
+    from . import purity as _purity
     lat = _load(args.path)
     f = _filter_arg(lat, args.filter)
     r = _purity.rho(lat, f)
@@ -205,6 +209,8 @@ def _cmd_rho(args):
 
 
 def _cmd_spp(args):
+    from . import purity as _purity
+    from .topology import separation_report, specialization_dot
     lat = _load(args.path)
     spp = _purity.pure_spectrum(lat)
     if args.dot:
@@ -235,6 +241,8 @@ def _cmd_spp(args):
 
 
 def _cmd_dtop(args):
+    from . import purity as _purity
+    from . import spectra as _spectra
     lat = _load(args.path)
     space = _purity.d_topology(lat)
     spec = _spectra.prime_filters(lat)
@@ -249,6 +257,7 @@ def _cmd_dtop(args):
 
 
 def _cmd_classify(args):
+    from . import classify as _classify
     lat = _load(args.path)
     rep = _classify.classify(lat)
     flags = {name: {"value": flag.value, "witness": flag.witness}
@@ -272,6 +281,7 @@ def _cmd_classify(args):
 
 
 def _structure_cmd(args, which):
+    from . import classify as _classify
     lat = _load(args.path)
     fn = _classify.gelfand_structure if which == "gelfand" else _classify.mp_structure
     try:
@@ -297,6 +307,7 @@ def _structure_cmd(args, which):
 
 
 def _cmd_quotient(args):
+    from . import filters as _filters
     lat = _load(args.path)
     f = _filter_arg(lat, args.filter)
     qr = _filters.quotient(lat, f)
@@ -330,6 +341,7 @@ def _cmd_gen(args):
         if not args.family or not args.size:
             raise _CliError(EXIT_USAGE, "gen needs --family and --size, "
                                         "or --product A B [C ...]")
+        from . import harness as _harness
         try:
             maker = {"godel": _harness.godel_chain,
                      "lukasiewicz": _harness.lukasiewicz_chain}[args.family]
@@ -341,6 +353,7 @@ def _cmd_gen(args):
 
 
 def _cmd_check(args):
+    from . import harness as _harness
     lats = [_load(p) for p in args.paths]
     try:
         rep = _harness.run_theorem_suite(lats, args.suite)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 
 
@@ -245,7 +246,8 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
                           f"outside 0..{n - 1}", (names[x], names[y]))
         return rep
     full = (1 << n) - 1
-    up = [sum(1 << j for j in range(n) if raw.leq[i][j]) for i in range(n)]
+    pows = [1 << j for j in range(n)]
+    up = [sum(compress(pows, row)) for row in raw.leq]
     down = _transpose(up, n)
 
     # partial order
@@ -408,14 +410,15 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     Order input is Hasse covers; the reflexive-transitive closure is
     computed here.  Product rows involving the bottom default to bottom,
     rows involving the top default to the other operand, and every other
-    unordered pair must appear exactly once.
+    unordered pair must appear exactly once.  A carrier past
+    ``MAX_ELEMENTS`` raises :class:`SizeLimit` at its ``elements`` line.
     """
     name = None
     element_names: list[str] = []
     index: dict[str, int] = {}
     bottom_tok = top_tok = None
     covers: list[tuple[int, int]] = []
-    mul_rows: dict[frozenset, tuple[int, int]] = {}   # pair -> (value, line)
+    mul_rows: dict[tuple[int, int], int] = {}     # (min, max) -> value
     res_claims: list[tuple[int, int, int]] = []
     ended = False
 
@@ -441,6 +444,9 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
                 raise ParseError(line_no, "need at least two elements")
             if len(set(args)) != len(args):
                 raise ParseError(line_no, "element tokens must be distinct")
+            if len(args) > MAX_ELEMENTS:
+                raise SizeLimit(f"{name or source}: {len(args)} elements "
+                                f"exceeds the cap of {MAX_ELEMENTS}")
             element_names = list(args)
             index = {tok: i for i, tok in enumerate(element_names)}
         elif head == "bottom":
@@ -459,10 +465,10 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
             if len(args) != 3:
                 raise ParseError(line_no, "expected: mul <x> <y> <tok>")
             x, y, v = (want(t, line_no) for t in args)
-            key = frozenset((x, y))
+            key = (x, y) if x <= y else (y, x)
             if key in mul_rows:
                 raise ParseError(line_no, f"duplicate mul row for ({args[0]},{args[1]})")
-            mul_rows[key] = (v, line_no)
+            mul_rows[key] = v
         elif head == "res":
             if len(args) != 3:
                 raise ParseError(line_no, "expected: res <x> <y> <tok>")
@@ -482,8 +488,6 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     if bottom_tok is None or top_tok is None:
         raise ParseError(0, f"{source}: bottom/top must be declared")
     n = len(element_names)
-    if n > MAX_ELEMENTS:
-        raise SizeLimit(f"{name}: {n} elements exceeds the cap of {MAX_ELEMENTS}")
     bottom = index[bottom_tok] if bottom_tok in index else None
     top = index[top_tok] if top_tok in index else None
     if bottom is None or top is None:
@@ -498,21 +502,20 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
                 up[i] |= up[k]
     leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
 
+    # the defaults (bottom absorbs, top is the unit), then the mul rows
     prod = [[None] * n for _ in range(n)]
+    prod[top] = list(range(n))
     for x in range(n):
-        for y in range(n):
-            key = frozenset((x, y))
-            if key in mul_rows:
-                prod[x][y] = mul_rows[key][0]
-            elif bottom in (x, y):
-                prod[x][y] = bottom
-            elif x == top:
-                prod[x][y] = y
-            elif y == top:
-                prod[x][y] = x
-            else:
-                raise ParseError(0, f"{source}: missing mul row for "
-                                    f"({element_names[x]},{element_names[y]})")
+        prod[x][top] = x
+        prod[x][bottom] = bottom
+    prod[bottom] = [bottom] * n
+    for (x, y), v in mul_rows.items():
+        prod[x][y] = prod[y][x] = v
+    for x, row in enumerate(prod):
+        if None in row:
+            y = row.index(None)
+            raise ParseError(0, f"{source}: missing mul row for "
+                                f"({element_names[x]},{element_names[y]})")
 
     return RawTables(name, element_names, leq, prod, bottom, top, res_claims)
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -68,6 +70,50 @@ def test_subcommand_golden(command, mk, fixture_name):
     path = FIXTURE_PATHS[fixture_name]
     check_golden(f"{fixture_name}__{command}",
                  mk(path, FILTER_ARG[fixture_name]))
+
+
+# The top library layer each subcommand calls; a call may load that layer
+# and the layers below it (LAYERS order), and no other reslat module.
+LAYERS = ("filters", "topology", "spectra", "purity", "classify", "harness")
+TOP_LAYER = {"validate": None, "filters": "filters", "spectrum": "spectra",
+             "alpha": "filters", "pure": "purity", "sigma": "purity",
+             "rho": "purity", "spp": "purity", "dtop": "purity",
+             "classify": "classify", "gelfand": "classify", "mp": "classify",
+             "quotient": "filters", "check": "harness"}
+# Runs one CLI call, then prints the reslat modules loaded as stderr's last
+# line.
+_CALL_PROBE = """
+import json, sys
+from reslat.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "reslat")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command,mk", SUBCOMMANDS,
+                         ids=[c for c, _ in SUBCOMMANDS])
+def test_fresh_call_loads_only_its_layers(command, mk):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALL_PROBE, *mk(FIXTURE_PATHS["a6"],
+                                                FILTER_ARG["a6"])],
+        env=env, capture_output=True, text=True, timeout=60)
+    *err, modules = proc.stderr.splitlines(keepends=True)
+    want = json.loads((GOLDEN_DIR / f"a6__{command}.json")
+                      .read_text(encoding="utf-8"))
+    assert {"exit": proc.returncode, "stdout": proc.stdout,
+            "stderr": "".join(err)} == want
+    loaded = set(json.loads(modules))
+    top = TOP_LAYER[command]
+    allowed = LAYERS[:LAYERS.index(top) + 1] if top else ()
+    assert loaded - {"reslat", "reslat.core", "reslat.cli"} <= {
+        f"reslat.{m}" for m in allowed}
+    if top:
+        assert f"reslat.{top}" in loaded
 
 
 def test_shared_parser_keeps_no_state_between_calls():

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from reslat import cli
-from reslat.core import (ParseError, RawTables, ResiduatedLattice, SizeLimit,
-                         ValidationFailure, ValidationReport, direct_product,
-                         parse_lattice_text, validate)
+from reslat.core import (MAX_ELEMENTS, ParseError, RawTables,
+                         ResiduatedLattice, SizeLimit, ValidationFailure,
+                         ValidationReport, direct_product, parse_lattice_text,
+                         validate)
 from reslat.classify import boolean_center
 from reslat.harness import (acceptance_family, fixture, godel_chain,
                             lukasiewicz_chain, product_instance)
@@ -416,6 +417,61 @@ def test_parse_errors(text, snippet):
     assert snippet in str(err.value)
 
 
+DIAMOND = ("lattice D\nelements 0 a b 1\nbottom 0\ntop 1\n"
+           "cover 0 a\ncover 0 b\ncover a 1\ncover b 1\n")
+
+
+@pytest.mark.parametrize("row,first", [("mul a a a", "(a,b)"),
+                                       ("mul b b b", "(a,a)")],
+                         ids=["a-b", "a-a"])
+def test_parse_names_the_first_missing_mul_row(row, first):
+    # two of (a,a), (a,b), (b,b) are missing: the first in row-major order
+    # is named
+    with pytest.raises(ParseError) as err:
+        parse_lattice_text(DIAMOND + row + "\nend\n")
+    assert str(err.value) == f"line 0: <string>: missing mul row for {first}"
+
+
+def test_parse_mul_rows_are_unordered_pairs():
+    with pytest.raises(ParseError) as err:
+        parse_lattice_text(DIAMOND + "mul a b 0\nmul b a 0\nend\n")
+    assert str(err.value) == "line 10: duplicate mul row for (b,a)"
+    raw = parse_lattice_text(DIAMOND + "mul b a 0\nmul a a a\nmul b b b\nend\n")
+    assert raw.prod == [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    assert not isinstance(validate(raw), ValidationReport)
+
+
+@pytest.mark.parametrize("row,entries,message", [
+    ("mul 1 1 0", {(1, 1): 0}, "1 * 1 = 0 instead of 1"),
+    ("mul 0 1 1", {(0, 1): 1, (1, 0): 1}, "0 * 1 = 1 instead of 0"),
+], ids=["top", "bottom"])
+def test_mul_row_overrides_the_bound_defaults(row, entries, message):
+    raw = parse_lattice_text(TWO_CHAIN.replace("end", row + "\nend"))
+    for (x, y), v in entries.items():
+        assert raw.prod[x][y] == v
+    rep = validate(raw)
+    assert isinstance(rep, ValidationReport)
+    assert ("NotMonoid", message) in [(v.kind, v.message) for v in rep.violations]
+
+
+def test_over_cap_file_refused_at_its_elements_line(tmp_path, capsys):
+    tokens = " ".join(f"e{i}" for i in range(MAX_ELEMENTS + 1))
+    # the line after `elements` is malformed: the cap is reported first
+    text = f"elements {tokens}\nbottom\nend\n"
+    with pytest.raises(SizeLimit) as err:
+        parse_lattice_text(text, source="big.rlat")
+    cap = f"{MAX_ELEMENTS + 1} elements exceeds the cap of {MAX_ELEMENTS}"
+    assert str(err.value) == f"big.rlat: {cap}"
+    with pytest.raises(SizeLimit) as err:
+        parse_lattice_text("lattice Big\n" + text)
+    assert str(err.value) == f"Big: {cap}"
+    path = tmp_path / "big.rlat"
+    path.write_text("lattice Big\n" + text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"Big: {cap}\n"
+
+
 def test_product_of_two_chains_is_boolean_diamond():
     two = godel_chain(2)
     four = direct_product(two, two)
@@ -513,13 +569,14 @@ def test_rlat_round_trip_at_the_edges():
 
 
 # A fresh interpreter imports the CLI and lists the packages outside the
-# standard library that the import loaded.
+# standard library that the import loaded, then the reslat modules.
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 import reslat.cli
-loaded = {m.split(".")[0] for m in set(sys.modules) - before}
-print(sorted(loaded - set(sys.stdlib_module_names)))
+loaded = set(sys.modules) - before
+print(sorted({m.split(".")[0] for m in loaded} - set(sys.stdlib_module_names)))
+print(sorted(m for m in loaded if m.split(".")[0] == "reslat"))
 """
 
 
@@ -528,4 +585,5 @@ def test_cli_imports_only_the_standard_library():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "['reslat']"
+    assert res.stdout.splitlines() == [
+        "['reslat']", "['reslat', 'reslat.cli', 'reslat.core']"]

@@ -120,7 +120,8 @@ class ResiduatedLattice:
                  "up", "down", "bottom", "top", "all_mask", "_index",
                  "_cache")
 
-    def __init__(self, name, names, up, join, meet, prod, res, bottom, top):
+    def __init__(self, name, names, up, down, join, meet, prod, res, bottom,
+                 top):
         self.name = name
         self.names = tuple(names)
         self.n = len(names)
@@ -129,7 +130,7 @@ class ResiduatedLattice:
         self.prod = tuple(map(tuple, prod))
         self.res = tuple(map(tuple, res))
         self.up = tuple(up)
-        self.down = _transpose(self.up, self.n)
+        self.down = tuple(down)
         self.bottom = bottom
         self.top = top
         self.all_mask = (1 << self.n) - 1
@@ -397,7 +398,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
 
     if not rep.ok:
         return rep
-    return ResiduatedLattice(raw.name, names, up, join, meet, prod, res,
+    return ResiduatedLattice(raw.name, names, up, down, join, meet, prod, res,
                              raw.bottom, raw.top)
 
 

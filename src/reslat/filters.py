@@ -23,9 +23,10 @@ The filter primitives read per-lattice tables built once through ``cached``:
   (F : X) is the AND over x in X of the ORs over t in F of the rows; the
   coannulet x^perp = (1 : x) is the row of the top, and omega(I) is the OR
   of the coannulets of the members of I;
-* byte tables: ``prod`` is associative and commutative, so the product of a
-  subset is the product of the products of its 8-bit chunks, and a table
-  per chunk (one entry per byte value) gives it in ceil(n/8) lookups.
+* byte tables: ``prod`` and ``join`` are associative and commutative, so
+  the product (join) of a subset is the product (join) of those of its
+  8-bit chunks, and a table per chunk (one entry per byte value) gives it
+  in ceil(n/8) lookups.
 
 The theorem suite calls these primitives hundreds of thousands of times on
 a 64-element instance, so they read the memo directly and go through
@@ -102,24 +103,31 @@ def generated_filter(lat: ResiduatedLattice, mask: int) -> int:
     return lat.up[stable[p]]
 
 
+def _byte_tables(lat: ResiduatedLattice, op, unit: int) -> tuple:
+    """chunks[k][b]: the commutative ``op`` folded over the elements 8k + i
+    with bit i set in the byte b, starting from ``unit``.  Each element
+    doubles the table: the entries with its bit set are op(x, entry)."""
+    chunks = []
+    for base in range(0, lat.n, 8):
+        t = [unit]
+        for x in range(base, min(base + 8, lat.n)):
+            row = op[x]
+            t += [row[v] for v in t]
+        chunks.append(tuple(t))
+    return tuple(chunks)
+
+
 def _product_tables(lat: ResiduatedLattice):
-    """(chunks, stable): chunks[k][b] is the product of the elements 8k + i
-    with bit i set in the byte b, and stable[p] the idempotent p^oo."""
+    """(chunks, stable): the product byte tables, and stable[p] the
+    idempotent p^oo."""
     def build():
-        n, prod = lat.n, lat.prod
-        chunks = []
-        for base in range(0, n, 8):
-            t = [lat.top] * (1 << min(8, n - base))
-            for b in range(1, len(t)):
-                low = b & -b
-                t[b] = prod[t[b ^ low]][base + low.bit_length() - 1]
-            chunks.append(tuple(t))
+        prod = lat.prod
         stable = []
-        for p in range(n):
+        for p in range(lat.n):
             while prod[p][p] != p:
                 p = prod[p][p]
             stable.append(p)
-        return tuple(chunks), tuple(stable)
+        return _byte_tables(lat, prod, lat.top), tuple(stable)
     return cached(lat, "product_tables", build)
 
 
@@ -221,12 +229,21 @@ def double_perp(lat: ResiduatedLattice, x: int) -> int:
 
 
 def coannulet_table(lat: ResiduatedLattice):
-    """(F : a) for every filter F and element a, indexed like the filter list."""
+    """(F : a) for every filter F and element a, indexed like the filter list.
+
+    (F : a) = {x : x v a in F} is read off row a of the join table: that
+    row as bytes, last element first, translated through the membership
+    string of F ('1' at t for t in F) is (F : a) written in binary.  That is
+    one pass in C per (F, a) for a carrier of at most 256 elements.
+    """
     def build():
-        fl = enumerate_filters(lat)
-        return tuple(
-            tuple(coannihilator(lat, f, 1 << a) for a in range(lat.n))
-            for f in fl.filters)
+        n = lat.n
+        rows = [bytes(row[::-1]) for row in lat.join]
+        out = []
+        for f in enumerate_filters(lat).filters:
+            member = format(f, f"0{n}b")[::-1].ljust(256, "0").encode()
+            out.append(tuple([int(row.translate(member), 2) for row in rows]))
+        return tuple(out)
     return cached(lat, "coannulet_table", build)
 
 
@@ -272,41 +289,47 @@ class QuotientResult:
 
 
 def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
-    """Quotient by a filter.
+    """Quotient by a filter F, whose classes are the fibres of x -> e*x.
 
-    Its tables are the source tables pushed through the projection
-    (``class_of[op[rep_i][rep_j]]``): the congruence of a filter respects
-    every operation, so no validation pass is needed.
+    F = up(e) for its least element e, which is idempotent.  a->b lies in F
+    iff e <= a->b iff e*a <= b, and e*a <= b together with e*b <= a holds
+    iff e*a = e*b (multiply by e, which is idempotent; conversely e*a =
+    e*b <= b).  So a ~ b iff e*a = e*b, and the fibre values v = e*x stand
+    for the classes: class i lies below class j iff e*v_i <= v_j, that is
+    iff v_i <= v_j.  Every table is the source table pushed through the
+    projection (``class_of[op[v_i][v_j]]``): the congruence of a filter
+    respects every operation, so no validation pass is needed.
     """
-    if not is_filter(lat, f_mask):
+    key = ("quotient", f_mask)
+    return lat._cache.get(key) or cached(lat, key,
+                                         lambda: _quotient(lat, f_mask))
+
+
+def _quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
+    e = lat.up.index(f_mask) if f_mask in lat.up else None
+    if e is None or lat.prod[e][e] != e:
         raise LatticeError(f"{lat.name}: {lat.set_str(f_mask)} is not a filter")
+    fibres = {}
+    for x, v in enumerate(lat.prod[e]):
+        fibres[v] = fibres.get(v, 0) | 1 << x
+    vals = sorted(fibres, key=lambda v: mask_key(fibres[v]))
+    classes = tuple(fibres[v] for v in vals)
+    index = {v: ci for ci, v in enumerate(vals)}
+    class_of = tuple(index[v] for v in lat.prod[e])
 
-    def build():
-        n = lat.n
-        res = lat.res
-        classes = sorted({sum(1 << y for y in range(n)
-                              if (f_mask >> res[x][y]) & 1
-                              and (f_mask >> res[y][x]) & 1)
-                          for x in range(n)}, key=mask_key)
-        class_of = [0] * n
-        for ci, m in enumerate(classes):
-            for y in iter_bits(m):
-                class_of[y] = ci
-        reps = [next(iter_bits(m)) for m in classes]
+    def push(op):
+        return tuple(tuple([class_of[op[v][w]] for w in vals]) for v in vals)
 
-        def push(op):
-            return [[class_of[op[i][j]] for j in reps] for i in reps]
+    def order(rows):
+        return [sum(1 << cj for cj, w in enumerate(vals) if rows[v] >> w & 1)
+                for v in vals]
 
-        up = [sum(1 << cj for cj, j in enumerate(reps) if f_mask >> res[i][j] & 1)
-              for i in reps]
-        names = ["|".join(lat.names[i] for i in iter_bits(m)) for m in classes]
-        q = ResiduatedLattice(f"{lat.name}/{lat.set_str(f_mask)}", names, up,
-                              push(lat.join), push(lat.meet), push(lat.prod),
-                              push(res), class_of[lat.bottom], class_of[lat.top])
-        return QuotientResult(q, tuple(class_of), tuple(classes),
-                              len(classes) == 1)
-
-    return cached(lat, ("quotient", f_mask), build)
+    names = ["|".join(lat.names[i] for i in iter_bits(m)) for m in classes]
+    q = ResiduatedLattice(f"{lat.name}/{lat.set_str(f_mask)}", names,
+                          order(lat.up), order(lat.down), push(lat.join),
+                          push(lat.meet), push(lat.prod), push(lat.res),
+                          class_of[lat.bottom], class_of[lat.top])
+    return QuotientResult(q, class_of, classes, len(classes) == 1)
 
 
 def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
@@ -324,17 +347,22 @@ def principal_ideal(lat: ResiduatedLattice, x: int) -> int:
 
 
 def ideal_generated(lat: ResiduatedLattice, mask: int) -> int:
-    """Smallest lattice ideal containing the subset: down of its join.
+    """Smallest lattice ideal containing the subset: down of its join, read
+    off the join byte tables.
 
     The empty set is refused: a lattice ideal is nonempty.
     """
     if mask == 0:
         raise LatticeError("the empty set generates no ideal")
+    chunks = lat._cache.get("join_tables") or cached(
+        lat, "join_tables", lambda: _byte_tables(lat, lat.join, lat.bottom))
     join = lat.join
-    bits = iter_bits(mask)
-    x = next(bits)
-    for y in bits:
-        x = join[x][y]
+    x = lat.bottom
+    for t in chunks:
+        if not mask:
+            break
+        x = join[x][t[mask & 255]]
+        mask >>= 8
     return lat.down[x]
 
 
@@ -374,12 +402,10 @@ def is_projection_flat(lat: ResiduatedLattice, f_mask: int):
     fl = enumerate_filters(lat)
     co = coannulet_table(lat)
     fi = fl.idx(f_mask)
-    for gi, g in enumerate(fl.filters):
-        ji = fl.join_t[gi][fi]
-        for a in range(lat.n):
-            lhs = co[ji][a]
-            rhs_idx = fl.idx(co[gi][a])
-            rhs = fl.filters[fl.join_t[rhs_idx][fi]]
+    with_f = {h: fl.filters[row[fi]] for h, row in zip(fl.filters, fl.join_t)}
+    for g, co_g, row in zip(fl.filters, co, fl.join_t):
+        for a, (lhs, rhs) in enumerate(zip(co[row[fi]],
+                                           map(with_f.__getitem__, co_g))):
             gap = lhs & ~rhs
             if gap:
                 return False, (g, a, next(iter_bits(gap)))

@@ -9,11 +9,13 @@ with opens d(F) = the points not containing F, for pure F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
-from .filters import (cached, double_perp, enumerate_filters,
+from .core import LatticeError, ResiduatedLattice, mask_key
+from .filters import (cached, coannulets, double_perp, enumerate_filters,
                       generated_filter, hull, inside, kernel, maximal_filters,
-                      omega_filter, x_perp)
+                      omega_filter)
 from .spectra import (D_operator, d_set, minimal_primes, prime_filters,
                       spec_space)
 from .topology import (FiniteSpace, PointMap, map_analysis,
@@ -38,21 +40,14 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     ``f3`` is :func:`sigma_filter` itself; the theorem suite checks every
     other form against it (``sigmafequiv``).
     """
-    full = lat.all_mask
     h_f = hull(prime_filters(lat), f_mask)
     gh_f = _generalizations(lat, f_mask)
     mins = set(minimal_primes(lat))
-
-    f4 = 0
-    for a in range(lat.n):
-        if any((f_mask >> lat.neg(b)) & 1 for b in iter_bits(x_perp(lat, a))):
-            f4 |= 1 << a
-
-    i_f = 0
-    for a in range(lat.n):
-        if generated_filter(lat, double_perp(lat, a) | f_mask) == full:
-            i_f |= 1 << a
-    f6 = omega_filter(lat, i_f)     # the bottom always lies in I_F
+    # f4: some b in a^perp has -b in F, i.e. a^perp meets {b : -b in F}
+    neg_in_f = sum(1 << b for b in range(lat.n) if f_mask >> lat.neg(b) & 1)
+    f4 = sum(1 << a for a, perp in enumerate(coannulets(lat))
+             if perp & neg_in_f)
+    f6 = omega_filter(lat, sink_ideal(lat, f_mask))   # the bottom lies in I_F
 
     return {
         "def": kernel(lat, gh_f),
@@ -66,16 +61,23 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     }
 
 
+def sink_ideal(lat: ResiduatedLattice, f_mask: int) -> int:
+    """I_F = {a : <a^perp-perp u F> = A}, whose omega is the sink (``f6``)."""
+    return cached(lat, ("sink_ideal", f_mask), lambda: sum(
+        1 << a for a in range(lat.n)
+        if generated_filter(lat, double_perp(lat, a) | f_mask) == lat.all_mask))
+
+
 def sigma_filter(lat: ResiduatedLattice, f_mask: int) -> int:
-    """The sink of a filter: elements whose coannulet is comaximal with F."""
-    def build():
-        full = lat.all_mask
-        out = 0
-        for a in range(lat.n):
-            if generated_filter(lat, x_perp(lat, a) | f_mask) == full:
-                out |= 1 << a
-        return out
-    return cached(lat, ("sigma", f_mask), build)
+    """The sink of a filter: elements whose coannulet is comaximal with F.
+
+    The memo is read before a build is set up: the suite asks for the sink
+    of the same filters many times over.
+    """
+    key = ("sigma", f_mask)
+    return lat._cache.get(key) or cached(lat, key, lambda: sum(
+        1 << a for a, perp in enumerate(coannulets(lat))
+        if generated_filter(lat, perp | f_mask) == lat.all_mask))
 
 
 def is_pure(lat: ResiduatedLattice, f_mask: int) -> bool:
@@ -90,14 +92,11 @@ def pure_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def rho(lat: ResiduatedLattice, f_mask: int) -> int:
-    """Pure part: the join of the pure filters inside F."""
-    def build():
-        union = 0
-        for g in pure_filters(lat):
-            if g & ~f_mask == 0:
-                union |= g
-        return generated_filter(lat, union)
-    return cached(lat, ("rho", f_mask), build)
+    """Pure part: the join of the pure filters inside F (memo read first,
+    as in ``sigma_filter``)."""
+    key = ("rho", f_mask)
+    return lat._cache.get(key) or cached(lat, key, lambda: generated_filter(
+        lat, reduce(or_, inside(pure_filters(lat), f_mask), 0)))
 
 
 def d_of(lat: ResiduatedLattice, f_mask: int) -> int:

@@ -44,5 +44,5 @@ def toksets(lat, masks):
 
 def fresh(lat):
     """A copy of ``lat`` with an empty memo."""
-    return ResiduatedLattice(lat.name, lat.names, lat.up, lat.join, lat.meet,
-                             lat.prod, lat.res, lat.bottom, lat.top)
+    return ResiduatedLattice(lat.name, lat.names, lat.up, lat.down, lat.join,
+                             lat.meet, lat.prod, lat.res, lat.bottom, lat.top)

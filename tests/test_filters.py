@@ -132,7 +132,9 @@ def test_coannihilator_matches_elementwise_oracle(family):
             assert fi.x_perp(lat, x) == perp, (lat.name, x)
             assert fi.double_perp(lat, x) == \
                 elementwise_coannihilator(lat, unit, perp), (lat.name, x)
-    for lat in family:
+    quotients = [fi.quotient(lat, f).quotient for lat in family
+                 for f in fi.enumerate_filters(lat).filters]
+    for lat in _oracle_instances(family) + quotients:
         table = fi.coannulet_table(lat)
         for f, row in zip(fi.enumerate_filters(lat).filters, table):
             assert row == tuple(elementwise_coannihilator(lat, f, 1 << a)
@@ -347,6 +349,13 @@ def test_quotient_rejects_non_filter(a6):
         fi.quotient(a6, a6.mask_of(["d"]))
 
 
+def test_quotient_rejects_upset_of_a_non_idempotent():
+    # {x1,1} is up(x1), but x1*x1 = 0 leaves it
+    luk3 = lukasiewicz_chain(3)
+    with pytest.raises(LatticeError, match="not a filter"):
+        fi.quotient(luk3, luk3.mask_of(["x1", "1"]))
+
+
 def test_quotient_filters_are_images(fixtures4):
     for lat in fixtures4:
         fl = fi.enumerate_filters(lat)
@@ -354,6 +363,45 @@ def test_quotient_filters_are_images(fixtures4):
             qr = fi.quotient(lat, f)
             images = {qr.push_mask(g) for g in fl.filters if f & ~g == 0}
             assert images == set(fi.enumerate_filters(qr.quotient).filters)
+
+
+def residuum_quotient(lat, f):
+    """Classes {y : x->y and y->x in F} in mask order, and their order
+    [i <= j iff rep_i -> rep_j in F] as up and down bitmask rows."""
+    res = lat.res
+    classes = sorted({sum(1 << y for y in range(lat.n)
+                          if f >> res[x][y] & 1 and f >> res[y][x] & 1)
+                      for x in range(lat.n)}, key=mask_key)
+    reps = [next(iter_bits(m)) for m in classes]
+    up = [sum(1 << j for j, rj in enumerate(reps) if f >> res[ri][rj] & 1)
+          for ri in reps]
+    down = [sum(1 << i for i, ri in enumerate(reps) if f >> res[ri][rj] & 1)
+            for rj in reps]
+    return tuple(classes), tuple(up), tuple(down)
+
+
+def assert_quotients_match_residuum(lat):
+    for f in fi.enumerate_filters(lat).filters:
+        qr = fi.quotient(lat, f)
+        assert (qr.classes, qr.quotient.up, qr.quotient.down) == \
+            residuum_quotient(lat, f), (lat.name, lat.set_str(f))
+
+
+def test_quotient_matches_residuum_definition(family):
+    for lat in family:
+        assert_quotients_match_residuum(lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_matches_residuum_definition_on_products(fixtures4, data):
+    base = list(fixtures4) + [godel_chain(3), lukasiewicz_chain(3),
+                              lukasiewicz_chain(4)]
+    lat = data.draw(st.sampled_from(base))
+    other = data.draw(st.sampled_from([None] + base))
+    if other is not None and lat.n * other.n <= MAX_ELEMENTS:
+        lat = product_instance(lat, other)
+    assert_quotients_match_residuum(fresh(lat))
 
 
 def _quotient_cases(fixtures4):

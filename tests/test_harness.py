@@ -2,11 +2,13 @@
 
 import dataclasses
 import gc
+import hashlib
 import importlib.resources
 import json
 import time
 from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -133,6 +135,23 @@ def test_suite_finishes_at_the_cap():
     assert separation_report(patch)["hausdorff"]
 
 
+SUITE_DIGEST = \
+    "2317513935c1f22e91a057f0a40e5dfd4cd5955b43d0212547d221c9e1112038"
+
+
+def test_suite_report_digest():
+    # the whole report, every verdict and witness, on the acceptance family
+    # and three larger instances
+    instances = list(hz.acceptance_family()) + [
+        hz.godel_chain(20), hz.lukasiewicz_chain(20),
+        hz.product_instance(hz.godel_chain(4), hz.godel_chain(5))]
+    report = hz.run_theorem_suite(instances).as_dict()
+    assert report["counts"] == {"pass": 4950, "fail": 0,
+                                "not_applicable": 510}
+    blob = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SUITE_DIGEST
+
+
 def test_fixture_expectation_properties_na_off_fixture():
     rep = hz.run_theorem_suite([hz.godel_chain(3)], "core")
     assert rep.verdict("Godel3", "exa6").status == "not_applicable"
@@ -207,6 +226,16 @@ def test_omegprop_fails_with_witness(b6, monkeypatch):
     assert v.status == "fail" and "omega_filter" in v.witness
 
 
+def test_omegprop_join_item_fails_with_witness(a6, b6, monkeypatch):
+    # every generated ideal is {0}: item 1 fails at the first pair in
+    # row-major order whose join has a coannulet other than {1}
+    monkeypatch.setattr(hz, "ideal_generated",
+                        lambda lat, mask: lat.down[lat.bottom])
+    for lat, pair in ((a6, ["0", "1"]), (b6, ["0", "a"])):
+        assert _verdict("omegprop", fresh(lat)) == hz.Verdict(
+            "fail", {"item": 1, "pair": pair})
+
+
 def test_boleleprop_fails_with_witness(b6, monkeypatch):
     assert _verdict("boleleprop", b6) == hz.PASS
     bc = boolean_center(b6)
@@ -263,6 +292,80 @@ def test_genfilprop_fails_with_witness(a6, b6, monkeypatch):
                 lat, mask) & ~(1 << lat.top) if mask == bad else real(lat, mask))
             v = _verdict("genfilprop", lat)
         assert v == hz.Verdict("fail", {"item": 4, "x": want[0], "y": want[1]})
+
+
+def _tampered(lat, **tables):
+    """``lat`` with some tables replaced, unvalidated, and an empty memo."""
+    parts = {k: getattr(lat, k)
+             for k in ("up", "down", "join", "meet", "prod", "res")}
+    parts.update(tables)
+    return ResiduatedLattice(lat.name, lat.names, bottom=lat.bottom,
+                             top=lat.top, **parts)
+
+
+def test_resproposition_fails_with_witness(a6, b6):
+    # a*b = 0 breaks r1; the identity order breaks r2 (r1 reads no order)
+    assert _verdict("resproposition", a6) == hz.PASS
+    prod = [list(row) for row in a6.prod]
+    a, b = a6.index("a"), a6.index("b")
+    prod[a][b] = prod[b][a] = a6.bottom
+    assert _verdict("resproposition", _tampered(a6, prod=prod)) == hz.Verdict(
+        "fail", {"rule": "r1", "triple": ["a", "a", "b"]})
+    for lat in (a6, b6):
+        flat = [1 << x for x in range(lat.n)]
+        assert _verdict("resproposition",
+                        _tampered(lat, up=flat, down=flat)) == \
+            hz.Verdict("fail", {"rule": "r2", "triple": ["b", "0", "0"]})
+
+
+def test_canonflat_fails_with_witness(a6, monkeypatch):
+    # the projection by {d,1} is not flat: the definition side sees the
+    # identity quotient instead, or the criterion says flat everywhere
+    assert _verdict("canonflat", fresh(a6)) == hz.PASS
+    real = hz.quotient
+    with monkeypatch.context() as m:
+        m.setattr(hz, "quotient", lambda lat, f: real(lat, 1 << lat.top))
+        assert _verdict("canonflat", fresh(a6)) == hz.Verdict(
+            "fail", {"filter": ["d", "1"], "criterion": False,
+                     "definition": True})
+    monkeypatch.setattr(hz, "is_projection_flat", lambda lat, f: (True, None))
+    assert _verdict("canonflat", fresh(a6)) == hz.Verdict(
+        "fail", {"filter": ["d", "1"], "criterion": True,
+                 "definition": False})
+
+
+def test_filqou_fails_with_witness(a6, b6, monkeypatch):
+    # every quotient is the identity: the unit filter still passes, and
+    # the next filter in order is the witness
+    real = hz.quotient
+    for lat in (a6, b6):
+        assert _verdict("filqou", fresh(lat)) == hz.PASS
+    monkeypatch.setattr(hz, "quotient", lambda lat, f: real(lat, 1 << lat.top))
+    for lat in (a6, b6):
+        assert _verdict("filqou", fresh(lat)) == hz.Verdict(
+            "fail", {"filter": ["d", "1"]})
+
+
+def test_intprimfilt_fails_with_witness(a6, b6, monkeypatch):
+    real_spec, real_fil = hz.prime_filters, hz.enumerate_filters
+    for lat, first in ((a6, ["a"]), (b6, [])):
+        assert _verdict("intprimfilt", fresh(lat)) == hz.PASS
+        # without the last prime, the first subset in mask order whose
+        # generated filter is no longer the intersection
+        with monkeypatch.context() as m:
+            m.setattr(hz, "prime_filters", lambda lat: real_spec(lat)[:-1])
+            assert _verdict("intprimfilt", fresh(lat)) == hz.Verdict(
+                "fail", {"subset": first})
+    # a non-filter {c,1} among the filters: every prime containing it
+    # contains <c,1>, so item 1 fails at the first filter in order that
+    # lies inside <c,1> but not inside {c,1}
+    for lat, first in ((a6, ["d", "1"]), (b6, ["a", "c", "1"])):
+        extra = lat.mask_of(["c", "1"])
+        with monkeypatch.context() as m:
+            m.setattr(hz, "enumerate_filters", lambda lat: SimpleNamespace(
+                filters=real_fil(lat).filters + (extra,)))
+            assert _verdict("intprimfilt", fresh(lat)) == hz.Verdict(
+                "fail", {"item": 1, "filter": ["c", "1"], "subset": first})
 
 
 def test_sigmfiltlatt_fails_with_witness(a6, monkeypatch):

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LatticeError, ResiduatedLattice, iter_bits
-from .filters import (cached, coannihilator, enumerate_filters,
+from .filters import (cached, coannihilator, coannulets, enumerate_filters,
                       generated_filter, hull, inside, kernel, maximal_filters,
-                      omega_filters, radical, x_perp)
+                      omega_filters, radical_index, x_perp)
 from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
                       minimal_primes, nested_pair, prime_filters, spec_space)
-from .purity import (d_topology, pure_filters, pure_spectrum, rho,
-                     sigma_filter)
+from .purity import (d_topology, pure_filters, pure_spectrum, rho, rho_index,
+                     sigma_filter, sigma_index)
 from .topology import (PointMap, clopens, map_analysis, separation_report,
                        subspace)
 
@@ -204,12 +204,19 @@ def grothendieck_check(lat: ResiduatedLattice) -> dict:
 # -- certificate predicates ---------------------------------------------------
 # Each predicate states one structural fact and returns a bool.  The Gelfand
 # and mp certificates list them as clauses; the theorem-suite property that
-# states the same fact calls the same function.
+# states the same fact calls the same function.  Those that range over
+# pairs of filters work on filter indices: comaximality is one lookup in the
+# join table of Fil(A), and sigma, rho and rad are read off their per-lattice
+# index vectors.
 
 
-def comaximal(lat: ResiduatedLattice, f_mask: int, g_mask: int) -> bool:
-    """Two filters join to the whole carrier."""
-    return enumerate_filters(lat).join_mask(f_mask, g_mask) == lat.all_mask
+def pairwise_comaximal(lat: ResiduatedLattice, ids) -> bool:
+    """The filters at any two positions of a list of filter indices are
+    comaximal (the join is commutative, so each pair is read once)."""
+    fl = enumerate_filters(lat)
+    join_t, top = fl.join_t, fl.top_i
+    return all(join_t[i][j] == top for a, i in enumerate(ids)
+               for j in ids[a + 1:])
 
 
 def h_m(lat: ResiduatedLattice, f_mask: int) -> int:
@@ -304,19 +311,34 @@ def hull_kernel_equals_d_topology_on_max(lat: ResiduatedLattice) -> bool:
 
 def rho_rad_adjunction(lat: ResiduatedLattice) -> bool:
     fl = enumerate_filters(lat).filters
-    return all((rho(lat, f) & ~g == 0) == (f & ~radical(lat, g) == 0)
-               for f in fl for g in fl)
+    rhos = [fl[k] for k in rho_index(lat)]
+    rads = [fl[k] for k in radical_index(lat)]
+    return all((rf & ~g == 0) == (f & ~rad_g == 0)
+               for f, rf in zip(fl, rhos) for g, rad_g in zip(fl, rads))
+
+
+def hm_unchanged(lat: ResiduatedLattice, images) -> bool:
+    """h_M(F) = h_M(op F) for every filter F, where ``images`` is the index
+    vector of op."""
+    hm = [h_m(lat, f) for f in enumerate_filters(lat).filters]
+    return all(hm[i] == hm[k] for i, k in enumerate(images))
 
 
 def hm_of_sigma_unchanged(lat: ResiduatedLattice) -> bool:
-    return all(h_m(lat, f) == h_m(lat, sigma_filter(lat, f))
-               for f in enumerate_filters(lat).filters)
+    return hm_unchanged(lat, sigma_index(lat))
+
+
+def below_max_implies_f_below(lat: ResiduatedLattice, images) -> bool:
+    """op F inside a maximal filter M implies F inside M, where ``images``
+    is the index vector of op."""
+    fl = enumerate_filters(lat).filters
+    maxf = maximal_filters(lat)
+    return all(fl[k] & ~m or f & ~m == 0
+               for f, k in zip(fl, images) for m in maxf)
 
 
 def rho_below_max_implies_f_below(lat: ResiduatedLattice) -> bool:
-    return all(rho(lat, f) & ~m or f & ~m == 0
-               for f in enumerate_filters(lat).filters
-               for m in maximal_filters(lat))
+    return below_max_implies_f_below(lat, rho_index(lat))
 
 
 def rho_equals_sigma(lat: ResiduatedLattice) -> bool:
@@ -325,14 +347,19 @@ def rho_equals_sigma(lat: ResiduatedLattice) -> bool:
 
 
 def minimal_primes_comaximal(lat: ResiduatedLattice) -> bool:
-    minp = minimal_primes(lat)
-    return all(comaximal(lat, p, q) for p in minp for q in minp if p != q)
+    idx = enumerate_filters(lat).idx
+    return pairwise_comaximal(lat, [idx(p) for p in minimal_primes(lat)])
 
 
 def comaximal_coannulets(lat: ResiduatedLattice) -> bool:
-    return all(lat.join[x][y] != lat.top
-               or comaximal(lat, x_perp(lat, x), x_perp(lat, y))
-               for x in range(lat.n) for y in range(lat.n))
+    """x v y = 1 implies that the coannulets of x and y are comaximal: y
+    ranges over x-perp, the elements that join x to 1."""
+    fl = enumerate_filters(lat)
+    join_t, top = fl.join_t, fl.top_i
+    perps = coannulets(lat)
+    ids = [fl.idx(p) for p in perps]
+    return all(join_t[i][ids[y]] == top
+               for i, p in zip(ids, perps) for y in iter_bits(p))
 
 
 def omega_filters_pure(lat: ResiduatedLattice) -> bool:

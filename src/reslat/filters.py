@@ -136,7 +136,9 @@ class FiltersLattice:
     """All filters, in deterministic order, with their join table.
 
     Meet is set intersection; join of two filters is the filter generated
-    by their union.  The table holds filter indices.  Only the lattice's name
+    by their union.  The table holds filter indices, and ``top_i`` is the
+    index of A itself, so F and G are comaximal iff
+    ``join_t[i][j] == top_i``.  Only the lattice's name
     and element tokens are kept (for error messages): a back-reference to
     the lattice, whose memo holds this object, would make a reference cycle.
     """
@@ -146,6 +148,7 @@ class FiltersLattice:
     filters: tuple[int, ...]
     index: dict
     join_t: tuple
+    top_i: int
 
     def __len__(self):
         return len(self.filters)
@@ -181,7 +184,8 @@ def enumerate_filters(lat: ResiduatedLattice) -> FiltersLattice:
         index = {f: i for i, f in enumerate(found)}
         gens = [least[f] for f in found]
         join_t = tuple(tuple(index[up[prod[e][g]]] for g in gens) for e in gens)
-        return FiltersLattice(lat.name, lat.names, tuple(found), index, join_t)
+        return FiltersLattice(lat.name, lat.names, tuple(found), index, join_t,
+                              index[lat.all_mask])
 
     return cached(lat, "filters_lattice", build)
 
@@ -259,6 +263,25 @@ def maximal_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 def radical(lat: ResiduatedLattice, f_mask: int) -> int:
     """k(h_M(F)): the intersection of the maximal filters containing F."""
     return kernel(lat, hull(maximal_filters(lat), f_mask))
+
+
+def image_index(lat: ResiduatedLattice, key: str, op) -> tuple[int, ...]:
+    """The filter index of op(lat, F) for each filter F, in filter order.
+
+    Built once per lattice under ``key`` by calling ``op`` on each filter
+    and ``FiltersLattice.idx`` on its image, so an image that is not a
+    filter raises LatticeError.  The theorem suite's loops over pairs of
+    filters read these vectors and ``join_t`` instead of the operator.
+    """
+    def build():
+        fl = enumerate_filters(lat)
+        return tuple([fl.idx(op(lat, f)) for f in fl.filters])
+    return lat._cache.get(key) or cached(lat, key, build)
+
+
+def radical_index(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """The filter index of rad(F) for each filter F."""
+    return image_index(lat, "radical_index", radical)
 
 
 @dataclass(frozen=True)

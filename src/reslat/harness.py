@@ -22,24 +22,26 @@ from .filters import (coannulet_table, double_perp, enumerate_filters,
                       generated_filter, hull, ideal_generated, inside,
                       is_filter, is_projection_flat, kernel, lattice_ideals,
                       maximal_filters, omega_filter, omega_filters,
-                      principal_ideal, quotient, radical, x_perp)
+                      principal_ideal, quotient, radical, radical_index,
+                      x_perp)
 from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
                       minimal_primes, nested_pair, point_rows, prime_filters,
                       spec_space, stability, support)
 from .purity import (d_of, d_topology, is_pure, pure_filters,
                      pure_part_map_report, pure_spectrum,
-                     purely_prime_filters, rho, sigma_def, sigma_filter,
-                     sigma_formulas, sink_ideal)
+                     purely_prime_filters, rho, rho_index, sigma_def,
+                     sigma_filter, sigma_formulas, sigma_index, sink_ideal)
 from .classify import (
-    BijectionFailure, boolean_center, classify, coannulet_meets_fa_trivially,
-    coannulets_pure, comaximal, comaximal_coannulets, direct_summands, f_a,
-    fa_join, gelfand_closed_forms, grothendieck_check, h_m,
-    hm_of_sigma_unchanged, hull_kernel_equals_d_topology_on_max,
+    BijectionFailure, below_max_implies_f_below, boolean_center, classify,
+    coannulet_meets_fa_trivially, coannulets_pure, comaximal_coannulets,
+    direct_summands, f_a, fa_join, gelfand_closed_forms, grothendieck_check,
+    hm_of_sigma_unchanged, hm_unchanged, hull_kernel_equals_d_topology_on_max,
     iota_spp_to_min_d_homeomorphism, kh_m, maximal_point_mask, min_d_hausdorff,
     min_equals_max_sigma, min_equals_spp, min_h_homeomorphic_to_spp,
     minimal_prime_is_join_of_fa, minimal_primes_comaximal, mp_closed_forms,
-    omega_filters_pure, proper_pure_equal_kh_m, pure_filters_closed_form,
-    pure_filters_closed_form_min, purely_maximal_points,
+    omega_filters_pure, pairwise_comaximal, proper_pure_equal_kh_m,
+    pure_filters_closed_form, pure_filters_closed_form_min,
+    purely_maximal_points,
     rho_below_max_implies_f_below, rho_equals_sigma, rho_m_homeomorphism,
     rho_rad_adjunction, spp_equals_max_sigma, spp_equals_rho_of_max,
     spp_hausdorff, spp_in_max_sigma, verify_flag_witness)
@@ -272,22 +274,36 @@ def _filters(lat):
     return enumerate_filters(lat).filters
 
 
-def _joins(lat):
-    """(F, G) -> F v G for filters F and G, read off the join table of
-    Fil(A); a mask that is not a filter raises LatticeError.  Fetch it once
-    per property, outside the loops over pairs of filters."""
-    fl = enumerate_filters(lat)
-    filters, join_t, idx = fl.filters, fl.join_t, fl.idx
-    return lambda f, g: filters[join_t[idx(f)][idx(g)]]
+# The clauses below range over pairs of filters.  They work on filter
+# indices: ``images(lat)`` is the index vector of an operator on Fil(A)
+# (``sigma_index``, ``rho_index``), F v H is read off the join table, and F
+# and H are comaximal iff their join is ``top_i``.
 
 
-def _preserves_joins(op):
+def _preserves_joins(images):
     """The clause op(F) v op(H) = op(F v H) for all filters F and H."""
     def holds(lat):
-        fl, join = _filters(lat), _joins(lat)
-        image = {f: op(lat, f) for f in fl}
-        return all(join(image[f], image[h]) == op(lat, join(f, h))
-                   for f in fl for h in fl)
+        join_t, im = enumerate_filters(lat).join_t, images(lat)
+        return all([join_t[im[i]][k] for k in im] == [im[k] for k in row]
+                   for i, row in enumerate(join_t))
+    return holds
+
+
+def _preserves_comaximality(images):
+    """The clause: F and H comaximal implies op(F) and op(H) comaximal."""
+    def holds(lat):
+        fl, im = enumerate_filters(lat), images(lat)
+        join_t, top = fl.join_t, fl.top_i
+        return all(t != top or join_t[im[i]][im[j]] == top
+                   for i, row in enumerate(join_t) for j, t in enumerate(row))
+    return holds
+
+
+def _preserves_radical(images):
+    """The clause rad(F) = rad(op F) for every filter F."""
+    def holds(lat):
+        rad = radical_index(lat)
+        return all(rad[i] == rad[k] for i, k in enumerate(images(lat)))
     return holds
 
 
@@ -565,11 +581,12 @@ def _p_b9fxpro(lat):
     """Summands by F v F-perp = A, by central upsets, by complements in Fil."""
     ds = direct_summands(lat)
     unit = 1 << lat.top
-    fl = _filters(lat)
+    fl = enumerate_filters(lat)
     beta = boolean_center(lat)["elements"]
     by_center = sorted({lat.up[e] for e in iter_bits(beta)}, key=mask_key)
-    by_complement = [f for f in fl
-                     if any(f & g == unit and comaximal(lat, f, g) for g in fl)]
+    by_complement = [f for f, row in zip(fl.filters, fl.join_t)
+                     if any(f & g == unit and t == fl.top_i
+                            for g, t in zip(fl.filters, row))]
     if not list(ds) == by_center == by_complement:
         return _fail({"summands": [_toks(lat, f) for f in ds],
                       "by_center": [_toks(lat, f) for f in by_center],
@@ -736,12 +753,16 @@ def _p_sigfildef(lat):
 
 @_prop("sigmapro", "purity")
 def _p_sigmapro(lat):
+    """Item 2 reads the sinks from one list of masks, not filter indices:
+    item 1 must report a sink that is not a filter, which ``sigma_index``
+    would refuse."""
     fl = _filters(lat)
-    for f in fl:
-        if not is_filter(lat, sigma_filter(lat, f)):
+    sig = [sigma_filter(lat, f) for f in fl]
+    for f, sf in zip(fl, sig):
+        if not is_filter(lat, sf):
             return _fail({"item": 1, "filter": _toks(lat, f)})
-        for g in fl:
-            if f & ~g == 0 and sigma_filter(lat, f) & ~sigma_filter(lat, g):
+        for g, sg in zip(fl, sig):
+            if f & ~g == 0 and sf & ~sg:
                 return _fail({"item": 2, "pair": [_toks(lat, f), _toks(lat, g)]})
     for p in prime_filters(lat):
         if sigma_filter(lat, p) & ~D_operator(lat, p):
@@ -770,16 +791,21 @@ def _p_sigmafequiv(lat):
 
 @_prop("primesigmad", "purity")
 def _p_primesigmad(lat):
-    fl, join = _filters(lat), _joins(lat)
-    for f in fl:
-        sf = sigma_filter(lat, f)
+    """sigma F inside F, sigma(F ^ G) = sigma F ^ sigma G, and sigma F v
+    sigma G inside sigma(F v G), on filter indices: ``sigma_index``, the
+    filter index for F ^ G and the join table for both joins."""
+    fl = enumerate_filters(lat)
+    filters, index, join_t = fl.filters, fl.index, fl.join_t
+    s = sigma_index(lat)
+    sig = [filters[k] for k in s]
+    for f, sf, si, row in zip(filters, sig, s, join_t):
         if sf & ~f:
             return _fail({"item": 1, "filter": _toks(lat, f)})
-        for g in fl:
-            sg = sigma_filter(lat, g)
-            if sigma_filter(lat, f & g) != sf & sg:
+        s_row = join_t[si]
+        for g, sg, sj, t in zip(filters, sig, s, row):
+            if sig[index[f & g]] != sf & sg:
                 return _fail({"item": 2, "pair": [_toks(lat, f), _toks(lat, g)]})
-            if join(sf, sg) & ~sigma_filter(lat, join(f, g)):
+            if filters[s_row[sj]] & ~sig[t]:
                 return _fail({"item": 3, "pair": [_toks(lat, f), _toks(lat, g)]})
     return PASS
 
@@ -880,10 +906,13 @@ def _p_sigmahyper(lat):
 
 @_prop("comxpureprime", "purity")
 def _p_comxpureprime(lat):
+    fl = enumerate_filters(lat)
     pp = [p for p in prime_filters(lat) if is_pure(lat, p)]
-    for p in pp:
-        for q in pp:
-            if p != q and not comaximal(lat, p, q):
+    ids = [fl.idx(p) for p in pp]
+    for p, i in zip(pp, ids):
+        row = fl.join_t[i]
+        for q, j in zip(pp, ids):
+            if p != q and row[j] != fl.top_i:
                 return _fail({"pair": [_toks(lat, p), _toks(lat, q)]})
     return PASS
 
@@ -897,20 +926,25 @@ def _p_huldtopohyper(lat):
 
 @_prop("rfilter", "purity")
 def _p_rfilter(lat):
-    fl, join = _filters(lat), _joins(lat)
+    """Items 1-5 read the pure parts off ``rho_index``, and items 4-5 the
+    joins off the join table, as in ``primesigmad``."""
+    fl = enumerate_filters(lat)
+    filters, index, join_t = fl.filters, fl.index, fl.join_t
+    r = rho_index(lat)
+    rhos = [filters[k] for k in r]
     pure = set(pure_filters(lat))
-    for f in fl:
-        rf = rho(lat, f)
+    for f, rf, ri, row in zip(filters, rhos, r, join_t):
         if rf & ~sigma_filter(lat, f):
             return _fail({"item": 1, "filter": _toks(lat, f)})
         if rf not in pure or rf & ~f or any(g & ~rf for g in inside(pure, f)):
             return _fail({"item": 2, "filter": _toks(lat, f)})
-        if rho(lat, rf) != rf or (rf == f) != (f in pure):
+        if rhos[ri] != rf or (rf == f) != (f in pure):
             return _fail({"item": 3, "filter": _toks(lat, f)})
-        for g in fl:
-            if rho(lat, f & g) != rf & rho(lat, g):
+        r_row = join_t[ri]
+        for g, rg, rj, t in zip(filters, rhos, r, row):
+            if rhos[index[f & g]] != rf & rg:
                 return _fail({"item": 4, "pair": [_toks(lat, f), _toks(lat, g)]})
-            if join(rf, rho(lat, g)) & ~rho(lat, join(f, g)):
+            if filters[r_row[rj]] & ~rhos[t]:
                 return _fail({"item": 5, "pair": [_toks(lat, f), _toks(lat, g)]})
     for f in pure:
         over_f = hull(maximal_filters(lat), f)
@@ -1154,38 +1188,38 @@ def _max_h_is_a_retract(lat):
 
 
 _prop("quanorexas", "gelfand")(lambda lat: _fixture_flag(lat, "gelfand"))
+def _pmprop_c7(lat):
+    """A proper filter comaximal with a maximal M is comaximal with D(M).
+    A itself is comaximal with every filter, so no row is skipped."""
+    fl = enumerate_filters(lat)
+    top = fl.top_i
+    pairs = [(fl.idx(m), fl.idx(D_operator(lat, m)))
+             for m in maximal_filters(lat)]
+    return all(row[mi] != top or row[di] == top
+               for row in fl.join_t for mi, di in pairs)
+
+
 _iff("pmprop", "gelfand",
-     c3=lambda lat: all(comaximal(lat, D_operator(lat, m), D_operator(lat, n))
-                        for m in maximal_filters(lat)
-                        for n in maximal_filters(lat) if m != n),
-     c7=lambda lat: all(not comaximal(lat, f, m) or
-                        comaximal(lat, f, D_operator(lat, m))
-                        for f in enumerate_filters(lat).proper
-                        for m in maximal_filters(lat)))
+     c3=lambda lat: pairwise_comaximal(lat, [
+         enumerate_filters(lat).idx(D_operator(lat, m))
+         for m in maximal_filters(lat)]),
+     c7=_pmprop_c7)
 _iff("gelnor", "gelfand", retraction=_max_h_is_a_retract)
 _iff("equgelchaunit", "gelfand",
-     c2=lambda lat: all(sigma_filter(lat, f) & ~m or not f & ~m
-                        for f in _filters(lat) for m in maximal_filters(lat)),
+     c2=lambda lat: below_max_implies_f_below(lat, sigma_index(lat)),
      c3=hm_of_sigma_unchanged,
-     c4=lambda lat: all(radical(lat, f) == radical(lat, sigma_filter(lat, f))
-                        for f in _filters(lat)),
-     c5=lambda lat: all(not comaximal(lat, f, h) or
-                        comaximal(lat, sigma_filter(lat, f), sigma_filter(lat, h))
-                        for f in _filters(lat) for h in _filters(lat)),
-     c6=_preserves_joins(sigma_filter))
+     c4=_preserves_radical(sigma_index),
+     c5=_preserves_comaximality(sigma_index),
+     c6=_preserves_joins(sigma_index))
 _iff("equgelchapure", "gelfand",
      c2=rho_below_max_implies_f_below,
-     c3=lambda lat: all(h_m(lat, f) == h_m(lat, rho(lat, f))
-                        for f in _filters(lat)),
-     c4=lambda lat: all(radical(lat, f) == radical(lat, rho(lat, f))
-                        for f in _filters(lat)),
-     c5=lambda lat: all(not comaximal(lat, f, h) or
-                        comaximal(lat, rho(lat, f), rho(lat, h))
-                        for f in _filters(lat) for h in _filters(lat)),
-     c6=_preserves_joins(rho),
-     c7=lambda lat: all(comaximal(lat, rho(lat, m), rho(lat, n))
-                        for m in maximal_filters(lat)
-                        for n in maximal_filters(lat) if m != n),
+     c3=lambda lat: hm_unchanged(lat, rho_index(lat)),
+     c4=_preserves_radical(rho_index),
+     c5=_preserves_comaximality(rho_index),
+     c6=_preserves_joins(rho_index),
+     c7=lambda lat: pairwise_comaximal(lat, [
+         rho_index(lat)[i] for i in map(enumerate_filters(lat).idx,
+                                        maximal_filters(lat))]),
      rho_rad_adjunction=rho_rad_adjunction)
 _under("rhosigmanorg", "gelfand", rho_equals_sigma, lambda lat: {
     "filter": _toks(lat, next(f for f in _filters(lat)

@@ -14,8 +14,8 @@ from operator import or_
 
 from .core import LatticeError, ResiduatedLattice, mask_key
 from .filters import (cached, coannulets, double_perp, enumerate_filters,
-                      generated_filter, hull, inside, kernel, maximal_filters,
-                      omega_filter)
+                      generated_filter, hull, image_index, inside, kernel,
+                      maximal_filters, omega_filter)
 from .spectra import (D_operator, d_set, minimal_primes, prime_filters,
                       spec_space)
 from .topology import (FiniteSpace, PointMap, map_analysis,
@@ -80,6 +80,11 @@ def sigma_filter(lat: ResiduatedLattice, f_mask: int) -> int:
         if generated_filter(lat, perp | f_mask) == lat.all_mask))
 
 
+def sigma_index(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """The filter index of the sink of each filter."""
+    return image_index(lat, "sigma_index", sigma_filter)
+
+
 def is_pure(lat: ResiduatedLattice, f_mask: int) -> bool:
     return sigma_filter(lat, f_mask) == f_mask
 
@@ -97,6 +102,11 @@ def rho(lat: ResiduatedLattice, f_mask: int) -> int:
     key = ("rho", f_mask)
     return lat._cache.get(key) or cached(lat, key, lambda: generated_filter(
         lat, reduce(or_, inside(pure_filters(lat), f_mask), 0)))
+
+
+def rho_index(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """The filter index of the pure part of each filter."""
+    return image_index(lat, "rho_index", rho)
 
 
 def d_of(lat: ResiduatedLattice, f_mask: int) -> int:

@@ -84,8 +84,8 @@ def D_operator(lat: ResiduatedLattice, p_mask: int) -> int:
 
 
 def h_set(points, x_mask: int) -> int:
-    """h(X) as an index mask over distinct points: those that contain X."""
-    return sum(1 << points.index(p) for p in hull(points, x_mask))
+    """h(X) as an index mask over the points: those that contain X."""
+    return sum(1 << i for i, p in enumerate(points) if x_mask & ~p == 0)
 
 
 def point_rows(lat: ResiduatedLattice, points) -> tuple[int, ...]:

@@ -280,8 +280,12 @@ def test_sigmafequiv_fails_with_witness(b6, monkeypatch):
 
 
 def test_genfilprop_fails_with_witness(a6, b6, monkeypatch):
-    # <X> loses the top on one mask X = gx | gy: item 4 fails at the first
-    # (x, y) in row-major order, which has y >= x
+    # <X> loses the top on one mask X.  {0,a,d,1} (A6) and {0,b,1} (B6) hold
+    # the bottom, so neither is a union gx | gy of two generated filters
+    # (a generated filter that holds the bottom is all of A); each is the
+    # set F u {x, y} that item 4 generates at F = {d,1} (A6) or F = {1}
+    # (B6) with x = 0.  Item 4 fails at that (x, y), the first in
+    # row-major order, which has y >= x
     real = hz.generated_filter
     for lat, toks, want in ((a6, "0 a d 1", ("0", "a")),
                             (b6, "0 b 1", ("0", "b"))):
@@ -292,6 +296,64 @@ def test_genfilprop_fails_with_witness(a6, b6, monkeypatch):
                 lat, mask) & ~(1 << lat.top) if mask == bad else real(lat, mask))
             v = _verdict("genfilprop", lat)
         assert v == hz.Verdict("fail", {"item": 4, "x": want[0], "y": want[1]})
+
+
+# ``sigma_filter`` and ``rho`` read their memo first, so one planted entry
+# makes the operator wrong at exactly one filter, on every path that reads it
+def _broken_at(lat, op, toks, image):
+    lat = fresh(lat)
+    lat._cache[(op, lat.mask_of(toks.split()))] = lat.mask_of(image.split())
+    return lat
+
+
+def test_primesigmad_fails_with_witness(b6):
+    # sigma(F ^ G) = sigma F ^ sigma G (item 2), and sigma F v sigma G lies
+    # inside sigma(F v G) (item 3), first broken at the same pair
+    pair = [["d", "1"], ["a", "c", "1"]]
+    assert _verdict("primesigmad", fresh(b6)) == hz.PASS
+    assert _verdict("primesigmad", _broken_at(b6, "sigma", "a c 1", "d 1")) \
+        == hz.Verdict("fail", {"item": 2, "pair": pair})
+    assert _verdict("primesigmad",
+                    _broken_at(b6, "sigma", "0 a b c d 1", "1")) \
+        == hz.Verdict("fail", {"item": 3, "pair": pair})
+
+
+def test_sigmapro_monotonicity_fails_with_witness(a6):
+    assert _verdict("sigmapro", fresh(a6)) == hz.PASS
+    assert _verdict("sigmapro", _broken_at(a6, "sigma", "1", "d 1")) == \
+        hz.Verdict("fail", {"item": 2, "pair": [["1"], ["d", "1"]]})
+
+
+def test_rfilter_pair_items_fail_with_witness(b6):
+    # the rho forms of primesigmad's items 2 and 3
+    pair = [["d", "1"], ["a", "c", "1"]]
+    assert _verdict("rfilter", fresh(b6)) == hz.PASS
+    assert _verdict("rfilter", _broken_at(b6, "rho", "a c 1", "d 1")) == \
+        hz.Verdict("fail", {"item": 4, "pair": pair})
+    assert _verdict("rfilter", _broken_at(b6, "rho", "0 a b c d 1", "1")) == \
+        hz.Verdict("fail", {"item": 5, "pair": pair})
+
+
+def test_equgelcha_clauses_under_a_broken_operator(a6, b6, a8):
+    # every clause holds on Gelfand B6 and A8 and fails on A6.  One wrong
+    # image breaks c2 on A8 and, at a maximal filter of B6, c7; c5
+    # (comaximality kept) and c6 (joins kept) part ways in both directions
+    for lat, toks, image, c2, c5, c6, c7 in (
+            (b6, "1", "d 1", True, True, False, True),
+            (b6, "d 1", "1", False, False, False, False),
+            (a8, "0 a b c d e f 1", "1", False, False, True, True),
+            (a6, "0 a b c d 1", "1", False, False, True, False)):
+        gelfand = lat is not a6
+        assert _verdict("equgelchaunit", _broken_at(lat, "sigma", toks, image)) \
+            == hz.Verdict("fail", {"gelfand": gelfand, "c2": c2, "c3": False,
+                                   "c4": False, "c5": c5, "c6": c6})
+        assert _verdict("equgelchapure", _broken_at(lat, "rho", toks, image)) \
+            == hz.Verdict("fail", {"gelfand": gelfand, "c2": c2, "c3": False,
+                                   "c4": False, "c5": c5, "c6": c6, "c7": c7,
+                                   "rho_rad_adjunction": False})
+        # sigma does not read rho (rho reads sigma through the pure filters)
+        assert _verdict("equgelchaunit", _broken_at(lat, "rho", toks, image)) \
+            == hz.PASS
 
 
 def _tampered(lat, **tables):

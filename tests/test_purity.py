@@ -9,7 +9,7 @@ from reslat import spectra as sp
 from reslat.harness import FIXTURE_EXPECT
 from reslat.topology import map_analysis, separation_report
 
-from conftest import tokset, toksets
+from conftest import fresh, tokset, toksets
 
 
 def test_sigma_examples(a6, b6):
@@ -213,6 +213,40 @@ def test_pure_closed_under_meet_and_join(fixtures4):
             for g in pure:
                 assert f & g in pure
                 assert fl.join_mask(f, g) in pure
+
+
+def _check_index_vectors(lat):
+    # each operator is called per filter first, on an empty memo, and the
+    # vector is then read against those calls
+    lat = fresh(lat)
+    fl = fi.enumerate_filters(lat)
+    assert fl.filters[fl.top_i] == lat.all_mask
+    for op, vector in ((pu.sigma_filter, pu.sigma_index),
+                       (pu.rho, pu.rho_index),
+                       (fi.radical, fi.radical_index)):
+        want = [op(lat, f) for f in fl.filters]
+        assert [fl.filters[k] for k in vector(lat)] == want, \
+            (lat.name, op.__name__)
+
+
+def test_index_vectors_match_the_operators(family):
+    # on every acceptance instance and on its quotient by every filter
+    for lat in family:
+        _check_index_vectors(lat)
+        for f in fi.enumerate_filters(lat).filters:
+            _check_index_vectors(fi.quotient(lat, f).quotient)
+
+
+def test_index_vectors_follow_their_own_operator(b6):
+    # sigma = rho on B6 (and on every acceptance instance); a wrong memo
+    # entry for one of them shows in its own vector only
+    for op, own, other in (("sigma", pu.sigma_index, pu.rho_index),
+                           ("rho", pu.rho_index, pu.sigma_index)):
+        lat = fresh(b6)
+        fl = fi.enumerate_filters(lat)
+        lat._cache[(op, lat.all_mask)] = 1 << lat.top
+        assert fl.filters[own(lat)[fl.top_i]] == 1 << lat.top
+        assert fl.filters[other(lat)[fl.top_i]] == lat.all_mask
 
 
 def test_degenerate_quotient_pipeline(a6):

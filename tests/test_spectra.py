@@ -1,6 +1,7 @@
 """Spectra, the D operator, hull-kernel topologies, stability, supports."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reslat import spectra as sp
 from reslat import filters as fi
@@ -170,3 +171,16 @@ def test_point_rows_match_h_set(family):
             rows = sp.point_rows(lat, pts)
             assert rows == tuple(sp.h_set(pts, 1 << x) for x in range(lat.n))
             assert sp.point_rows(lat, list(pts)) is rows
+
+
+@settings(max_examples=300)
+@given(points=st.lists(st.integers(0, (1 << 12) - 1), unique=True,
+                       max_size=20),
+       x_mask=st.integers(0, (1 << 12) - 1))
+def test_h_set_is_the_hull(points, x_mask):
+    # bit i is set iff point i contains every element of X; in point order
+    # those points are filters.hull(points, X)
+    want = sum(1 << i for i, p in enumerate(points)
+               if all(p >> x & 1 for x in iter_bits(x_mask)))
+    assert sp.h_set(points, x_mask) == sp.h_set(tuple(points), x_mask) == want
+    assert [points[i] for i in iter_bits(want)] == fi.hull(points, x_mask)

@@ -199,8 +199,6 @@ def grothendieck_check(lat: ResiduatedLattice) -> dict:
     return {"pairs": pairs, "clopen_count": len(clop)}
 
 
-
-
 # -- certificate predicates ---------------------------------------------------
 # Each predicate states one structural fact and returns a bool.  The Gelfand
 # and mp certificates list them as clauses; the theorem-suite property that
@@ -217,11 +215,6 @@ def pairwise_comaximal(lat: ResiduatedLattice, ids) -> bool:
     join_t, top = fl.join_t, fl.top_i
     return all(join_t[i][j] == top for a, i in enumerate(ids)
                for j in ids[a + 1:])
-
-
-def h_m(lat: ResiduatedLattice, f_mask: int) -> int:
-    """Index mask of the maximal filters containing F."""
-    return h_set(maximal_filters(lat), f_mask)
 
 
 def kh_m(lat: ResiduatedLattice, f_mask: int) -> int:
@@ -319,8 +312,9 @@ def rho_rad_adjunction(lat: ResiduatedLattice) -> bool:
 
 def hm_unchanged(lat: ResiduatedLattice, images) -> bool:
     """h_M(F) = h_M(op F) for every filter F, where ``images`` is the index
-    vector of op."""
-    hm = [h_m(lat, f) for f in enumerate_filters(lat).filters]
+    vector of op and h_M(F) the index mask of the maximal filters over F."""
+    maxf = maximal_filters(lat)
+    hm = [h_set(maxf, f) for f in enumerate_filters(lat).filters]
     return all(hm[i] == hm[k] for i, k in enumerate(images))
 
 

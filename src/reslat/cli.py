@@ -338,7 +338,7 @@ def _cmd_gen(args):
         except SizeLimit as exc:
             raise _CliError(EXIT_USAGE, str(exc))
     else:
-        if not args.family or not args.size:
+        if args.family is None or args.size is None:
             raise _CliError(EXIT_USAGE, "gen needs --family and --size, "
                                         "or --product A B [C ...]")
         from . import harness as _harness

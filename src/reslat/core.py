@@ -8,7 +8,6 @@ subsets of the carrier travel as int bitmasks throughout the package.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
@@ -402,9 +401,6 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
                              raw.bottom, raw.top)
 
 
-_TOKEN_RE = re.compile(r"\S+")
-
-
 def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     """Parse the line-oriented lattice file format into raw tables.
 
@@ -434,7 +430,7 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
             continue
         if ended:
             raise ParseError(line_no, "content after 'end'")
-        words = _TOKEN_RE.findall(line)
+        words = line.split()
         head, args = words[0], words[1:]
         if head == "lattice":
             if len(args) != 1:
@@ -476,6 +472,8 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
             x, y, v = (want(t, line_no) for t in args)
             res_claims.append((x, y, v))
         elif head == "end":
+            if args:
+                raise ParseError(line_no, "expected: end")
             ended = True
         else:
             raise ParseError(line_no, f"unknown directive {head!r}")

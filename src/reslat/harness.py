@@ -13,13 +13,14 @@ import importlib.resources
 import random
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
                    direct_product, iter_bits, lattice_from_tables,
                    load_lattice, mask_key, popcount)
-from .filters import (coannulet_table, double_perp, enumerate_filters,
-                      generated_filter, hull, ideal_generated, inside,
+from .filters import (coannulet_table, enumerate_filters, generated_filter,
+                      hull, ideal_generated, inside, is_alpha_filter,
                       is_filter, is_projection_flat, kernel, lattice_ideals,
                       maximal_filters, omega_filter, omega_filters,
                       principal_ideal, quotient, radical, radical_index,
@@ -103,16 +104,16 @@ def product_instance(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLa
     return _PRODUCTS[key]
 
 
-def acceptance_family(max_product_size: int = 16,
-                      chain_sizes=range(2, 9)) -> tuple[ResiduatedLattice, ...]:
-    """Fixtures, both chain families, and all pairwise products under the cap."""
+def acceptance_family() -> tuple[ResiduatedLattice, ...]:
+    """Fixtures, both chain families on 2..8 elements, and all pairwise
+    products with at most 16 elements."""
     base = [fixture(n) for n in FIXTURE_NAMES]
-    base += [godel_chain(n) for n in chain_sizes]
-    base += [lukasiewicz_chain(n) for n in chain_sizes]
+    base += [godel_chain(n) for n in range(2, 9)]
+    base += [lukasiewicz_chain(n) for n in range(2, 9)]
     out = list(base)
     for i, a in enumerate(base):
         for b in base[i:]:
-            if a.n * b.n <= max_product_size:
+            if a.n * b.n <= 16:
                 out.append(product_instance(a, b))
     return tuple(out)
 
@@ -242,6 +243,15 @@ def _iff(pid: str, group: str, **clauses):
     _prop(pid, group)(fn)
 
 
+def _every(pid: str, group: str, family, holds, key: str):
+    """Register "holds(A, m) for every member m of family(A)": the first
+    member that fails is the witness, as its tokens under ``key``."""
+    def fn(lat):
+        bad = next((m for m in family(lat) if not holds(lat, m)), None)
+        return PASS if bad is None else _fail({key: _toks(lat, bad)})
+    _prop(pid, group)(fn)
+
+
 # The manifest of catalogued statement ids the registry must cover exactly.
 SPEC_ANCHOR_MANIFEST = (
     # core: algebra, filters, spectra groundwork
@@ -358,7 +368,7 @@ def _fixture_fidelity(lat, key):
         "maximal": {frozenset(_toks(lat, f)) for f in maximal_filters(lat)},
         "minimal_prime": {frozenset(_toks(lat, f)) for f in minimal_primes(lat)},
         "alpha": {frozenset(_toks(lat, f)) for f in _filters(lat)
-                  if all(double_perp(lat, x) & ~f == 0 for x in iter_bits(f))},
+                  if is_alpha_filter(lat, f)},
         "pure": {frozenset(_toks(lat, f)) for f in pure_filters(lat)},
     }
     for field_name, want in exp.items():
@@ -446,17 +456,18 @@ def _p_genfilprop(lat):
     return PASS
 
 
-@_prop("filqou", "core")
-def _p_filqou(lat):
-    """Filters of a quotient are the images of the filters over the kernel."""
-    fl = enumerate_filters(lat)
-    for f in fl.filters:
+def _pushed(family):
+    """The clause: the members of family(A/F) are the images of the members
+    of family(A) that contain F."""
+    def holds(lat, f):
         qr = quotient(lat, f)
-        images = {qr.push_mask(g) for g in hull(fl.filters, f)}
-        actual = set(enumerate_filters(qr.quotient).filters)
-        if images != actual:
-            return _fail({"filter": _toks(lat, f)})
-    return PASS
+        return {qr.push_mask(g) for g in hull(family(lat), f)} == \
+            set(family(qr.quotient))
+    return holds
+
+
+# Filters of a quotient are the images of the filters over the kernel.
+_every("filqou", "core", _filters, _pushed(_filters), "filter")
 
 
 def _subset_samples(lat):
@@ -517,25 +528,18 @@ def _p_intprimfilt(lat):
     return PASS
 
 
-@_prop("mp", "core")
-def _p_mp(lat):
-    minp = minimal_primes(lat)
-    for p in prime_filters(lat):
-        if not inside(minp, p):
-            return _fail({"prime": _toks(lat, p)})
-    return PASS
+_every("mp", "core", prime_filters,
+       lambda lat, p: inside(minimal_primes(lat), p), "prime")
 
 
-@_prop("1mineq", "core")
-def _p_1mineq(lat):
-    """Minimal primes contain exactly one of x and its coannulet, per x."""
-    minset = set(minimal_primes(lat))
-    for p in prime_filters(lat):
-        crit = all((((p >> x) & 1) == 1) != (x_perp(lat, x) & ~p == 0)
-                   for x in range(lat.n))
-        if crit != (p in minset):
-            return _fail({"prime": _toks(lat, p)})
-    return PASS
+def _one_of_x_and_perp(lat, p):
+    """A prime is minimal iff it holds exactly one of x and x-perp, per x."""
+    crit = all((((p >> x) & 1) == 1) != (x_perp(lat, x) & ~p == 0)
+               for x in range(lat.n))
+    return crit == (p in minimal_primes(lat))
+
+
+_every("1mineq", "core", prime_filters, _one_of_x_and_perp, "prime")
 
 
 @_prop("boleleprop", "core")
@@ -569,11 +573,10 @@ def _p_boleleprop(lat):
 
 @_prop("direcindbeta", "core")
 def _p_direcindbeta(lat):
-    beta = boolean_center(lat)["elements"]
-    trivial_beta = beta == (1 << lat.bottom) | (1 << lat.top)
+    rep = classify(lat)
     trivial_summands = set(direct_summands(lat)) == {1 << lat.top, lat.all_mask}
-    return _when(trivial_beta == trivial_summands,
-                 lambda: {"beta": _toks(lat, beta)})
+    return _when(rep.directly_indecomposable.value == trivial_summands,
+                 lambda: {"beta": _toks(lat, rep.boolean_center)})
 
 
 @_prop("b9fxpro", "core")
@@ -603,7 +606,7 @@ def _p_hperarchpri(lat):
                 {generated_filter(lat, 0)}
     c1 = set(direct_summands(lat)) == principal
     c2 = {lat.up[e] for e in iter_bits(boolean_center(lat)["elements"])} == principal
-    c3 = nested_pair(prime_filters(lat)) is None
+    c3 = classify(lat).hyperarchimedean.value
     if principal != all_f:
         return _fail({"note": "finite instance has a non-principal filter"})
     return _when(c1 == c2 == c3, lambda: {"clauses": [c1, c2, c3]})
@@ -743,12 +746,8 @@ def _p_closefalzai(lat):
 # -- purity properties ------------------------------------------------------
 
 
-@_prop("sigfildef", "purity")
-def _p_sigfildef(lat):
-    for f in _filters(lat):
-        if sigma_def(lat, f) != sigma_filter(lat, f):
-            return _fail({"filter": _toks(lat, f)})
-    return PASS
+_every("sigfildef", "purity", _filters,
+       lambda lat, f: sigma_def(lat, f) == sigma_filter(lat, f), "filter")
 
 
 @_prop("sigmapro", "purity")
@@ -899,7 +898,7 @@ def _p_sigmahyper(lat):
     pure = set(pure_filters(lat))
     principal = {generated_filter(lat, 1 << x) for x in range(lat.n)}
     c1 = principal <= pure
-    c2 = nested_pair(prime_filters(lat)) is None
+    c2 = classify(lat).hyperarchimedean.value
     c3 = set(_filters(lat)) <= pure
     return _when(c1 == c2 == c3, lambda: {"clauses": [c1, c2, c3]})
 
@@ -920,7 +919,7 @@ def _p_comxpureprime(lat):
 @_prop("huldtopohyper", "purity")
 def _p_huldtopohyper(lat):
     same = d_topology(lat).nbhd == spec_space(lat, "h").nbhd
-    antichain = nested_pair(prime_filters(lat)) is None
+    antichain = classify(lat).hyperarchimedean.value
     return _when(same == antichain, lambda: {"coincide": same})
 
 
@@ -958,17 +957,8 @@ def _p_rfilter(lat):
     return PASS
 
 
-@_prop("purefilqou", "purity")
-def _p_purefilqou(lat):
-    """Pure filters of a quotient by a pure filter are the pushed pure filters."""
-    pure = pure_filters(lat)
-    for f in pure:
-        qr = quotient(lat, f)
-        images = {qr.push_mask(h) for h in hull(pure, f)}
-        actual = set(pure_filters(qr.quotient))
-        if images != actual:
-            return _fail({"filter": _toks(lat, f)})
-    return PASS
+# Pure filters of a quotient by a pure filter are the pushed pure filters.
+_every("purefilqou", "purity", pure_filters, _pushed(pure_filters), "filter")
 
 
 @_prop("prinpuregen", "purity")
@@ -1030,14 +1020,16 @@ def _p_r1filter(lat):
     return PASS
 
 
-@_prop("minpurfil", "spp")
-def _p_minpurfil(lat):
+def _spp_points(lat):
+    return pure_spectrum(lat).points
+
+
+def _over_a_purely_minimal_point(lat, p):
     spp = pure_spectrum(lat)
-    minimal = [p for p, m in zip(spp.points, spp.purely_minimal) if m]
-    for p in spp.points:
-        if not inside(minimal, p):
-            return _fail({"point": _toks(lat, p)})
-    return PASS
+    return inside(compress(spp.points, spp.purely_minimal), p)
+
+
+_every("minpurfil", "spp", _spp_points, _over_a_purely_minimal_point, "point")
 
 
 @_prop("purpriprithe", "spp")
@@ -1059,13 +1051,12 @@ def _p_t0(lat):
                  lambda: {"space": "Spp"})
 
 
-@_prop("closurofp", "spp")
-def _p_closurofp(lat):
+def _closure_is_hull(lat, p):
     spp = pure_spectrum(lat)
-    for i, p in enumerate(spp.points):
-        if spp.space.closure(1 << i) != h_set(spp.points, p):
-            return _fail({"point": _toks(lat, p)})
-    return PASS
+    return spp.space.closure(1 << spp.points.index(p)) == h_set(spp.points, p)
+
+
+_every("closurofp", "spp", _spp_points, _closure_is_hull, "point")
 
 
 @_prop("t1spaspp", "spp")
@@ -1130,11 +1121,11 @@ def _p_grothfundres(lat):
 
 @_prop("sppconn", "spp")
 def _p_sppconn(lat):
-    beta = boolean_center(lat)["elements"]
-    trivial = beta == (1 << lat.bottom) | (1 << lat.top)
+    rep = classify(lat)
     connected = separation_report(pure_spectrum(lat).space)["connected"]
-    return _when(trivial == connected,
-                 lambda: {"beta": _toks(lat, beta), "connected": connected})
+    return _when(rep.directly_indecomposable.value == connected,
+                 lambda: {"beta": _toks(lat, rep.boolean_center),
+                          "connected": connected})
 
 
 @_prop("qoepuruspec", "spp")

@@ -116,24 +116,16 @@ def d_of(lat: ResiduatedLattice, f_mask: int) -> int:
 
 def purely_prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
     """Proper pure filters that are meet-irreducible among pure filters."""
+    def irreducible(p, pure):
+        # no two pure filters outside P meet inside P
+        outside = [f for f in pure if f & ~p]
+        return all(f & g & ~p for i, f in enumerate(outside)
+                   for g in outside[i + 1:])
+
     def build():
         pure = pure_filters(lat)
-        full = lat.all_mask
-        pts = []
-        for p in pure:
-            if p == full:
-                continue
-            ok = True
-            for i, f1 in enumerate(pure):
-                for f2 in pure[i:]:
-                    if (f1 & f2) & ~p == 0 and f1 & ~p and f2 & ~p:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                pts.append(p)
-        return tuple(sorted(pts, key=mask_key))
+        return tuple(sorted((p for p in pure if p != lat.all_mask
+                             and irreducible(p, pure)), key=mask_key))
     return cached(lat, "purely_prime", build)
 
 

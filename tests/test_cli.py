@@ -174,6 +174,14 @@ def test_gen_size_cap(tmp_path):
         assert "(cap 64)" in out["stderr"]
 
 
+def test_gen_chain_size_out_of_range():
+    # 0 is a given size, not a missing one: it gets the bound error too
+    for size in (0, 1, 65):
+        out = run_cli(["gen", "--family", "godel", "--size", str(size)])
+        assert out == {"exit": 3, "stdout": "",
+                       "stderr": f"chain size {size} outside 2..64\n"}, size
+
+
 def test_gen_product_of_three_factors(tmp_path):
     g2 = _gen_chain_file(tmp_path, 2)
     res = run_cli(["gen", "--product", g2, g2, g2])

@@ -408,9 +408,11 @@ def test_res_rows_cross_checked():
     ("lattice X\nelements 0 a 1\nbottom 0\ntop 1\ncover 0 a\ncover a 1\nend", "missing mul"),
     ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 2\nend", "unknown element"),
     ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\nend\nextra", "after 'end'"),
+    ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\nend trailing words", "expected: end"),
     ("lattice X\nelements 0 1\ntop 1\ncover 0 1\nend", "bottom"),
     ("lattice X\nelements 0 0\nbottom 0\ntop 0\nend", "distinct"),
-], ids=["dup-mul", "missing-mul", "unknown-tok", "after-end", "no-bottom", "dup-tok"])
+], ids=["dup-mul", "missing-mul", "unknown-tok", "after-end", "end-args",
+     "no-bottom", "dup-tok"])
 def test_parse_errors(text, snippet):
     with pytest.raises(ParseError) as err:
         parse_lattice_text(text)

@@ -408,6 +408,117 @@ def test_filqou_fails_with_witness(a6, b6, monkeypatch):
             "fail", {"filter": ["d", "1"]})
 
 
+def test_purefilqou_fails_with_witness(a6, b6, monkeypatch):
+    # the pure-filter form of filqou, under the same identity quotient
+    real = hz.quotient
+    for lat in (a6, b6):
+        assert _verdict("purefilqou", fresh(lat)) == hz.PASS
+    monkeypatch.setattr(hz, "quotient", lambda lat, f: real(lat, 1 << lat.top))
+    for lat, first in ((a6, list(a6.names)), (b6, ["d", "1"])):
+        assert _verdict("purefilqou", fresh(lat)) == hz.Verdict(
+            "fail", {"filter": first})
+
+
+def test_purefilqou_reads_the_pure_filters_of_the_quotient(b6):
+    # a planted memo entry drops a pure filter of B6/{1} alone: the pure
+    # form fails at {1}, and the all-filters form does not read it
+    lat = fresh(b6)
+    q = hz.quotient(lat, 1 << lat.top).quotient
+    q._cache["pure_filters"] = (1 << q.top, q.all_mask)
+    assert _verdict("purefilqou", lat) == hz.Verdict("fail", {"filter": ["1"]})
+    assert _verdict("filqou", lat) == hz.PASS
+
+
+def test_mp_and_1mineq_fail_with_witness(a6, b6, a8, monkeypatch):
+    # without the last minimal prime, the first prime over none of the
+    # rest fails mp, and the first minimal prime not listed fails 1mineq
+    real = hz.minimal_primes
+    for lat in (a6, a8):
+        assert _verdict("mp", lat) == _verdict("1mineq", lat) == hz.PASS
+    with monkeypatch.context() as m:
+        m.setattr(hz, "minimal_primes", lambda lat: real(lat)[:-1])
+        for lat, first in ((a6, ["1"]), (a8, ["c", "e", "1"])):
+            for pid in ("mp", "1mineq"):
+                assert _verdict(pid, lat) == hz.Verdict(
+                    "fail", {"prime": first}), pid
+    # every coannulet is all of A: no proper prime meets the criterion, so
+    # the first minimal prime fails
+    monkeypatch.setattr(hz, "x_perp", lambda lat, x: lat.all_mask)
+    assert _verdict("1mineq", b6) == hz.Verdict("fail", {"prime": ["d", "1"]})
+
+
+def test_sigfildef_fails_with_witness(a6, a8, monkeypatch):
+    # a defining form that returns F itself agrees exactly on the pure
+    # filters: the first filter that is not pure is the witness
+    for lat in (a6, a8):
+        assert _verdict("sigfildef", lat) == hz.PASS
+    monkeypatch.setattr(hz, "sigma_def", lambda lat, f: f)
+    for lat, first in ((a6, ["d", "1"]), (a8, ["f", "1"])):
+        assert _verdict("sigfildef", lat) == hz.Verdict(
+            "fail", {"filter": first})
+
+
+def test_minpurfil_fails_with_witness(a6, b6, monkeypatch):
+    # the first point no longer flagged purely minimal lies over no
+    # purely minimal point
+    real = hz.pure_spectrum
+    for lat in (a6, b6):
+        assert _verdict("minpurfil", lat) == hz.PASS
+
+    def first_not_minimal(lat):
+        spp = real(lat)
+        return dataclasses.replace(
+            spp, purely_minimal=(False,) + spp.purely_minimal[1:])
+    monkeypatch.setattr(hz, "pure_spectrum", first_not_minimal)
+    for lat, first in ((a6, ["1"]), (b6, ["d", "1"])):
+        assert _verdict("minpurfil", lat) == hz.Verdict(
+            "fail", {"point": first})
+
+
+def test_closurofp_fails_with_witness(a6, b6, monkeypatch):
+    # h(p) without the first point: the first point's closure differs
+    real = hz.h_set
+    for lat in (a6, b6):
+        assert _verdict("closurofp", lat) == hz.PASS
+    monkeypatch.setattr(hz, "h_set",
+                        lambda points, mask: real(points, mask) & ~1)
+    for lat, first in ((a6, ["1"]), (b6, ["d", "1"])):
+        assert _verdict("closurofp", lat) == hz.Verdict(
+            "fail", {"point": first})
+
+
+def test_flag_properties_fail_with_witness(a6, b6, monkeypatch):
+    # each property compares a classification flag (Spec an antichain, or
+    # beta = {0,1}) with a side broken here.  A6 is directly indecomposable
+    # and its Spec is a chain; B6 is neither
+    pids = ("hperarchpri", "sigmahyper", "huldtopohyper", "direcindbeta",
+            "sppconn")
+    for lat in (a6, b6):
+        assert [_verdict(pid, lat) for pid in pids] == [hz.PASS] * 5
+    real_report = hz.separation_report
+    for lat, connected, beta in ((a6, False, ["0", "1"]),
+                                 (b6, True, ["0", "a", "d", "1"])):
+        with monkeypatch.context() as m:
+            m.setattr(hz, "separation_report", lambda space: {
+                **real_report(space), "connected": connected})
+            assert _verdict("sppconn", lat) == hz.Verdict(
+                "fail", {"beta": beta, "connected": connected})
+    with monkeypatch.context() as m:
+        m.setattr(hz, "d_topology", lambda lat: spec_space(lat, "h"))
+        assert _verdict("huldtopohyper", a6) == hz.Verdict(
+            "fail", {"coincide": True})
+    with monkeypatch.context() as m:
+        m.setattr(hz, "pure_filters", lambda lat: (1 << lat.top,))
+        assert _verdict("sigmahyper", b6) == hz.Verdict(
+            "fail", {"clauses": [False, True, False]})
+    monkeypatch.setattr(hz, "direct_summands",
+                        lambda lat: (1 << lat.top, lat.all_mask))
+    assert _verdict("direcindbeta", b6) == hz.Verdict(
+        "fail", {"beta": ["0", "a", "d", "1"]})
+    assert _verdict("hperarchpri", b6) == hz.Verdict(
+        "fail", {"clauses": [False, True, True]})
+
+
 def test_intprimfilt_fails_with_witness(a6, b6, monkeypatch):
     real_spec, real_fil = hz.prime_filters, hz.enumerate_filters
     for lat, first in ((a6, ["a"]), (b6, [])):

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LatticeError, ResiduatedLattice, iter_bits
-from .filters import (cached, coannihilator, coannulets, enumerate_filters,
+from .filters import (coannihilator, coannulets, enumerate_filters,
                       generated_filter, hull, inside, kernel, maximal_filters,
-                      omega_filters, radical_index, x_perp)
+                      omega_filters, per_lattice, radical_index, x_perp)
 from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
                       minimal_primes, nested_pair, prime_filters, spec_space)
 from .purity import (d_topology, pure_filters, pure_spectrum, rho, rho_index,
@@ -47,6 +47,7 @@ class MpCertFailure(CertificateFailure):
     pass
 
 
+@per_lattice("boolean_center")
 def boolean_center(lat: ResiduatedLattice) -> dict:
     """Complemented elements with their complements.
 
@@ -55,33 +56,30 @@ def boolean_center(lat: ResiduatedLattice) -> dict:
     is the only complement, and that central products are meets
     (``boleleprop``).
     """
-    def build():
-        n, top, bottom = lat.n, lat.top, lat.bottom
-        elems = 0
-        complements = {}
-        for x in range(n):
-            comp = next((y for y in range(n) if lat.join[x][y] == top
-                         and lat.meet[x][y] == bottom), None)
-            if comp is not None:
-                elems |= 1 << x
-                complements[x] = comp
-        return {"elements": elems, "complements": complements}
-    return cached(lat, "boolean_center", build)
+    n, top, bottom = lat.n, lat.top, lat.bottom
+    elems = 0
+    complements = {}
+    for x in range(n):
+        comp = next((y for y in range(n) if lat.join[x][y] == top
+                     and lat.meet[x][y] == bottom), None)
+        if comp is not None:
+            elems |= 1 << x
+            complements[x] = comp
+    return {"elements": elems, "complements": complements}
 
 
+@per_lattice("direct_summands")
 def direct_summands(lat: ResiduatedLattice) -> tuple[int, ...]:
     """Filters F with F v F-perp = A.
 
     ``b9fxpro`` compares them with the upsets of central elements and with
     the filters that have a complement in the filter lattice.
     """
-    def build():
-        full = lat.all_mask
-        unit = 1 << lat.top
-        return tuple(f for f in enumerate_filters(lat).filters
-                     if generated_filter(lat, f | coannihilator(lat, unit, f))
-                     == full)
-    return cached(lat, "direct_summands", build)
+    full = lat.all_mask
+    unit = 1 << lat.top
+    return tuple(f for f in enumerate_filters(lat).filters
+                 if generated_filter(lat, f | coannihilator(lat, unit, f))
+                 == full)
 
 
 @dataclass(frozen=True)
@@ -105,45 +103,44 @@ class ClassificationReport:
                 "directly_indecomposable": self.directly_indecomposable}
 
 
+@per_lattice("classification")
 def classify(lat: ResiduatedLattice) -> ClassificationReport:
-    def build():
-        spec = prime_filters(lat)
-        maxf = maximal_filters(lat)
-        minp = minimal_primes(lat)
-        toks = lat.tokens_of
+    spec = prime_filters(lat)
+    maxf = maximal_filters(lat)
+    minp = minimal_primes(lat)
+    toks = lat.tokens_of
 
-        gelfand = Flag(True, {"check": "every prime under exactly one maximal"})
-        for p in spec:
-            over = hull(maxf, p)
-            if len(over) != 1:
-                gelfand = Flag(False, {"prime": toks(p),
-                                       "maximals": [toks(m) for m in over]})
-                break
+    gelfand = Flag(True, {"check": "every prime under exactly one maximal"})
+    for p in spec:
+        over = hull(maxf, p)
+        if len(over) != 1:
+            gelfand = Flag(False, {"prime": toks(p),
+                                   "maximals": [toks(m) for m in over]})
+            break
 
-        mp = Flag(True, {"check": "every prime over exactly one minimal prime"})
-        for p in spec:
-            under = inside(minp, p)
-            if len(under) != 1:
-                mp = Flag(False, {"prime": toks(p),
-                                  "minimal_primes": [toks(q) for q in under]})
-                break
+    mp = Flag(True, {"check": "every prime over exactly one minimal prime"})
+    for p in spec:
+        under = inside(minp, p)
+        if len(under) != 1:
+            mp = Flag(False, {"prime": toks(p),
+                              "minimal_primes": [toks(q) for q in under]})
+            break
 
-        pair = nested_pair(spec)
-        hyper = (Flag(True, {"check": "Spec is an antichain"}) if pair is None
-                 else Flag(False, {"lower": toks(pair[0]),
-                                   "upper": toks(pair[1])}))
+    pair = nested_pair(spec)
+    hyper = (Flag(True, {"check": "Spec is an antichain"}) if pair is None
+             else Flag(False, {"lower": toks(pair[0]),
+                               "upper": toks(pair[1])}))
 
-        beta = boolean_center(lat)["elements"]
-        trivial = (1 << lat.bottom) | (1 << lat.top)
-        if beta == trivial:
-            ind = Flag(True, {"check": "Boolean center is {0,1}"})
-        else:
-            extra = next(e for e in iter_bits(beta & ~trivial))
-            ind = Flag(False, {"central_element": lat.names[extra]})
+    beta = boolean_center(lat)["elements"]
+    trivial = (1 << lat.bottom) | (1 << lat.top)
+    if beta == trivial:
+        ind = Flag(True, {"check": "Boolean center is {0,1}"})
+    else:
+        extra = next(e for e in iter_bits(beta & ~trivial))
+        ind = Flag(False, {"central_element": lat.names[extra]})
 
-        return ClassificationReport(gelfand, mp, hyper, ind, beta,
-                                    direct_summands(lat))
-    return cached(lat, "classification", build)
+    return ClassificationReport(gelfand, mp, hyper, ind, beta,
+                                direct_summands(lat))
 
 
 def verify_flag_witness(lat: ResiduatedLattice, name: str, flag: Flag) -> bool:

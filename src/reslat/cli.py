@@ -329,6 +329,9 @@ def _cmd_quotient(args):
 
 def _cmd_gen(args):
     if args.product:
+        if args.family is not None or args.size is not None:
+            raise _CliError(EXIT_USAGE, "gen takes --family and --size, or "
+                                        "--product, not both")
         if len(args.product) < 2:
             raise _CliError(EXIT_USAGE, "gen --product needs at least two "
                                         "lattice files")

@@ -409,6 +409,7 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     rows involving the top default to the other operand, and every other
     unordered pair must appear exactly once.  A carrier past
     ``MAX_ELEMENTS`` raises :class:`SizeLimit` at its ``elements`` line.
+    The ``lattice``, ``elements``, ``bottom`` and ``top`` lines appear once.
     """
     name = None
     element_names: list[str] = []
@@ -417,6 +418,7 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     covers: list[tuple[int, int]] = []
     mul_rows: dict[tuple[int, int], int] = {}     # (min, max) -> value
     res_claims: list[tuple[int, int, int]] = []
+    seen: set[str] = set()                        # directives read so far
     ended = False
 
     def want(tok, line_no):
@@ -432,6 +434,9 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
             raise ParseError(line_no, "content after 'end'")
         words = line.split()
         head, args = words[0], words[1:]
+        if head in seen and head in ("lattice", "elements", "bottom", "top"):
+            raise ParseError(line_no, f"duplicate {head!r} line")
+        seen.add(head)
         if head == "lattice":
             if len(args) != 1:
                 raise ParseError(line_no, "expected: lattice <name>")
@@ -519,23 +524,23 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     return RawTables(name, element_names, leq, prod, bottom, top, res_claims)
 
 
-def load_lattice(path) -> ResiduatedLattice:
-    """Parse and validate a lattice file; raise ValidationFailure if bad."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_lattice_text(fh.read(), source=str(path))
+def _validated(raw: RawTables) -> ResiduatedLattice:
     out = validate(raw)
     if isinstance(out, ValidationReport):
         raise ValidationFailure(out)
     return out
+
+
+def load_lattice(path) -> ResiduatedLattice:
+    """Parse and validate a lattice file; raise ValidationFailure if bad."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return _validated(parse_lattice_text(text, source=str(path)))
 
 
 def lattice_from_tables(name, names, leq, prod, bottom, top) -> ResiduatedLattice:
     """Validate in-memory tables; raise ValidationFailure if bad."""
-    raw = RawTables(name, list(names), leq, prod, bottom, top)
-    out = validate(raw)
-    if isinstance(out, ValidationReport):
-        raise ValidationFailure(out)
-    return out
+    return _validated(RawTables(name, list(names), leq, prod, bottom, top))
 
 
 def direct_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLattice:
@@ -552,9 +557,5 @@ def direct_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLatt
            for x1, x2 in pairs]
     prod = [[a.prod[x1][y1] * n2 + b.prod[x2][y2] for y1, y2 in pairs]
             for x1, x2 in pairs]
-    raw = RawTables(f"{a.name}x{b.name}", names, leq, prod,
-                    a.bottom * n2 + b.bottom, a.top * n2 + b.top)
-    out = validate(raw)
-    if isinstance(out, ValidationReport):
-        raise ValidationFailure(out)
-    return out
+    return _validated(RawTables(f"{a.name}x{b.name}", names, leq, prod,
+                                a.bottom * n2 + b.bottom, a.top * n2 + b.top))

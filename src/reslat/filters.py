@@ -16,7 +16,8 @@ subsets, on two lemmas about finite integral residuated lattices
 * every lattice ideal (nonempty join-closed downset) of a finite lattice is
   the principal downset of its largest element.
 
-The filter primitives read per-lattice tables built once through ``cached``:
+Every per-lattice object is a ``per_lattice`` memo.  The filter primitives
+read these tables, and the hottest three read the memo dict directly:
 
 * join rows: ``join_rows(lat)[t][x]`` = {a : a v x = t}.  An element a
   satisfies a v x in F exactly when a lies in the row of t = a v x, so
@@ -27,26 +28,41 @@ The filter primitives read per-lattice tables built once through ``cached``:
   the product (join) of a subset is the product (join) of those of its
   8-bit chunks, and a table per chunk (one entry per byte value) gives it
   in ceil(n/8) lookups.
-
-The theorem suite calls these primitives hundreds of thousands of times on
-a 64-element instance, so they read the memo directly and go through
-``cached`` only to build a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
 
 
 def cached(lat: ResiduatedLattice, key, build):
-    """Memoize a pure per-lattice computation on the instance itself."""
+    """Build one memo entry on a miss; the benchmark tracer wraps this name."""
     try:
         return lat._cache[key]
     except KeyError:
         val = lat._cache[key] = build()
         return val
+
+
+_MISS = object()
+
+
+def per_lattice(kind: str):
+    """Memoize ``fn(lat, *args)`` on the lattice under ``kind``, or under
+    ``(kind, *args)`` when there are arguments; a miss builds via ``cached``."""
+    def decorate(fn):
+        @wraps(fn)
+        def memo(lat, *args):
+            key = (kind,) + args if args else kind
+            val = lat._cache.get(key, _MISS)
+            if val is _MISS:
+                val = cached(lat, key, lambda: fn(lat, *args))
+            return val
+        return memo
+    return decorate
 
 
 def hull(masks, x_mask: int) -> list[int]:
@@ -92,6 +108,7 @@ def generated_filter(lat: ResiduatedLattice, mask: int) -> int:
     up(p^oo) is a filter because p^oo is idempotent.  p comes from the byte
     tables and p^oo from a table of the idempotent reached by each element.
     """
+    # read directly, not via per_lattice: ~60 000 calls per acceptance pass
     chunks, stable = lat._cache.get("product_tables") or _product_tables(lat)
     prod = lat.prod
     p = lat.top
@@ -117,18 +134,17 @@ def _byte_tables(lat: ResiduatedLattice, op, unit: int) -> tuple:
     return tuple(chunks)
 
 
+@per_lattice("product_tables")
 def _product_tables(lat: ResiduatedLattice):
     """(chunks, stable): the product byte tables, and stable[p] the
     idempotent p^oo."""
-    def build():
-        prod = lat.prod
-        stable = []
-        for p in range(lat.n):
-            while prod[p][p] != p:
-                p = prod[p][p]
-            stable.append(p)
-        return _byte_tables(lat, prod, lat.top), tuple(stable)
-    return cached(lat, "product_tables", build)
+    prod = lat.prod
+    stable = []
+    for p in range(lat.n):
+        while prod[p][p] != p:
+            p = prod[p][p]
+        stable.append(p)
+    return _byte_tables(lat, prod, lat.top), tuple(stable)
 
 
 @dataclass(frozen=True)
@@ -170,41 +186,38 @@ class FiltersLattice:
         return tuple(f for f in self.filters if f != full)
 
 
+@per_lattice("filters_lattice")
 def enumerate_filters(lat: ResiduatedLattice) -> FiltersLattice:
     """Fil(A) as the upsets of the idempotents, in canonical mask order.
 
     For idempotents e and g the join table reads up(e*g); e*g is
     idempotent, so each entry is one lookup.
     """
-
-    def build():
-        prod, up = lat.prod, lat.up
-        least = {up[e]: e for e in range(lat.n) if prod[e][e] == e}
-        found = sorted(least, key=mask_key)
-        index = {f: i for i, f in enumerate(found)}
-        gens = [least[f] for f in found]
-        join_t = tuple(tuple(index[up[prod[e][g]]] for g in gens) for e in gens)
-        return FiltersLattice(lat.name, lat.names, tuple(found), index, join_t,
-                              index[lat.all_mask])
-
-    return cached(lat, "filters_lattice", build)
+    prod, up = lat.prod, lat.up
+    least = {up[e]: e for e in range(lat.n) if prod[e][e] == e}
+    found = sorted(least, key=mask_key)
+    index = {f: i for i, f in enumerate(found)}
+    gens = [least[f] for f in found]
+    join_t = tuple(tuple(index[up[prod[e][g]]] for g in gens) for e in gens)
+    return FiltersLattice(lat.name, lat.names, tuple(found), index, join_t,
+                          index[lat.all_mask])
 
 
+@per_lattice("join_rows")
 def join_rows(lat: ResiduatedLattice) -> tuple:
     """rows[t][x] = {a : a v x = t}, one bitmask per pair (t, x)."""
-    def build():
-        n, join = lat.n, lat.join
-        rows = [[0] * n for _ in range(n)]
-        for a in range(n):
-            bit = 1 << a
-            for x, t in enumerate(join[a]):
-                rows[t][x] |= bit
-        return tuple(map(tuple, rows))
-    return cached(lat, "join_rows", build)
+    n, join = lat.n, lat.join
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        bit = 1 << a
+        for x, t in enumerate(join[a]):
+            rows[t][x] |= bit
+    return tuple(map(tuple, rows))
 
 
 def coannihilator(lat: ResiduatedLattice, f_mask: int, x_mask: int) -> int:
     """(F : X) = elements whose join with every member of X lands in F."""
+    # read directly, not via per_lattice: ~1 100 calls per acceptance pass
     rows = lat._cache.get("join_rows") or join_rows(lat)
     ts = [rows[t] for t in iter_bits(f_mask)]
     out = lat.all_mask
@@ -226,12 +239,16 @@ def coannulets(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def double_perp(lat: ResiduatedLattice, x: int) -> int:
-    def build():
-        unit = 1 << lat.top
-        return tuple(coannihilator(lat, unit, p) for p in coannulets(lat))
-    return cached(lat, "double_perp", build)[x]
+    return _double_perps(lat)[x]
 
 
+@per_lattice("double_perp")
+def _double_perps(lat: ResiduatedLattice) -> tuple[int, ...]:
+    unit = 1 << lat.top
+    return tuple(coannihilator(lat, unit, p) for p in coannulets(lat))
+
+
+@per_lattice("coannulet_table")
 def coannulet_table(lat: ResiduatedLattice):
     """(F : a) for every filter F and element a, indexed like the filter list.
 
@@ -240,24 +257,21 @@ def coannulet_table(lat: ResiduatedLattice):
     string of F ('1' at t for t in F) is (F : a) written in binary.  That is
     one pass in C per (F, a) for a carrier of at most 256 elements.
     """
-    def build():
-        n = lat.n
-        rows = [bytes(row[::-1]) for row in lat.join]
-        out = []
-        for f in enumerate_filters(lat).filters:
-            member = format(f, f"0{n}b")[::-1].ljust(256, "0").encode()
-            out.append(tuple([int(row.translate(member), 2) for row in rows]))
-        return tuple(out)
-    return cached(lat, "coannulet_table", build)
+    n = lat.n
+    rows = [bytes(row[::-1]) for row in lat.join]
+    out = []
+    for f in enumerate_filters(lat).filters:
+        member = format(f, f"0{n}b")[::-1].ljust(256, "0").encode()
+        out.append(tuple([int(row.translate(member), 2) for row in rows]))
+    return tuple(out)
 
 
+@per_lattice("maximal_filters")
 def maximal_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
     """Inclusion-maximal proper filters, in the canonical filter order."""
-    def build():
-        proper = enumerate_filters(lat).proper
-        return tuple(f for f in proper
-                     if not any(f != g and f & g == f for g in proper))
-    return cached(lat, "maximal_filters", build)
+    proper = enumerate_filters(lat).proper
+    return tuple(f for f in proper
+                 if not any(f != g and f & g == f for g in proper))
 
 
 def radical(lat: ResiduatedLattice, f_mask: int) -> int:
@@ -265,23 +279,23 @@ def radical(lat: ResiduatedLattice, f_mask: int) -> int:
     return kernel(lat, hull(maximal_filters(lat), f_mask))
 
 
-def image_index(lat: ResiduatedLattice, key: str, op) -> tuple[int, ...]:
+def image_index(lat: ResiduatedLattice, op) -> tuple[int, ...]:
     """The filter index of op(lat, F) for each filter F, in filter order.
 
-    Built once per lattice under ``key`` by calling ``op`` on each filter
-    and ``FiltersLattice.idx`` on its image, so an image that is not a
-    filter raises LatticeError.  The theorem suite's loops over pairs of
-    filters read these vectors and ``join_t`` instead of the operator.
+    Calls ``op`` on each filter and ``FiltersLattice.idx`` on its image, so
+    an image that is not a filter raises LatticeError.  Each operator's
+    vector is memoized by its own ``per_lattice`` one-liner; the theorem
+    suite's loops over pairs of filters read these vectors and ``join_t``
+    instead of the operator.
     """
-    def build():
-        fl = enumerate_filters(lat)
-        return tuple([fl.idx(op(lat, f)) for f in fl.filters])
-    return lat._cache.get(key) or cached(lat, key, build)
+    fl = enumerate_filters(lat)
+    return tuple([fl.idx(op(lat, f)) for f in fl.filters])
 
 
+@per_lattice("radical_index")
 def radical_index(lat: ResiduatedLattice) -> tuple[int, ...]:
     """The filter index of rad(F) for each filter F."""
-    return image_index(lat, "radical_index", radical)
+    return image_index(lat, radical)
 
 
 @dataclass(frozen=True)
@@ -311,6 +325,7 @@ class QuotientResult:
         return out
 
 
+@per_lattice("quotient")
 def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     """Quotient by a filter F, whose classes are the fibres of x -> e*x.
 
@@ -323,12 +338,6 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     projection (``class_of[op[v_i][v_j]]``): the congruence of a filter
     respects every operation, so no validation pass is needed.
     """
-    key = ("quotient", f_mask)
-    return lat._cache.get(key) or cached(lat, key,
-                                         lambda: _quotient(lat, f_mask))
-
-
-def _quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     e = lat.up.index(f_mask) if f_mask in lat.up else None
     if e is None or lat.prod[e][e] != e:
         raise LatticeError(f"{lat.name}: {lat.set_str(f_mask)} is not a filter")
@@ -355,18 +364,23 @@ def _quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     return QuotientResult(q, class_of, classes, len(classes) == 1)
 
 
+@per_lattice("lattice_ideals")
 def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
     """Nonempty join-closed downsets of the underlying lattice.
 
     In a finite lattice each one is down(x) for its join x, so these are
     the n principal downsets.
     """
-    return cached(lat, "lattice_ideals",
-                  lambda: tuple(sorted(lat.down, key=mask_key)))
+    return tuple(sorted(lat.down, key=mask_key))
 
 
 def principal_ideal(lat: ResiduatedLattice, x: int) -> int:
     return lat.down[x]
+
+
+@per_lattice("join_tables")
+def _join_tables(lat: ResiduatedLattice) -> tuple:
+    return _byte_tables(lat, lat.join, lat.bottom)
 
 
 def ideal_generated(lat: ResiduatedLattice, mask: int) -> int:
@@ -377,8 +391,8 @@ def ideal_generated(lat: ResiduatedLattice, mask: int) -> int:
     """
     if mask == 0:
         raise LatticeError("the empty set generates no ideal")
-    chunks = lat._cache.get("join_tables") or cached(
-        lat, "join_tables", lambda: _byte_tables(lat, lat.join, lat.bottom))
+    # read directly, not via per_lattice: ~7 700 calls per acceptance pass
+    chunks = lat._cache.get("join_tables") or _join_tables(lat)
     join = lat.join
     x = lat.bottom
     for t in chunks:
@@ -398,12 +412,11 @@ def omega_filter(lat: ResiduatedLattice, ideal_mask: int) -> int:
     return out
 
 
+@per_lattice("omega_filters")
 def omega_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
     """The set of all omega-filters (one per lattice ideal, deduplicated)."""
-    def build():
-        seen = {omega_filter(lat, i) for i in lattice_ideals(lat)}
-        return tuple(sorted(seen, key=mask_key))
-    return cached(lat, "omega_filters", build)
+    seen = {omega_filter(lat, i) for i in lattice_ideals(lat)}
+    return tuple(sorted(seen, key=mask_key))
 
 
 def is_alpha_filter(lat: ResiduatedLattice, f_mask: int) -> bool:

@@ -13,9 +13,9 @@ from functools import reduce
 from operator import or_
 
 from .core import LatticeError, ResiduatedLattice, mask_key
-from .filters import (cached, coannulets, double_perp, enumerate_filters,
+from .filters import (coannulets, double_perp, enumerate_filters,
                       generated_filter, hull, image_index, inside, kernel,
-                      maximal_filters, omega_filter)
+                      maximal_filters, omega_filter, per_lattice)
 from .spectra import (D_operator, d_set, minimal_primes, prime_filters,
                       spec_space)
 from .topology import (FiniteSpace, PointMap, map_analysis,
@@ -61,52 +61,47 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     }
 
 
+@per_lattice("sink_ideal")
 def sink_ideal(lat: ResiduatedLattice, f_mask: int) -> int:
     """I_F = {a : <a^perp-perp u F> = A}, whose omega is the sink (``f6``)."""
-    return cached(lat, ("sink_ideal", f_mask), lambda: sum(
-        1 << a for a in range(lat.n)
-        if generated_filter(lat, double_perp(lat, a) | f_mask) == lat.all_mask))
+    return sum(1 << a for a in range(lat.n)
+               if generated_filter(lat, double_perp(lat, a) | f_mask)
+               == lat.all_mask)
 
 
+@per_lattice("sigma")
 def sigma_filter(lat: ResiduatedLattice, f_mask: int) -> int:
-    """The sink of a filter: elements whose coannulet is comaximal with F.
-
-    The memo is read before a build is set up: the suite asks for the sink
-    of the same filters many times over.
-    """
-    key = ("sigma", f_mask)
-    return lat._cache.get(key) or cached(lat, key, lambda: sum(
-        1 << a for a, perp in enumerate(coannulets(lat))
-        if generated_filter(lat, perp | f_mask) == lat.all_mask))
+    """The sink of a filter: elements whose coannulet is comaximal with F."""
+    return sum(1 << a for a, perp in enumerate(coannulets(lat))
+               if generated_filter(lat, perp | f_mask) == lat.all_mask)
 
 
+@per_lattice("sigma_index")
 def sigma_index(lat: ResiduatedLattice) -> tuple[int, ...]:
     """The filter index of the sink of each filter."""
-    return image_index(lat, "sigma_index", sigma_filter)
+    return image_index(lat, sigma_filter)
 
 
 def is_pure(lat: ResiduatedLattice, f_mask: int) -> bool:
     return sigma_filter(lat, f_mask) == f_mask
 
 
+@per_lattice("pure_filters")
 def pure_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
-    def build():
-        return tuple(f for f in enumerate_filters(lat).filters
-                     if is_pure(lat, f))
-    return cached(lat, "pure_filters", build)
+    return tuple(f for f in enumerate_filters(lat).filters if is_pure(lat, f))
 
 
+@per_lattice("rho")
 def rho(lat: ResiduatedLattice, f_mask: int) -> int:
-    """Pure part: the join of the pure filters inside F (memo read first,
-    as in ``sigma_filter``)."""
-    key = ("rho", f_mask)
-    return lat._cache.get(key) or cached(lat, key, lambda: generated_filter(
-        lat, reduce(or_, inside(pure_filters(lat), f_mask), 0)))
+    """Pure part: the join of the pure filters inside F."""
+    return generated_filter(
+        lat, reduce(or_, inside(pure_filters(lat), f_mask), 0))
 
 
+@per_lattice("rho_index")
 def rho_index(lat: ResiduatedLattice) -> tuple[int, ...]:
     """The filter index of the pure part of each filter."""
-    return image_index(lat, "rho_index", rho)
+    return image_index(lat, rho)
 
 
 def d_of(lat: ResiduatedLattice, f_mask: int) -> int:
@@ -114,6 +109,7 @@ def d_of(lat: ResiduatedLattice, f_mask: int) -> int:
     return d_set(prime_filters(lat), f_mask)
 
 
+@per_lattice("purely_prime")
 def purely_prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
     """Proper pure filters that are meet-irreducible among pure filters."""
     def irreducible(p, pure):
@@ -122,11 +118,9 @@ def purely_prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
         return all(f & g & ~p for i, f in enumerate(outside)
                    for g in outside[i + 1:])
 
-    def build():
-        pure = pure_filters(lat)
-        return tuple(sorted((p for p in pure if p != lat.all_mask
-                             and irreducible(p, pure)), key=mask_key))
-    return cached(lat, "purely_prime", build)
+    pure = pure_filters(lat)
+    return tuple(sorted((p for p in pure if p != lat.all_mask
+                         and irreducible(p, pure)), key=mask_key))
 
 
 @dataclass(frozen=True)
@@ -142,45 +136,42 @@ class PureSpectrum:
         return len(self.points)
 
 
+@per_lattice("pure_spectrum")
 def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
-    def build():
-        pts = purely_prime_filters(lat)
-        pure = pure_filters(lat)
-        space = space_from_subbasis(pts, {d_set(pts, f) for f in pure},
-                                    f"Spp({lat.name})",
-                                    tuple(lat.set_str(p) for p in pts))
-        proper_pure = [f for f in pure if f != lat.all_mask]
-        pmax = tuple(hull(proper_pure, p) == [p] for p in pts)
-        pmin = tuple(inside(pts, p) == [p] for p in pts)
-        return PureSpectrum(pts, space, pmax, pmin)
-    return cached(lat, "pure_spectrum", build)
+    pts = purely_prime_filters(lat)
+    pure = pure_filters(lat)
+    space = space_from_subbasis(pts, {d_set(pts, f) for f in pure},
+                                f"Spp({lat.name})",
+                                tuple(lat.set_str(p) for p in pts))
+    proper_pure = [f for f in pure if f != lat.all_mask]
+    pmax = tuple(hull(proper_pure, p) == [p] for p in pts)
+    pmin = tuple(inside(pts, p) == [p] for p in pts)
+    return PureSpectrum(pts, space, pmax, pmin)
 
 
+@per_lattice("d_topology")
 def d_topology(lat: ResiduatedLattice) -> FiniteSpace:
     """Opens d(F) for pure F, on the prime spectrum."""
-    def build():
-        spec = prime_filters(lat)
-        fam = {d_of(lat, f) for f in pure_filters(lat)}
-        return space_from_subbasis(spec, fam, f"Spec_D({lat.name})",
-                                   tuple(lat.set_str(p) for p in spec))
-    return cached(lat, "d_topology", build)
+    spec = prime_filters(lat)
+    fam = {d_of(lat, f) for f in pure_filters(lat)}
+    return space_from_subbasis(spec, fam, f"Spec_D({lat.name})",
+                               tuple(lat.set_str(p) for p in spec))
 
 
+@per_lattice("pure_part_map")
 def pure_part_map(lat: ResiduatedLattice) -> PointMap:
     """Spec_h -> Spp sending a prime to its pure part (checked landing)."""
-    def build():
-        spp = pure_spectrum(lat)
-        src = spec_space(lat, "h")
-        idx = {p: i for i, p in enumerate(spp.points)}
-        mapping = []
-        for p in prime_filters(lat):
-            r = rho(lat, p)
-            if r not in idx:
-                raise LatticeError(f"{lat.name}: pure part of a prime "
-                                   f"{lat.set_str(p)} is not purely prime")
-            mapping.append(idx[r])
-        return PointMap(src, spp.space, tuple(mapping))
-    return cached(lat, "pure_part_map", build)
+    spp = pure_spectrum(lat)
+    src = spec_space(lat, "h")
+    idx = {p: i for i, p in enumerate(spp.points)}
+    mapping = []
+    for p in prime_filters(lat):
+        r = rho(lat, p)
+        if r not in idx:
+            raise LatticeError(f"{lat.name}: pure part of a prime "
+                               f"{lat.set_str(p)} is not purely prime")
+        mapping.append(idx[r])
+    return PointMap(src, spp.space, tuple(mapping))
 
 
 def pure_part_map_report(lat: ResiduatedLattice) -> dict:

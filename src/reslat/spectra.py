@@ -8,8 +8,8 @@ them re-index the points 0..k-1 and carry the filter masks as labels.
 from __future__ import annotations
 
 from .core import LatticeError, ResiduatedLattice, iter_bits
-from .filters import (cached, enumerate_filters, hull, inside,
-                      maximal_filters, x_perp)
+from .filters import (enumerate_filters, hull, inside, maximal_filters,
+                      per_lattice, x_perp)
 from .topology import FiniteSpace, space_from_subbasis
 
 
@@ -35,18 +35,15 @@ def is_prime(lat: ResiduatedLattice, mask: int) -> bool:
     return True
 
 
+@per_lattice("prime_filters")
 def prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
-    def build():
-        return tuple(f for f in enumerate_filters(lat).proper
-                     if is_prime(lat, f))
-    return cached(lat, "prime_filters", build)
+    return tuple(f for f in enumerate_filters(lat).proper if is_prime(lat, f))
 
 
+@per_lattice("minimal_primes")
 def minimal_primes(lat: ResiduatedLattice) -> tuple[int, ...]:
-    def build():
-        spec = prime_filters(lat)
-        return tuple(p for p in spec if inside(spec, p) == [p])
-    return cached(lat, "minimal_primes", build)
+    spec = prime_filters(lat)
+    return tuple(p for p in spec if inside(spec, p) == [p])
 
 
 def spectrum(lat: ResiduatedLattice, kind: str) -> tuple[int, ...]:
@@ -60,6 +57,7 @@ def spectrum(lat: ResiduatedLattice, kind: str) -> tuple[int, ...]:
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
+@per_lattice("D")
 def D_operator(lat: ResiduatedLattice, p_mask: int) -> int:
     """D(p) = elements joining to 1 with something outside p.
 
@@ -67,20 +65,17 @@ def D_operator(lat: ResiduatedLattice, p_mask: int) -> int:
     formula with the intersections of the primes and of the minimal primes
     inside p (``omegprop`` item 2).
     """
-    def build():
-        if not is_prime(lat, p_mask):
-            raise NotPrime(f"{lat.name}: {lat.set_str(p_mask)} is not prime")
-        join = lat.join
-        top = lat.top
-        outside = [y for y in range(lat.n) if not (p_mask >> y) & 1]
-        d = 0
-        for a in range(lat.n):
-            row = join[a]
-            if any(row[y] == top for y in outside):
-                d |= 1 << a
-        return d
-
-    return cached(lat, ("D", p_mask), build)
+    if not is_prime(lat, p_mask):
+        raise NotPrime(f"{lat.name}: {lat.set_str(p_mask)} is not prime")
+    join = lat.join
+    top = lat.top
+    outside = [y for y in range(lat.n) if not (p_mask >> y) & 1]
+    d = 0
+    for a in range(lat.n):
+        row = join[a]
+        if any(row[y] == top for y in outside):
+            d |= 1 << a
+    return d
 
 
 def h_set(points, x_mask: int) -> int:
@@ -93,15 +88,16 @@ def point_rows(lat: ResiduatedLattice, points) -> tuple[int, ...]:
 
     Built once per point family and shared by every space over it.
     """
-    pts = tuple(points)
+    return _point_rows(lat, tuple(points))
 
-    def build():
-        rows = [0] * lat.n
-        for i, p in enumerate(pts):
-            for x in iter_bits(p):
-                rows[x] |= 1 << i
-        return tuple(rows)
-    return cached(lat, ("point_rows", pts), build)
+
+@per_lattice("point_rows")
+def _point_rows(lat: ResiduatedLattice, pts: tuple) -> tuple[int, ...]:
+    rows = [0] * lat.n
+    for i, p in enumerate(pts):
+        for x in iter_bits(p):
+            rows[x] |= 1 << i
+    return tuple(rows)
 
 
 def d_set(points, x_mask: int) -> int:
@@ -137,19 +133,17 @@ def hull_kernel_space(lat: ResiduatedLattice, points, flavor: str,
                                tuple(lat.set_str(p) for p in pts))
 
 
+@per_lattice("spec_space")
 def spec_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
-    def build():
-        return hull_kernel_space(lat, prime_filters(lat), flavor,
-                                 f"Spec_{flavor}({lat.name})")
-    return cached(lat, ("spec_space", flavor), build)
+    return hull_kernel_space(lat, prime_filters(lat), flavor,
+                             f"Spec_{flavor}({lat.name})")
 
 
+@per_lattice("min_space")
 def min_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
     """The minimal primes with the h or d hull-kernel topology."""
-    def build():
-        return hull_kernel_space(lat, minimal_primes(lat), flavor,
-                                 f"Min_{flavor}({lat.name})")
-    return cached(lat, ("min_space", flavor), build)
+    return hull_kernel_space(lat, minimal_primes(lat), flavor,
+                             f"Min_{flavor}({lat.name})")
 
 
 def stability(points, subset_mask: int) -> int:

@@ -193,6 +193,16 @@ def test_gen_product_of_three_factors(tmp_path):
     assert out["stderr"] == "gen --product needs at least two lattice files\n"
 
 
+def test_gen_refuses_family_or_size_with_product(tmp_path):
+    g2 = _gen_chain_file(tmp_path, 2)
+    for extra in (["--family", "godel", "--size", "3"], ["--family", "godel"],
+                  ["--size", "3"]):
+        out = run_cli(["gen", *extra, "--product", g2, g2])
+        assert out == {"exit": 3, "stdout": "",
+                       "stderr": "gen takes --family and --size, or --product, "
+                                 "not both\n"}, extra
+
+
 def test_product_filter_tokens_round_trip(tmp_path):
     g2 = tmp_path / "g2.rlat"
     g2.write_text(run_cli(["gen", "--family", "godel", "--size", "2"])["stdout"],

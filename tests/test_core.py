@@ -411,8 +411,18 @@ def test_res_rows_cross_checked():
     ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\nend trailing words", "expected: end"),
     ("lattice X\nelements 0 1\ntop 1\ncover 0 1\nend", "bottom"),
     ("lattice X\nelements 0 0\nbottom 0\ntop 0\nend", "distinct"),
+    ("lattice X\nlattice Y\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\nend",
+     "line 2: duplicate 'lattice' line"),
+    # a second carrier would re-read the earlier cover's indices
+    ("lattice X\nelements 0 1\ncover 0 1\nelements 0 a 1\nbottom 0\ntop 1\n"
+     "cover a 1\nmul a a a\nend", "line 4: duplicate 'elements' line"),
+    ("lattice X\nelements 0 1\nbottom 0\ntop 1\nbottom 0\ncover 0 1\nend",
+     "line 5: duplicate 'bottom' line"),
+    ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\ntop 0\nend",
+     "line 6: duplicate 'top' line"),
 ], ids=["dup-mul", "missing-mul", "unknown-tok", "after-end", "end-args",
-     "no-bottom", "dup-tok"])
+     "no-bottom", "dup-tok", "dup-lattice", "dup-elements", "dup-bottom",
+     "dup-top"])
 def test_parse_errors(text, snippet):
     with pytest.raises(ParseError) as err:
         parse_lattice_text(text)

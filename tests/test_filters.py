@@ -223,6 +223,32 @@ def test_no_subset_sweep_at_the_cap(monkeypatch):
     assert calls == []
 
 
+def test_per_lattice_memoizes_once_per_key(a6, monkeypatch):
+    lat, calls, built = fresh(a6), [], []
+    real = fi.cached
+    monkeypatch.setattr(fi, "cached", lambda lat, key, build: (
+        built.append(key), real(lat, key, build))[1])
+
+    @fi.per_lattice("probe")
+    def probe(lat, *args):
+        calls.append(args)
+        if args == ("boom",):
+            raise LatticeError("boom")
+        return ()
+
+    assert probe(lat) == () and probe(lat) == ()      # a falsy value is a hit
+    assert probe(lat, 1) == () and probe(lat, 1) == () and probe(lat, 2) == ()
+    assert calls == [(), (1,), (2,)]
+    assert built == ["probe", ("probe", 1), ("probe", 2)]   # a hit skips cached
+    assert lat._cache == {"probe": (), ("probe", 1): (), ("probe", 2): ()}
+    with pytest.raises(LatticeError):
+        probe(lat, "boom")
+    assert ("probe", "boom") not in lat._cache
+    with pytest.raises(LatticeError):
+        probe(lat, "boom")                             # and builds again
+    assert calls[-2:] == [("boom",), ("boom",)]
+
+
 def test_two_chain_has_two_filters():
     assert len(fi.enumerate_filters(godel_chain(2))) == 2
 

@@ -17,7 +17,8 @@ subsets, on two lemmas about finite integral residuated lattices
   the principal downset of its largest element.
 
 Every per-lattice object is a ``per_lattice`` memo.  The filter primitives
-read these tables, and the hottest three read the memo dict directly:
+read these tables; only ``generated_filter``, the hottest, reads its
+product tables from the memo dict directly:
 
 * join rows: ``join_rows(lat)[t][x]`` = {a : a v x = t}.  An element a
   satisfies a v x in F exactly when a lies in the row of t = a v x, so
@@ -217,8 +218,7 @@ def join_rows(lat: ResiduatedLattice) -> tuple:
 
 def coannihilator(lat: ResiduatedLattice, f_mask: int, x_mask: int) -> int:
     """(F : X) = elements whose join with every member of X lands in F."""
-    # read directly, not via per_lattice: ~1 100 calls per acceptance pass
-    rows = lat._cache.get("join_rows") or join_rows(lat)
+    rows = join_rows(lat)
     ts = [rows[t] for t in iter_bits(f_mask)]
     out = lat.all_mask
     for x in iter_bits(x_mask):
@@ -391,8 +391,7 @@ def ideal_generated(lat: ResiduatedLattice, mask: int) -> int:
     """
     if mask == 0:
         raise LatticeError("the empty set generates no ideal")
-    # read directly, not via per_lattice: ~7 700 calls per acceptance pass
-    chunks = lat._cache.get("join_tables") or _join_tables(lat)
+    chunks = _join_tables(lat)
     join = lat.join
     x = lat.bottom
     for t in chunks:

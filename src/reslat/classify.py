@@ -136,7 +136,7 @@ def classify(lat: ResiduatedLattice) -> ClassificationReport:
     if beta == trivial:
         ind = Flag(True, {"check": "Boolean center is {0,1}"})
     else:
-        extra = next(e for e in iter_bits(beta & ~trivial))
+        extra = iter_bits(beta & ~trivial)[0]
         ind = Flag(False, {"central_element": lat.names[extra]})
 
     return ClassificationReport(gelfand, mp, hyper, ind, beta,

@@ -4,6 +4,9 @@ A residuated lattice here is a bounded lattice (A; v, ^, 0, 1) carrying a
 commutative monoid product * with unit 1 such that (*, ->) is an adjoint
 pair: x*z <= y iff z <= x->y.  Everything is finite and element-indexed;
 subsets of the carrier travel as int bitmasks throughout the package.
+
+Every layer reads masks back through one bit kernel, ``iter_bits`` and
+``mask_key``, off per-byte index tables sized from ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -71,25 +74,46 @@ class ValidationFailure(LatticeError):
 # opens only of spaces with at most |Fil| + 1 of them: Spec_h, Spec_d, Spp,
 # Spec_D and their subspaces.  The cap bounds polynomial work (validate's
 # O(n^3) axiom checks, suite properties of order |Fil|^2 * n and
-# |Fil| * n^2) and the products that `gen --product` writes.
+# |Fil| * n^2) and the products that `gen --product` writes.  The bit
+# kernel's tables are sized from it, so raising it needs no other edit.
 MAX_ELEMENTS = 64
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+def _bit_rows() -> tuple:
+    """rows[k][b]: the indices 8k + i of the set bits i of the byte b.  Each
+    bit doubles a row: the entries with bit i set extend those without it."""
+    rows = []
+    for base in range(0, MAX_ELEMENTS, 8):
+        t = [()]
+        for i in range(base, base + 8):
+            bit = (i,)
+            t += [e + bit for e in t]
+        rows.append(tuple(t))
+    return tuple(rows)
 
 
-def iter_bits(mask: int):
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_BIT_ROWS = _bit_rows()
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The set-bit indices of ``mask`` in increasing order, one table row
+    per byte; a negative or over-cap mask raises ValueError."""
+    if 0 <= mask < 256:
+        return _BIT_ROWS[0][mask]
+    if mask < 0 or mask >> MAX_ELEMENTS:
+        raise ValueError(f"mask {mask:#x} is outside the {MAX_ELEMENTS}-bit cap")
+    out = ()
+    for row in _BIT_ROWS:
+        if not mask:
+            break
+        out += row[mask & 255]
+        mask >>= 8
+    return out
 
 
 def mask_key(mask: int) -> tuple:
     """Deterministic sort key: cardinality, then index-lexicographic."""
-    return (popcount(mask), tuple(iter_bits(mask)))
+    return (mask.bit_count(), iter_bits(mask))
 
 
 @dataclass
@@ -210,10 +234,6 @@ def _lower_covers(up, down, n: int) -> list[list[int]]:
     return out
 
 
-def _low(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     """Check every axiom; return the lattice, or a report of all violations.
 
@@ -258,7 +278,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     for i in range(n):
         anti = up[i] & down[i] & ~(1 << i)
         if anti:
-            j = _low(anti)
+            j = iter_bits(anti)[0]
             rep.add("Order", f"antisymmetry fails at ({names[i]},{names[j]})",
                     (names[i], names[j]))
             break
@@ -267,7 +287,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
         for k in iter_bits(up[i]):
             reach |= up[k]
         if reach & ~up[i]:
-            j = _low(reach & ~up[i])
+            j = iter_bits(reach & ~up[i])[0]
             rep.add("Order", f"transitivity fails reaching {names[j]} from {names[i]}",
                     (names[i], names[j]))
             break
@@ -298,11 +318,11 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
         return rep
 
     if up[raw.bottom] != full:
-        x = _low(full & ~up[raw.bottom])
+        x = iter_bits(full & ~up[raw.bottom])[0]
         rep.add("Bounds", f"declared bottom {names[raw.bottom]} is not below {names[x]}",
                 (names[raw.bottom], names[x]))
     if down[raw.top] != full:
-        x = _low(full & ~down[raw.top])
+        x = iter_bits(full & ~down[raw.top])[0]
         rep.add("Bounds", f"declared top {names[raw.top]} is not above {names[x]}",
                 (names[raw.top], names[x]))
     if not rep.ok:
@@ -339,7 +359,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     # S(x, c) for each lower cover c of y, so S and its join are built up
     # the order from the fibres, one lower cover at a time.
     lower = _lower_covers(up, down, n)
-    upward = sorted(range(n), key=lambda y: popcount(down[y]))
+    upward = sorted(range(n), key=lambda y: down[y].bit_count())
     res = [[0] * n for _ in range(n)]
     below = []                        # below[x][y] = S(x, y) as a bitmask
     gap = False
@@ -370,7 +390,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
 
     if not gap:
         # adjunction: x*z <= y  iff  z <= x->y
-        bad = next(((x, y, _low(below[x][y] ^ down[res[x][y]]))
+        bad = next(((x, y, iter_bits(below[x][y] ^ down[res[x][y]])[0])
                     for x in range(n) for y in range(n)
                     if below[x][y] != down[res[x][y]]), None)
         if bad:

@@ -311,10 +311,8 @@ class QuotientResult:
         """Image of a subset of the source under the projection."""
         proj = self.projection
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << proj[low.bit_length() - 1]
-            mask ^= low
+        for i in iter_bits(mask):
+            out |= 1 << proj[i]
         return out
 
     def pull_mask(self, mask: int) -> int:
@@ -428,6 +426,7 @@ def enumerate_alpha(lat: ResiduatedLattice) -> tuple[int, ...]:
                  if is_alpha_filter(lat, f))
 
 
+@per_lattice("projection_flat")
 def is_projection_flat(lat: ResiduatedLattice, f_mask: int):
     """Flatness of the canonical projection by the coannihilator criterion.
 
@@ -443,5 +442,5 @@ def is_projection_flat(lat: ResiduatedLattice, f_mask: int):
                                            map(with_f.__getitem__, co_g))):
             gap = lhs & ~rhs
             if gap:
-                return False, (g, a, next(iter_bits(gap)))
+                return False, (g, a, iter_bits(gap)[0])
     return True, None

@@ -18,7 +18,7 @@ from operator import or_
 
 from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
                    direct_product, iter_bits, lattice_from_tables,
-                   load_lattice, mask_key, popcount)
+                   load_lattice, mask_key)
 from .filters import (coannulet_table, enumerate_filters, generated_filter,
                       hull, ideal_generated, inside, is_alpha_filter,
                       is_filter, is_projection_flat, kernel, lattice_ideals,
@@ -780,7 +780,7 @@ def _p_sigmafequiv(lat):
         for key, val in sigma_formulas(lat, f).items():
             if val != s:
                 return _fail({"filter": _toks(lat, f), "formula": key,
-                              "element": lat.names[next(iter_bits(val ^ s))]})
+                              "element": lat.names[iter_bits(val ^ s)[0]]})
         i_f = sink_ideal(lat, f)
         if i_f and i_f not in set(lattice_ideals(lat)):
             return _fail({"filter": _toks(lat, f),
@@ -1174,7 +1174,7 @@ def _max_h_is_a_retract(lat):
     holds exactly one maximal point.
     """
     mmask = maximal_point_mask(lat)
-    return all(popcount(c & mmask) == 1
+    return all((c & mmask).bit_count() == 1
                for c in components(spec_space(lat, "h")))
 
 

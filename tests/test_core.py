@@ -12,8 +12,8 @@ import pytest
 from reslat import cli
 from reslat.core import (MAX_ELEMENTS, ParseError, RawTables,
                          ResiduatedLattice, SizeLimit, ValidationFailure,
-                         ValidationReport, direct_product, parse_lattice_text,
-                         validate)
+                         ValidationReport, direct_product, iter_bits,
+                         mask_key, parse_lattice_text, validate)
 from reslat.classify import boolean_center
 from reslat.harness import (acceptance_family, fixture, godel_chain,
                             lukasiewicz_chain, product_instance)
@@ -565,6 +565,30 @@ def test_mask_helpers(a6):
     mask = a6.mask_of(["d", "1"])
     assert a6.tokens_of(mask) == ["d", "1"]
     assert a6.set_str(mask) == "{d,1}"
+
+
+def _reference_bits(mask):
+    """The set bits of a nonnegative mask, one cleared low bit at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bit_kernel_matches_the_lowest_bit_reference():
+    rng = random.Random(20221)
+    masks = (list(range(1 << 16)) + [0, 1 << 63, (1 << 64) - 1]
+             + [rng.getrandbits(64) for _ in range(300)])
+    for m in masks:
+        assert iter_bits(m) == tuple(_reference_bits(m)), hex(m)
+    assert sorted(masks, key=mask_key) == sorted(
+        masks, key=lambda m: (bin(m).count("1"), tuple(_reference_bits(m))))
+
+
+@pytest.mark.parametrize("mask", [-1, -256, 1 << MAX_ELEMENTS, 1 << 70])
+def test_bit_kernel_refuses_negative_and_over_cap_masks(mask):
+    with pytest.raises(ValueError):
+        iter_bits(mask)
 
 
 def test_rlat_round_trip_at_the_edges():

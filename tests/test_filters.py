@@ -398,7 +398,7 @@ def residuum_quotient(lat, f):
     classes = sorted({sum(1 << y for y in range(lat.n)
                           if f >> res[x][y] & 1 and f >> res[y][x] & 1)
                       for x in range(lat.n)}, key=mask_key)
-    reps = [next(iter_bits(m)) for m in classes]
+    reps = [iter_bits(m)[0] for m in classes]
     up = [sum(1 << j for j, rj in enumerate(reps) if f >> res[ri][rj] & 1)
           for ri in reps]
     down = [sum(1 << i for i, ri in enumerate(reps) if f >> res[ri][rj] & 1)

@@ -28,7 +28,11 @@ product tables from the memo dict directly:
 * byte tables: ``prod`` and ``join`` are associative and commutative, so
   the product (join) of a subset is the product (join) of those of its
   8-bit chunks, and a table per chunk (one entry per byte value) gives it
-  in ceil(n/8) lookups.
+  in ceil(n/8) lookups;
+* least elements: ``least_elements(lat)[up(x)]`` = x.  A filter's entry is
+  its idempotent generator e, so a question about filters is a question
+  about idempotents: the join of up(e) and up(g) is up(e*g), which is all
+  of A exactly when e*g is the bottom.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def kernel(lat: ResiduatedLattice, masks) -> int:
 def is_filter(lat: ResiduatedLattice, mask: int) -> bool:
     if not (mask >> lat.top) & 1:
         return False
-    bits = list(iter_bits(mask))
+    bits = iter_bits(mask)
     for i in bits:
         if lat.up[i] & ~mask:
             return False
@@ -137,15 +141,26 @@ def _byte_tables(lat: ResiduatedLattice, op, unit: int) -> tuple:
 
 @per_lattice("product_tables")
 def _product_tables(lat: ResiduatedLattice):
-    """(chunks, stable): the product byte tables, and stable[p] the
-    idempotent p^oo."""
+    """(chunks, stable): the product byte tables and ``stable_powers``."""
+    return _byte_tables(lat, lat.prod, lat.top), stable_powers(lat)
+
+
+@per_lattice("stable_powers")
+def stable_powers(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """stable[p] = p^oo, the idempotent that repeated squaring of p reaches."""
     prod = lat.prod
     stable = []
     for p in range(lat.n):
         while prod[p][p] != p:
             p = prod[p][p]
         stable.append(p)
-    return _byte_tables(lat, prod, lat.top), tuple(stable)
+    return tuple(stable)
+
+
+@per_lattice("least_elements")
+def least_elements(lat: ResiduatedLattice) -> dict:
+    """up(x) -> x for every element x; a filter maps to its generator."""
+    return {u: x for x, u in enumerate(lat.up)}
 
 
 @dataclass(frozen=True)
@@ -195,10 +210,10 @@ def enumerate_filters(lat: ResiduatedLattice) -> FiltersLattice:
     idempotent, so each entry is one lookup.
     """
     prod, up = lat.prod, lat.up
-    least = {up[e]: e for e in range(lat.n) if prod[e][e] == e}
-    found = sorted(least, key=mask_key)
+    gens = sorted((e for e in range(lat.n) if prod[e][e] == e),
+                  key=lambda e: mask_key(up[e]))
+    found = [up[e] for e in gens]
     index = {f: i for i, f in enumerate(found)}
-    gens = [least[f] for f in found]
     join_t = tuple(tuple(index[up[prod[e][g]]] for g in gens) for e in gens)
     return FiltersLattice(lat.name, lat.names, tuple(found), index, join_t,
                           index[lat.all_mask])
@@ -239,11 +254,11 @@ def coannulets(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def double_perp(lat: ResiduatedLattice, x: int) -> int:
-    return _double_perps(lat)[x]
+    return double_perps(lat)[x]
 
 
 @per_lattice("double_perp")
-def _double_perps(lat: ResiduatedLattice) -> tuple[int, ...]:
+def double_perps(lat: ResiduatedLattice) -> tuple[int, ...]:
     unit = 1 << lat.top
     return tuple(coannihilator(lat, unit, p) for p in coannulets(lat))
 
@@ -336,7 +351,7 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     projection (``class_of[op[v_i][v_j]]``): the congruence of a filter
     respects every operation, so no validation pass is needed.
     """
-    e = lat.up.index(f_mask) if f_mask in lat.up else None
+    e = least_elements(lat).get(f_mask)
     if e is None or lat.prod[e][e] != e:
         raise LatticeError(f"{lat.name}: {lat.set_str(f_mask)} is not a filter")
     fibres = {}

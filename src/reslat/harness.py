@@ -13,7 +13,7 @@ import importlib.resources
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import compress, islice, repeat
 from operator import or_
 
 from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
@@ -22,9 +22,9 @@ from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
 from .filters import (coannulet_table, enumerate_filters, generated_filter,
                       hull, ideal_generated, inside, is_alpha_filter,
                       is_filter, is_projection_flat, kernel, lattice_ideals,
-                      maximal_filters, omega_filter, omega_filters,
-                      principal_ideal, quotient, radical, radical_index,
-                      x_perp)
+                      least_elements, maximal_filters, omega_filter,
+                      omega_filters, principal_ideal, quotient, radical,
+                      radical_index, stable_powers, x_perp)
 from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
                       minimal_primes, nested_pair, point_rows, prime_filters,
                       spec_space, stability, support)
@@ -405,13 +405,14 @@ def _p_genfilprop(lat):
     {c*x^k : k >= 0}, which depends on neither F nor y, from a table built
     once.  Items 3 and 4 are symmetric in x and y, so they run only for
     y >= x: a failure at (x, y) with y < x would already have failed at
-    (y, x), earlier in row-major order.  The filter generated by gx | gy
-    is computed once per distinct union.  <F u {x, y}> is read from gx
-    (gy) when the set F u {x, y} is F u {x} (F u {y}), and generated
-    otherwise.
+    (y, x), earlier in row-major order.  Item 4 works with idempotents:
+    F = up(e), so <F u {x}> = up(a_x) with a_x = (e*x)^oo, <gx u gy> is
+    up(a_x*a_y), and <F u {x, y}> is up((e*x*y)^oo).  The third side,
+    <F u {x*y}>, is the generated filter that items 1-3 test.
     """
     fl = enumerate_filters(lat)
     n, up, prod, join = lat.n, lat.up, lat.prod, lat.join
+    least, stable = least_elements(lat), stable_powers(lat)
     via_x = []                             # via_x[x][c] = up{c*x^k : k >= 0}
     for x in range(n):
         powers, p = [lat.top], lat.top
@@ -420,17 +421,18 @@ def _p_genfilprop(lat):
             powers.append(p)
         via_x.append([reduce(or_, [up[row[pw]] for pw in powers])
                       for row in prod])
-    joined_of = {}                         # gx | gy -> <gx | gy>
     for f in fl.filters:
         gen_x = [generated_filter(lat, f | (1 << x)) for x in range(n)]
-        members = list(iter_bits(f))
+        members = iter_bits(f)
         for x in range(n):
             via = via_x[x]
             if reduce(or_, [via[c] for c in members]) != gen_x[x]:
                 return _fail({"item": 1, "filter": _toks(lat, f), "x": lat.names[x]})
+        e_row = prod[least[f]]
+        a = [stable[v] for v in e_row]     # a[x] = (e*x)^oo
         for x in range(n):
-            gx, f_x, above_x, join_x, prod_x = \
-                gen_x[x], f | (1 << x), up[x], join[x], prod[x]
+            gx, above_x, join_x, prod_x = gen_x[x], up[x], join[x], prod[x]
+            a_row, ex_row = prod[a[x]], prod[e_row[x]]
             for y in range(n):
                 gy = gen_x[y]
                 if (above_x >> y) & 1 and gy & ~gx:
@@ -439,16 +441,8 @@ def _p_genfilprop(lat):
                     continue
                 if gx & gy != gen_x[join_x[y]]:
                     return _fail({"item": 3, "x": lat.names[x], "y": lat.names[y]})
-                joined = joined_of.get(gx | gy)
-                if joined is None:
-                    joined = joined_of[gx | gy] = generated_filter(lat, gx | gy)
-                if f_x >> y & 1:
-                    g_xy = gx
-                elif f >> x & 1:
-                    g_xy = gy
-                else:
-                    g_xy = generated_filter(lat, f_x | (1 << y))
-                if joined != gen_x[prod_x[y]] or joined != g_xy:
+                joined = a_row[a[y]]
+                if up[joined] != gen_x[prod_x[y]] or joined != stable[ex_row[y]]:
                     return _fail({"item": 4, "x": lat.names[x], "y": lat.names[y]})
     for f in fl.filters:
         if generated_filter(lat, 1 << _principal_generator(lat, f)) != f:
@@ -479,7 +473,10 @@ def _subset_samples(lat):
     samples.update((1 << x) | (1 << y)
                    for x in range(lat.n) for y in range(lat.n))
     samples.update(_filters(lat))
-    samples.update(rng.randrange(1 << lat.n) for _ in range(400))
+    # 400 draws of rng.randrange(1 << n), which keeps the getrandbits(n + 1)
+    # draws below 1 << n; the same values, without a Python call per draw
+    draws = map(rng.getrandbits, repeat(lat.n + 1))
+    samples.update(islice(filter((1 << lat.n).__gt__, draws), 400))
     return sorted(samples)
 
 
@@ -625,7 +622,7 @@ def _p_canonflat(lat):
     """
     fl = enumerate_filters(lat)
     co = coannulet_table(lat)
-    least = {h: lat.up.index(h) for h in set(fl.filters).union(*co)}
+    least = least_elements(lat)
     rows = [(least[g], [least[h] for h in co_g])
             for g, co_g in zip(fl.filters, co)]
     for f in fl.filters:
@@ -659,7 +656,7 @@ def _p_omegprop(lat):
 
     def omega(ideal):
         if ideal not in by_ideal:
-            members = list(iter_bits(ideal))
+            members = iter_bits(ideal)
             by_ideal[ideal] = sum(
                 1 << a for a in range(lat.n)
                 if any(join[a][y] == top for y in members))

@@ -13,9 +13,10 @@ from functools import reduce
 from operator import or_
 
 from .core import LatticeError, ResiduatedLattice, mask_key
-from .filters import (coannulets, double_perp, enumerate_filters,
+from .filters import (coannulets, double_perps, enumerate_filters,
                       generated_filter, hull, image_index, inside, kernel,
-                      maximal_filters, omega_filter, per_lattice)
+                      least_elements, maximal_filters, omega_filter,
+                      per_lattice)
 from .spectra import (D_operator, d_set, minimal_primes, prime_filters,
                       spec_space)
 from .topology import (FiniteSpace, PointMap, map_analysis,
@@ -61,19 +62,35 @@ def sigma_formulas(lat: ResiduatedLattice, f_mask: int) -> dict:
     }
 
 
+def _comaximal(lat: ResiduatedLattice, x_mask: int, filters) -> int:
+    """{a : <filters[a] u X> = A}, for filters indexed by element.
+
+    <X> = up(e) and filters[a] = up(g) for idempotents e and g, and the
+    filter that up(e) and up(g) generate is up(e*g): it is all of A exactly
+    when e*g is the bottom.  So each a costs one product-row read.
+    """
+    least, bottom = least_elements(lat), lat.bottom
+    row = lat.prod[least[generated_filter(lat, x_mask)]]
+    return sum(1 << a for a, g in enumerate(filters) if row[least[g]] == bottom)
+
+
 @per_lattice("sink_ideal")
 def sink_ideal(lat: ResiduatedLattice, f_mask: int) -> int:
-    """I_F = {a : <a^perp-perp u F> = A}, whose omega is the sink (``f6``)."""
-    return sum(1 << a for a in range(lat.n)
-               if generated_filter(lat, double_perp(lat, a) | f_mask)
-               == lat.all_mask)
+    """I_F = {a : <a^perp-perp u F> = A}, whose omega is the sink (``f6``).
+
+    a^perp-perp is a filter, up(d_a), so I_F = {a : e*d_a = 0} for F = up(e).
+    """
+    return _comaximal(lat, f_mask, double_perps(lat))
 
 
 @per_lattice("sigma")
 def sigma_filter(lat: ResiduatedLattice, f_mask: int) -> int:
-    """The sink of a filter: elements whose coannulet is comaximal with F."""
-    return sum(1 << a for a, perp in enumerate(coannulets(lat))
-               if generated_filter(lat, perp | f_mask) == lat.all_mask)
+    """The sink of a filter: elements whose coannulet is comaximal with F.
+
+    The coannulet a^perp is a filter, up(c_a), so sigma(F) = {a : e*c_a = 0}
+    for F = up(e).  A subset X that is not a filter has the sink of <X>.
+    """
+    return _comaximal(lat, f_mask, coannulets(lat))
 
 
 @per_lattice("sigma_index")

@@ -98,7 +98,7 @@ def space_from_subbasis(labels, subbasis, name="", label_text=()) -> FiniteSpace
 
 def subspace(space: FiniteSpace, point_mask: int, name="") -> FiniteSpace:
     """Induced topology on a subset of points (relabelled 0..m-1)."""
-    pts = list(iter_bits(point_mask))
+    pts = iter_bits(point_mask)
     rows = tuple(sum(1 << i for i, q in enumerate(pts)
                      if (space.nbhd[p] >> q) & 1) for p in pts)
     return FiniteSpace(tuple(space.labels[p] for p in pts), rows,

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import importlib.resources
 import json
+import random
 import time
 from functools import reduce
 from pathlib import Path
@@ -19,6 +20,7 @@ from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          direct_product, load_lattice, parse_lattice_text,
                          validate)
 from reslat.classify import Flag, boolean_center
+from reslat.filters import enumerate_filters, least_elements
 from reslat.spectra import spec_space
 from reslat.topology import separation_report
 
@@ -279,23 +281,34 @@ def test_sigmafequiv_fails_with_witness(b6, monkeypatch):
     assert v.witness["element"] == b6.names[b6.bottom]
 
 
-def test_genfilprop_fails_with_witness(a6, b6, monkeypatch):
-    # <X> loses the top on one mask X.  {0,a,d,1} (A6) and {0,b,1} (B6) hold
-    # the bottom, so neither is a union gx | gy of two generated filters
-    # (a generated filter that holds the bottom is all of A); each is the
-    # set F u {x, y} that item 4 generates at F = {d,1} (A6) or F = {1}
-    # (B6) with x = 0.  Item 4 fails at that (x, y), the first in
-    # row-major order, which has y >= x
-    real = hz.generated_filter
-    for lat, toks, want in ((a6, "0 a d 1", ("0", "a")),
-                            (b6, "0 b 1", ("0", "b"))):
+def test_genfilprop_fails_with_witness(a6, b6):
+    # item 4 reads F = up(e) off the least-element map; a planted entry that
+    # names the generator of a larger filter (c for {d,1} on A6, d for {1}
+    # on B6) makes a_x = (e*x)^oo wrong at the first x where (c*x)^oo
+    # differs from (d*x)^oo (A6) or (d*x)^oo from x^oo (B6), here x = a.
+    # Items 1-3 read generated_filter only, so item 4 fails first, at (a, a):
+    # up(a_a * a_a) is set against <F u {a*a}> = <F u {a}>
+    for lat, toks, wrong in ((a6, "d 1", "c"), (b6, "1", "d")):
+        lat = fresh(lat)
         assert _verdict("genfilprop", lat) == hz.PASS
-        bad = lat.mask_of(toks.split())
-        with monkeypatch.context() as m:
-            m.setattr(hz, "generated_filter", lambda lat, mask: real(
-                lat, mask) & ~(1 << lat.top) if mask == bad else real(lat, mask))
-            v = _verdict("genfilprop", lat)
-        assert v == hz.Verdict("fail", {"item": 4, "x": want[0], "y": want[1]})
+        least = dict(least_elements(lat))
+        least[lat.mask_of(toks.split())] = lat.names.index(wrong)
+        lat._cache["least_elements"] = least
+        assert _verdict("genfilprop", lat) == \
+            hz.Verdict("fail", {"item": 4, "x": "a", "y": "a"})
+
+
+def test_subset_samples_match_randrange_reference():
+    # past 10 elements the samples are the structured masks plus 400 draws
+    # of rng.randrange(1 << n), whatever way the harness draws them
+    for n in range(11, MAX_ELEMENTS + 1):
+        lat = hz.godel_chain(n)
+        rng = random.Random(0x5EED ^ n)
+        want = {0, lat.all_mask}
+        want.update((1 << x) | (1 << y) for x in range(n) for y in range(n))
+        want.update(enumerate_filters(lat).filters)
+        want.update(rng.randrange(1 << n) for _ in range(400))
+        assert hz._subset_samples(lat) == sorted(want), n
 
 
 # ``sigma_filter`` and ``rho`` read their memo first, so one planted entry

@@ -237,6 +237,38 @@ def test_index_vectors_match_the_operators(family):
             _check_index_vectors(fi.quotient(lat, f).quotient)
 
 
+def _sink_oracles(lat, x_mask):
+    # the per-element forms: a is in sigma(X) when <a^perp u X> = A, and in
+    # I_X when <a^perp-perp u X> = A
+    def comaximal(g):
+        return fi.generated_filter(lat, g | x_mask) == lat.all_mask
+    sigma = sum(1 << a for a in range(lat.n) if comaximal(fi.x_perp(lat, a)))
+    ideal = sum(1 << a for a in range(lat.n)
+                if comaximal(fi.double_perp(lat, a)))
+    return sigma, ideal
+
+
+def _check_sink_forms(lat):
+    # every filter, and masks that are not filters: each single element,
+    # each upset up(x) of a non-idempotent x (its least element x is not a
+    # generator) and each downset down(x) with x below the top
+    masks = set(fi.enumerate_filters(lat).filters)
+    masks.update(1 << x for x in range(lat.n))
+    masks.update(lat.up[x] for x in range(lat.n) if lat.prod[x][x] != x)
+    masks.update(lat.down[x] for x in range(lat.n) if x != lat.top)
+    for m in masks:
+        assert (pu.sigma_filter(lat, m), pu.sink_ideal(lat, m)) == \
+            _sink_oracles(lat, m), (lat.name, lat.set_str(m))
+
+
+def test_sink_and_sink_ideal_match_the_elementwise_forms(family):
+    # on every acceptance instance and on its quotient by every filter
+    for lat in family:
+        _check_sink_forms(lat)
+        for f in fi.enumerate_filters(lat).filters:
+            _check_sink_forms(fi.quotient(lat, f).quotient)
+
+
 def test_index_vectors_follow_their_own_operator(b6):
     # sigma = rho on B6 (and on every acceptance instance); a wrong memo
     # entry for one of them shows in its own vector only

@@ -27,7 +27,7 @@ print(f"\nfilter generated by {{b}}: "
 
 f, g = a6.mask_of(["a", "b", "d", "1"]), a6.mask_of(["c", "d", "1"])
 print(f"join of {a6.set_str(f)} and {a6.set_str(g)}: "
-      f"{a6.set_str(fl.join_mask(f, g))}")
+      f"{a6.set_str(generated_filter(a6, f | g))}")
 print(f"meet is plain intersection: {a6.set_str(f & g)}")
 
 # -- coannihilators and radicals ----------------------------------------------

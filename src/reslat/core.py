@@ -218,10 +218,14 @@ class ResiduatedLattice:
         return f"ResiduatedLattice({self.name!r}, n={self.n})"
 
 
-def _transpose(rows, n: int) -> tuple[int, ...]:
-    """Bitmask rows of the converse relation."""
-    return tuple(sum(1 << i for i in range(n) if rows[i] >> j & 1)
-                 for j in range(n))
+def transpose(rows, width: int) -> tuple[int, ...]:
+    """Bitmask rows of the converse relation: row j holds the i with bit j
+    set in ``rows[i]``, for j below ``width``."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
 
 
 def _lower_covers(up, down, n: int) -> list[list[int]]:
@@ -268,7 +272,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     full = (1 << n) - 1
     pows = [1 << j for j in range(n)]
     up = [sum(compress(pows, row)) for row in raw.leq]
-    down = _transpose(up, n)
+    down = transpose(up, n)
 
     # partial order
     for i in range(n):

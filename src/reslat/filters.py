@@ -193,9 +193,6 @@ class FiltersLattice:
             raise LatticeError(
                 f"{self.name}: {{{toks}}} is not a filter") from None
 
-    def join_mask(self, f: int, g: int) -> int:
-        return self.filters[self.join_t[self.idx(f)][self.idx(g)]]
-
     @property
     def proper(self) -> tuple[int, ...]:
         full = (1 << len(self.names)) - 1

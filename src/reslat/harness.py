@@ -1365,6 +1365,7 @@ def run_theorem_suite(instances, suite: str = "all") -> SuiteReport:
     self_inventory_check()
     if suite != "all" and suite not in GROUPS:
         raise ValueError(f"unknown suite {suite!r}")
+    instances = tuple(instances)
     names = tuple(lat.name for lat in instances)
     dup = next((x for i, x in enumerate(names) if x in names[:i]), None)
     if dup is not None:

@@ -7,9 +7,9 @@ them re-index the points 0..k-1 and carry the filter masks as labels.
 
 from __future__ import annotations
 
-from .core import LatticeError, ResiduatedLattice, iter_bits
-from .filters import (enumerate_filters, hull, inside, maximal_filters,
-                      per_lattice, x_perp)
+from .core import LatticeError, ResiduatedLattice, iter_bits, transpose
+from .filters import (enumerate_filters, hull, ideal_generated, inside,
+                      maximal_filters, omega_filter, per_lattice, x_perp)
 from .topology import FiniteSpace, space_from_subbasis
 
 
@@ -18,21 +18,11 @@ class NotPrime(LatticeError):
 
 
 def is_prime(lat: ResiduatedLattice, mask: int) -> bool:
-    """Proper filter whose membership splits every join."""
-    if mask == lat.all_mask:
+    """Proper filter whose complement is a lattice ideal: the ideal that
+    the complement generates misses the filter."""
+    if mask == lat.all_mask or mask not in enumerate_filters(lat).index:
         return False
-    fl = enumerate_filters(lat)
-    if mask not in fl.index:
-        return False
-    join = lat.join
-    for x in range(lat.n):
-        if (mask >> x) & 1:
-            continue
-        row = join[x]
-        for y in range(x + 1, lat.n):
-            if (mask >> row[y]) & 1 and not (mask >> y) & 1:
-                return False
-    return True
+    return not mask & ideal_generated(lat, lat.all_mask & ~mask)
 
 
 @per_lattice("prime_filters")
@@ -59,7 +49,7 @@ def spectrum(lat: ResiduatedLattice, kind: str) -> tuple[int, ...]:
 
 @per_lattice("D")
 def D_operator(lat: ResiduatedLattice, p_mask: int) -> int:
-    """D(p) = elements joining to 1 with something outside p.
+    """D(p) = elements joining to 1 with something outside p: omega(A - p).
 
     Raises NotPrime unless p is prime.  The theorem suite compares the
     formula with the intersections of the primes and of the minimal primes
@@ -67,15 +57,7 @@ def D_operator(lat: ResiduatedLattice, p_mask: int) -> int:
     """
     if not is_prime(lat, p_mask):
         raise NotPrime(f"{lat.name}: {lat.set_str(p_mask)} is not prime")
-    join = lat.join
-    top = lat.top
-    outside = [y for y in range(lat.n) if not (p_mask >> y) & 1]
-    d = 0
-    for a in range(lat.n):
-        row = join[a]
-        if any(row[y] == top for y in outside):
-            d |= 1 << a
-    return d
+    return omega_filter(lat, lat.all_mask & ~p_mask)
 
 
 def h_set(points, x_mask: int) -> int:
@@ -93,11 +75,7 @@ def point_rows(lat: ResiduatedLattice, points) -> tuple[int, ...]:
 
 @per_lattice("point_rows")
 def _point_rows(lat: ResiduatedLattice, pts: tuple) -> tuple[int, ...]:
-    rows = [0] * lat.n
-    for i, p in enumerate(pts):
-        for x in iter_bits(p):
-            rows[x] |= 1 << i
-    return tuple(rows)
+    return transpose(pts, lat.n)
 
 
 def d_set(points, x_mask: int) -> int:

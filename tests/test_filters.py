@@ -269,7 +269,7 @@ def test_filters_lattice_is_distributive(fixtures4):
         for f in fl.filters:
             for g in fl.filters:
                 for h in fl.filters:
-                    lhs = f & fl.join_mask(g, h)
+                    lhs = f & fi.generated_filter(lat, g | h)
                     rhs = fi.generated_filter(lat, (f & g) | (f & h))
                     assert lhs == rhs
 

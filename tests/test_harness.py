@@ -21,6 +21,7 @@ from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          validate)
 from reslat.classify import Flag, boolean_center
 from reslat.filters import enumerate_filters, least_elements
+from reslat.purity import rho, sigma_filter, sigma_index
 from reslat.spectra import spec_space
 from reslat.topology import separation_report
 
@@ -96,6 +97,40 @@ def test_suite_refuses_duplicate_instance_names(a6):
     for second in (renamed, a6):
         with pytest.raises(LatticeError, match="named 'A6'"):
             hz.run_theorem_suite([a6, second], "core")
+
+
+def test_suite_takes_a_generator_of_instances():
+    # the instances are read once, so a generator gives the list's report
+    names = ("a6", "b6")
+    want = hz.run_theorem_suite([hz.fixture(n) for n in names])
+    got = hz.run_theorem_suite(hz.fixture(n) for n in names)
+    assert got.counts() == want.counts() == {"pass": 146, "fail": 0,
+                                             "not_applicable": 10}
+    assert got.as_dict() == want.as_dict()
+    assert got.text_lines() == want.text_lines()
+
+
+HN_PATH = Path(__file__).parent / "data" / "hn.rlat"
+
+
+def test_hn_separates_the_sink_from_the_pure_part(family, monkeypatch):
+    # HN, the downset algebra of the N poset, is the smallest instance with
+    # sigma != rho: at F = up(e1) the sink is not pure
+    hn = load_lattice(HN_PATH)
+    assert hn.n == 8 and "HN" not in {lat.name for lat in family}
+    f = hn.mask_of(["e1", "e3", "e5", "e6", "1"])
+    sigma = sigma_filter(hn, f)
+    assert sigma == hn.mask_of(["e6", "1"])
+    assert rho(hn, f) == hn.mask_of(["1"])
+    assert sigma_filter(hn, sigma) == hn.mask_of(["1"])
+    assert hz.run_theorem_suite([hn]).counts() == {
+        "pass": 59, "fail": 0, "not_applicable": 19}
+    # rfilter tells the two operators apart: read rho off the sink and it
+    # fails
+    monkeypatch.setattr(hz, "rho_index", sigma_index)
+    verdict = hz.run_theorem_suite([load_lattice(HN_PATH)]).verdict(
+        "HN", "rfilter")
+    assert verdict.status == "fail" and verdict.witness["item"] == 2
 
 
 def test_unknown_suite_rejected(a6):

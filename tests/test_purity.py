@@ -197,22 +197,20 @@ def test_delta_is_a_lattice_isomorphism(fixtures4):
 
 def test_distinct_pure_primes_are_comaximal(fixtures4):
     for lat in fixtures4:
-        fl = fi.enumerate_filters(lat)
         pp = [p for p in sp.prime_filters(lat) if pu.is_pure(lat, p)]
         for p in pp:
             for q in pp:
                 if p != q:
-                    assert fl.join_mask(p, q) == lat.all_mask
+                    assert fi.generated_filter(lat, p | q) == lat.all_mask
 
 
 def test_pure_closed_under_meet_and_join(fixtures4):
     for lat in fixtures4:
-        fl = fi.enumerate_filters(lat)
         pure = set(pu.pure_filters(lat))
         for f in pure:
             for g in pure:
                 assert f & g in pure
-                assert fl.join_mask(f, g) in pure
+                assert fi.generated_filter(lat, f | g) in pure
 
 
 def _check_index_vectors(lat):

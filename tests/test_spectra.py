@@ -184,3 +184,42 @@ def test_h_set_is_the_hull(points, x_mask):
                if all(p >> x & 1 for x in iter_bits(x_mask)))
     assert sp.h_set(points, x_mask) == sp.h_set(tuple(points), x_mask) == want
     assert [points[i] for i in iter_bits(want)] == fi.hull(points, x_mask)
+
+
+def _is_prime_oracle(lat, mask):
+    # a proper filter in which x v y in F implies x in F or y in F
+    return (mask != lat.all_mask and fi.is_filter(lat, mask)
+            and all(mask >> x & 1 or mask >> y & 1
+                    for x in range(lat.n) for y in range(lat.n)
+                    if mask >> lat.join[x][y] & 1))
+
+
+def _check_spectra(lat):
+    # every filter, the empty set, each single element, each upset up(x) of
+    # a non-idempotent x and each downset down(x) with x below the top
+    masks = set(fi.enumerate_filters(lat).filters) | {0}
+    masks.update(1 << x for x in range(lat.n))
+    masks.update(lat.up[x] for x in range(lat.n) if lat.prod[x][x] != x)
+    masks.update(lat.down[x] for x in range(lat.n) if x != lat.top)
+    for m in masks:
+        assert sp.is_prime(lat, m) == _is_prime_oracle(lat, m), \
+            (lat.name, lat.set_str(m))
+    for p in sp.prime_filters(lat):
+        want = sum(1 << a for a in range(lat.n)
+                   if any(lat.join[a][y] == lat.top
+                          for y in range(lat.n) if not p >> y & 1))
+        assert sp.D_operator(lat, p) == want, (lat.name, lat.set_str(p))
+    for kind in ("prime", "maximal", "minimal_prime"):
+        pts = sp.spectrum(lat, kind)
+        assert sp.point_rows(lat, pts) == tuple(
+            sum(1 << i for i, p in enumerate(pts) if p >> x & 1)
+            for x in range(lat.n))
+
+
+def test_spectra_match_the_definitions(family):
+    # is_prime, D and the point rows against their definitions, on every
+    # acceptance instance and on its quotient by every filter
+    for lat in family:
+        _check_spectra(lat)
+        for f in fi.enumerate_filters(lat).filters:
+            _check_spectra(fi.quotient(lat, f).quotient)

@@ -40,7 +40,7 @@ rep = separation_report(sh)
 print(f"\nSpec_h({a6.name}) is T0={rep['t0']} but T1={rep['t1']}: "
       "the minimal prime {1} is dense")
 print("specialization order (DOT):")
-print(specialization_dot(sh, "SpecA6"))
+print(specialization_dot(sh, "SpecA6", [a6.set_str(p) for p in sh.labels]))
 
 # -- the dual flavor separates the two minimal primes of A8 --------------------
 

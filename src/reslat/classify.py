@@ -268,8 +268,7 @@ def rho_m_homeomorphism(lat: ResiduatedLattice) -> bool:
     if not rho_m_well_defined(lat):
         return False
     spp = pure_spectrum(lat)
-    max_h = hull_kernel_space(lat, maximal_filters(lat), "h",
-                              f"Max_h({lat.name})")
+    max_h = hull_kernel_space(lat, maximal_filters(lat), "h")
     idx = {p: i for i, p in enumerate(spp.points)}
     rho_m = PointMap(max_h, spp.space,
                      tuple(idx[rho(lat, m)] for m in max_h.labels))

@@ -51,36 +51,40 @@ def _load(path) -> ResiduatedLattice:
         raise _CliError(EXIT_INVALID, str(exc.report))
 
 
-def _split_commas(word: str) -> list[str]:
-    """Split on the commas outside parentheses: product tokens such as
-    ``(a,b)`` keep their own commas."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(word):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(word[start:i])
-            start = i + 1
-    parts.append(word[start:])
-    return parts
+def _readings(names, text) -> list[tuple]:
+    """The ways, up to two, to read whitespace-separated words as element
+    tokens.  A word is a comma-separated run of tokens, and a token may hold
+    commas itself, so each word is split into runs of its comma pieces that
+    name tokens; an empty piece is a spare comma."""
+    out = [()]
+    for word in text.split():
+        pieces = word.split(",")
+        ways = {len(pieces): [()]}           # ways[i]: readings of pieces[i:]
+        for i in range(len(pieces) - 1, -1, -1):
+            found = [(tok,) + rest for j in range(i + 1, len(pieces) + 1)
+                     if (tok := ",".join(pieces[i:j])) in names
+                     for rest in ways[j]]
+            found += ways[i + 1] if not pieces[i] else []
+            ways[i] = list(dict.fromkeys(found))[:2]
+        out = [r + w for r in out for w in ways[0]][:2]
+    return out
 
 
 def _filter_arg(lat, text) -> int:
     """Parse ``--filter``: the set form ``{a,b}`` that reslat prints, or
-    whitespace-separated words, each either one element token or a
-    comma-separated list of them."""
+    whitespace-separated words, each one element token or a comma-separated
+    list of them.  Text that reads as two different sets is refused."""
     from . import filters as _filters
-    text = text.strip()
-    if text[:1] == "{" and text[-1:] == "}" and text not in lat.names:
-        text = text[1:-1]
-    toks = [t for w in text.split()
-            for t in ([w] if w in lat.names else _split_commas(w)) if t]
-    try:
-        mask = lat.mask_of(toks)
-    except LatticeError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    text, names = text.strip(), set(lat.names)
+    found = _readings(names, text)
+    if text[:1] == "{" and text[-1:] == "}":
+        found += _readings(names, text[1:-1])
+    masks = {lat.mask_of(r): list(r) for r in found}
+    if len(masks) != 1:
+        why = "reads as two sets, {} and {}".format(*masks.values()) \
+            if masks else "names an unknown element"
+        raise _CliError(EXIT_USAGE, f"{lat.name}: {text!r} {why}")
+    (mask,) = masks
     if not _filters.is_filter(lat, mask):
         raise _CliError(EXIT_USAGE,
                         f"{lat.set_str(mask)} is not a filter of {lat.name}")
@@ -215,7 +219,8 @@ def _cmd_spp(args):
     spp = _purity.pure_spectrum(lat)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(specialization_dot(spp.space, f"Spp({lat.name})"))
+            fh.write(specialization_dot(spp.space, f"Spp({lat.name})",
+                                        [lat.set_str(p) for p in spp.points]))
     sep = separation_report(spp.space)
     result = {
         "points": _tok_sets(lat, spp.points),

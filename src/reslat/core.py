@@ -122,7 +122,7 @@ class RawTables:
 
     name: str
     element_names: list[str]
-    leq: list                       # n x n bools, read as leq[i][j]
+    leq: list                       # per i: bitmask (bit j iff i <= j) or n bools
     prod: list                      # n x n element indices, read as prod[i][j]
     bottom: int
     top: int
@@ -205,17 +205,27 @@ class ResiduatedLattice:
 
     def hasse_dot(self) -> str:
         """Graphviz text for the Hasse diagram (bottom drawn at the bottom)."""
-        lines = [f'digraph "{self.name}" {{', "  rankdir=BT;",
-                 '  node [shape=plaintext];']
-        for tok in self.names:
-            lines.append(f'  "{tok}";')
-        for x, y in self.cover_pairs():
-            lines.append(f'  "{self.names[x]}" -> "{self.names[y]}";')
-        lines.append("}")
-        return "\n".join(lines)
+        return dot_digraph(self.name, self.names, self.cover_pairs())
 
     def __repr__(self):
         return f"ResiduatedLattice({self.name!r}, n={self.n})"
+
+
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def dot_digraph(name: str, nodes, edges) -> str:
+    """Graphviz text for a digraph drawn bottom to top: one node per text in
+    ``nodes``, one edge per index pair in ``edges``; every id is quoted with
+    its backslashes and double quotes escaped."""
+    ids = [_dot_quote(t) for t in nodes]
+    lines = [f"digraph {_dot_quote(name)} {{", "  rankdir=BT;",
+             "  node [shape=plaintext];"]
+    lines += [f"  {i};" for i in ids]
+    lines += [f"  {ids[x]} -> {ids[y]};" for x, y in edges]
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def transpose(rows, width: int) -> tuple[int, ...]:
@@ -252,10 +262,17 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     if not (2 <= n <= MAX_ELEMENTS):
         rep.add("Bounds", f"element count {n} outside 2..{MAX_ELEMENTS}")
         return rep
-    # shapes and indices first: every later check indexes by them
-    for what, table in (("leq", raw.leq), ("prod", raw.prod)):
-        if len(table) != n or any(len(row) != n for row in table):
-            rep.add("Bounds", f"{what} is not {n}x{n}")
+    # shapes and indices first: every later check indexes by them.  An order
+    # row is read as it is when it is an int, and packed when it is n bools.
+    # A negative row (-1 stands for a bool row of another length) shifts
+    # right to -1, so it is refused with the rows that have a bit past n
+    pows = [1 << j for j in range(n)]
+    up = [row if isinstance(row, int) else
+          sum(compress(pows, row)) if len(row) == n else -1 for row in raw.leq]
+    if len(up) != n or any(row >> n for row in up):
+        rep.add("Bounds", f"leq is not {n}x{n}")
+    if len(raw.prod) != n or any(len(row) != n for row in raw.prod):
+        rep.add("Bounds", f"prod is not {n}x{n}")
     for what, v in (("bottom", raw.bottom), ("top", raw.top)):
         if not 0 <= v < n:
             rep.add("Bounds", f"{what} index {v} outside 0..{n - 1}")
@@ -270,8 +287,6 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
                           f"outside 0..{n - 1}", (names[x], names[y]))
         return rep
     full = (1 << n) - 1
-    pows = [1 << j for j in range(n)]
-    up = [sum(compress(pows, row)) for row in raw.leq]
     down = transpose(up, n)
 
     # partial order
@@ -429,11 +444,12 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     """Parse the line-oriented lattice file format into raw tables.
 
     Order input is Hasse covers; the reflexive-transitive closure is
-    computed here.  Product rows involving the bottom default to bottom,
-    rows involving the top default to the other operand, and every other
-    unordered pair must appear exactly once.  A carrier past
-    ``MAX_ELEMENTS`` raises :class:`SizeLimit` at its ``elements`` line.
-    The ``lattice``, ``elements``, ``bottom`` and ``top`` lines appear once.
+    computed here, as one bitmask row per element.  Product rows involving
+    the bottom default to bottom, rows involving the top default to the
+    other operand, and every other unordered pair must appear exactly
+    once.  A carrier past ``MAX_ELEMENTS`` raises :class:`SizeLimit` at its
+    ``elements`` line.  The ``lattice``, ``elements``, ``bottom`` and
+    ``top`` lines appear once.
     """
     name = None
     element_names: list[str] = []
@@ -528,7 +544,6 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
 
     # the defaults (bottom absorbs, top is the unit), then the mul rows
     prod = [[None] * n for _ in range(n)]
@@ -545,7 +560,7 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
             raise ParseError(0, f"{source}: missing mul row for "
                                 f"({element_names[x]},{element_names[y]})")
 
-    return RawTables(name, element_names, leq, prod, bottom, top, res_claims)
+    return RawTables(name, element_names, up, prod, bottom, top, res_claims)
 
 
 def _validated(raw: RawTables) -> ResiduatedLattice:
@@ -577,9 +592,10 @@ def direct_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLatt
     n2 = b.n
     names = [f"({s},{t})" for s in a.names for t in b.names]
     pairs = [(x1, x2) for x1 in range(a.n) for x2 in range(b.n)]
-    leq = [[a.leq(x1, y1) and b.leq(x2, y2) for y1, y2 in pairs]
-           for x1, x2 in pairs]
+    # (x1, x2) <= (y1, y2) iff both parts are; y1 picks the block of b's row
+    up = [sum(b.up[x2] << y1 * n2 for y1 in iter_bits(a.up[x1]))
+          for x1, x2 in pairs]
     prod = [[a.prod[x1][y1] * n2 + b.prod[x2][y2] for y1, y2 in pairs]
             for x1, x2 in pairs]
-    return _validated(RawTables(f"{a.name}x{b.name}", names, leq, prod,
+    return _validated(RawTables(f"{a.name}x{b.name}", names, up, prod,
                                 a.bottom * n2 + b.bottom, a.top * n2 + b.top))

@@ -80,10 +80,10 @@ def _chain(name: str, n: int, mul) -> ResiduatedLattice:
         raise SizeLimit(f"chain size {n} outside 2..{MAX_ELEMENTS}")
     key = (name, n)
     if key not in _CHAINS:
-        leq = [[i <= j for j in range(n)] for i in range(n)]
+        up = [(1 << n) - (1 << i) for i in range(n)]      # bits i..n-1
         prod = [[mul(i, j) for j in range(n)] for i in range(n)]
         _CHAINS[key] = lattice_from_tables(f"{name}{n}", _chain_names(n),
-                                           leq, prod, 0, n - 1)
+                                           up, prod, 0, n - 1)
     return _CHAINS[key]
 
 
@@ -1132,8 +1132,7 @@ def _p_qoepuruspec(lat):
     for f in pure_filters(lat):
         qr = quotient(lat, f)
         qspp = pure_spectrum(qr.quotient)
-        target = subspace(spp.space, h_set(spp.points, f),
-                          f"h_k({lat.set_str(f)})")
+        target = subspace(spp.space, h_set(spp.points, f))
         try:
             mapping = tuple(target.point_of_label(qr.pull_mask(p))
                             for p in qspp.points)

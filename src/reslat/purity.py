@@ -157,9 +157,7 @@ class PureSpectrum:
 def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
     pts = purely_prime_filters(lat)
     pure = pure_filters(lat)
-    space = space_from_subbasis(pts, {d_set(pts, f) for f in pure},
-                                f"Spp({lat.name})",
-                                tuple(lat.set_str(p) for p in pts))
+    space = space_from_subbasis(pts, {d_set(pts, f) for f in pure})
     proper_pure = [f for f in pure if f != lat.all_mask]
     pmax = tuple(hull(proper_pure, p) == [p] for p in pts)
     pmin = tuple(inside(pts, p) == [p] for p in pts)
@@ -171,8 +169,7 @@ def d_topology(lat: ResiduatedLattice) -> FiniteSpace:
     """Opens d(F) for pure F, on the prime spectrum."""
     spec = prime_filters(lat)
     fam = {d_of(lat, f) for f in pure_filters(lat)}
-    return space_from_subbasis(spec, fam, f"Spec_D({lat.name})",
-                               tuple(lat.set_str(p) for p in spec))
+    return space_from_subbasis(spec, fam)
 
 
 @per_lattice("pure_part_map")

@@ -89,8 +89,7 @@ def nested_pair(points):
                 None)
 
 
-def hull_kernel_space(lat: ResiduatedLattice, points, flavor: str,
-                      name: str = "") -> FiniteSpace:
+def hull_kernel_space(lat: ResiduatedLattice, points, flavor: str) -> FiniteSpace:
     """Topologize a family of primes.
 
     flavor h: {h(x)} is a closed basis; flavor d: the same sets are an
@@ -107,21 +106,18 @@ def hull_kernel_space(lat: ResiduatedLattice, points, flavor: str,
         sub = hx + [full ^ m for m in hx]
     else:
         raise ValueError(f"unknown topology flavor {flavor!r}")
-    return space_from_subbasis(pts, sub, name or f"{lat.name}:{flavor}",
-                               tuple(lat.set_str(p) for p in pts))
+    return space_from_subbasis(pts, sub)
 
 
 @per_lattice("spec_space")
 def spec_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
-    return hull_kernel_space(lat, prime_filters(lat), flavor,
-                             f"Spec_{flavor}({lat.name})")
+    return hull_kernel_space(lat, prime_filters(lat), flavor)
 
 
 @per_lattice("min_space")
 def min_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
     """The minimal primes with the h or d hull-kernel topology."""
-    return hull_kernel_space(lat, minimal_primes(lat), flavor,
-                             f"Min_{flavor}({lat.name})")
+    return hull_kernel_space(lat, minimal_primes(lat), flavor)
 
 
 def stability(points, subset_mask: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import LatticeError, iter_bits, mask_key
+from .core import LatticeError, dot_digraph, iter_bits, mask_key
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,11 @@ class FiniteSpace:
     """A finite space: point labels plus the minimal open set of each point.
 
     ``labels`` are opaque identity carriers (filter bitmasks for spectra);
-    ``label_text`` is the printable form used in reports and DOT output.
+    a caller that prints a space makes the text for them.
     """
 
     labels: tuple
     nbhd: tuple
-    name: str = ""
-    label_text: tuple = ()
 
     def __post_init__(self):
         # one row per point, p in U_p, and q in U_p implies U_q inside U_p
@@ -37,10 +35,7 @@ class FiniteSpace:
                 not (u >> p) & 1 or u >> k or
                 any(self.nbhd[q] & ~u for q in iter_bits(u))
                 for p, u in enumerate(self.nbhd)):
-            raise LatticeError(f"space {self.name!r}: rows are not a preorder")
-        if not self.label_text:
-            object.__setattr__(self, "label_text",
-                               tuple(str(l) for l in self.labels))
+            raise LatticeError("space rows are not a preorder")
 
     @property
     def k(self) -> int:
@@ -80,30 +75,28 @@ class FiniteSpace:
         for i, l in enumerate(self.labels):
             if l == label:
                 return i
-        raise LatticeError(f"space {self.name!r}: no point labelled {label!r}")
+        raise LatticeError(f"space has no point labelled {label!r}")
 
     def sorted_opens(self) -> list[int]:
         return sorted(self.opens, key=mask_key)
 
 
-def space_from_subbasis(labels, subbasis, name="", label_text=()) -> FiniteSpace:
+def space_from_subbasis(labels, subbasis) -> FiniteSpace:
     """The topology a subbasis generates: U_p is the meet of its members at p."""
     k = len(labels)
     rows = [(1 << k) - 1] * k
     for s in subbasis:
         for p in iter_bits(s):
             rows[p] &= s
-    return FiniteSpace(tuple(labels), tuple(rows), name, tuple(label_text))
+    return FiniteSpace(tuple(labels), tuple(rows))
 
 
-def subspace(space: FiniteSpace, point_mask: int, name="") -> FiniteSpace:
+def subspace(space: FiniteSpace, point_mask: int) -> FiniteSpace:
     """Induced topology on a subset of points (relabelled 0..m-1)."""
     pts = iter_bits(point_mask)
     rows = tuple(sum(1 << i for i, q in enumerate(pts)
                      if (space.nbhd[p] >> q) & 1) for p in pts)
-    return FiniteSpace(tuple(space.labels[p] for p in pts), rows,
-                       name or f"{space.name}|sub",
-                       tuple(space.label_text[p] for p in pts))
+    return FiniteSpace(tuple(space.labels[p] for p in pts), rows)
 
 
 def components(space: FiniteSpace) -> list[int]:
@@ -206,16 +199,9 @@ def map_analysis(pm: PointMap) -> dict:
             "retraction_onto_image": continuous and fixes}
 
 
-def specialization_dot(space: FiniteSpace, graph_name="space") -> str:
-    """DOT digraph of the specialization order: p -> q iff p in cl({q})."""
-    lines = [f'digraph "{graph_name}" {{', "  rankdir=BT;",
-             '  node [shape=plaintext];']
-    for txt in space.label_text:
-        lines.append(f'  "{txt}";')
-    for q in range(space.k):
-        cl = space.closure(1 << q)
-        for p in iter_bits(cl):
-            if p != q:
-                lines.append(f'  "{space.label_text[p]}" -> "{space.label_text[q]}";')
-    lines.append("}")
-    return "\n".join(lines)
+def specialization_dot(space: FiniteSpace, graph_name: str, label_text) -> str:
+    """DOT digraph of the specialization order: p -> q iff p in cl({q}).
+    ``label_text`` holds the printed text of each point."""
+    return dot_digraph(graph_name, label_text,
+                       [(p, q) for q in range(space.k)
+                        for p in iter_bits(space.closure(1 << q)) if p != q])

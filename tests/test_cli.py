@@ -237,28 +237,71 @@ def test_printed_filter_sets_round_trip(tmp_path):
                         encoding="utf-8")
         products.append(str(prod))
     for path in list(FIXTURE_PATHS.values()) + products:
-        filters = _listed_sets(["filters", path])
-        assert filters
-        printed = set()
-        for kind in ("prime", "maximal", "minimal"):
-            printed.update(_listed_sets(["spectrum", path, "--kind", kind]))
-        printed.update(_listed_sets(["pure", path]))
-        printed.update(_listed_sets(["alpha", path]))
-        spp = run_cli(["spp", path])["stdout"].splitlines()
-        points = spp[1:next(i for i, l in enumerate(spp) if l.startswith("opens"))]
-        assert len(points) == int(spp[0].split(": ")[1].split()[0])
-        printed.update(line.split()[0] for line in points)
-        for f in filters:
-            for cmd in ("sigma", "rho", "quotient"):
-                res = run_cli([cmd, path, "--filter", f])
-                assert res["exit"] == 0, (cmd, path, f, res["stderr"])
-                if cmd != "quotient":
-                    lhs, rhs = res["stdout"].strip().split(" = ")
-                    assert lhs == f"{cmd}({f})"
-                    printed.add(rhs)
-        for s in sorted(printed):
-            res = run_cli(["sigma", path, "--filter", s])
-            assert res["exit"] == 0, (path, s, res["stderr"])
+        _assert_printed_sets_round_trip(path)
+
+
+def _assert_printed_sets_round_trip(path):
+    """Every set that a listing, sigma or rho prints for ``path`` is read
+    back by ``--filter``."""
+    filters = _listed_sets(["filters", path])
+    assert filters
+    printed = set()
+    for kind in ("prime", "maximal", "minimal"):
+        printed.update(_listed_sets(["spectrum", path, "--kind", kind]))
+    printed.update(_listed_sets(["pure", path]))
+    printed.update(_listed_sets(["alpha", path]))
+    spp = run_cli(["spp", path])["stdout"].splitlines()
+    points = spp[1:next(i for i, l in enumerate(spp) if l.startswith("opens"))]
+    assert len(points) == int(spp[0].split(": ")[1].split()[0])
+    printed.update(line.split()[0] for line in points)
+    for f in filters:
+        for cmd in ("sigma", "rho", "quotient"):
+            res = run_cli([cmd, path, "--filter", f])
+            assert res["exit"] == 0, (cmd, path, f, res["stderr"])
+            if cmd != "quotient":
+                lhs, rhs = res["stdout"].strip().split(" = ")
+                assert lhs == f"{cmd}({f})"
+                printed.add(rhs)
+    for s in sorted(printed):
+        res = run_cli(["sigma", path, "--filter", s])
+        assert res["exit"] == 0, (path, s, res["stderr"])
+
+
+def _renamed_chain(tmp_path, tokens):
+    """``gen``'s Godel chain with its inner tokens x1, x2, ... renamed."""
+    text = run_cli(["gen", "--family", "godel", "--size",
+                    str(len(tokens) + 2)])["stdout"]
+    ren = {f"x{i}": t for i, t in enumerate(tokens, start=1)}
+    path = tmp_path / "renamed.rlat"
+    path.write_text("\n".join(" ".join(ren.get(w, w) for w in line.split())
+                              for line in text.splitlines()) + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_filter_reads_tokens_with_commas_parentheses_and_braces(tmp_path):
+    path = _renamed_chain(tmp_path, ["a)", "(a", "a,b", "{x}", "a"])
+    assert "{a),(a,a,b,{x},a,1}" in _listed_sets(["filters", path])
+    _assert_printed_sets_round_trip(path)
+    res = run_cli(["sigma", path, "--filter", "{x}, a, 1"])  # spare commas
+    assert res["stdout"] == "sigma({{x},a,1}) = {1}\n"
+    g2 = tmp_path / "g2.rlat"
+    g2.write_text(run_cli(["gen", "--family", "godel", "--size", "2"])["stdout"],
+                  encoding="utf-8")
+    prod = tmp_path / "prod.rlat"
+    prod.write_text(run_cli(["gen", "--product", path, str(g2)])["stdout"],
+                    encoding="utf-8")
+    _assert_printed_sets_round_trip(str(prod))
+
+
+def test_filter_refuses_a_set_that_reads_two_ways(tmp_path):
+    # with a, b and a,b all tokens, {a,b,1} is {a,b,1} or {a,b; 1}
+    path = _renamed_chain(tmp_path, ["a,b", "a", "b"])
+    res = run_cli(["sigma", path, "--filter", "{a,b,1}"])
+    assert res == {"exit": 3, "stdout": "",
+                   "stderr": "Godel5: '{a,b,1}' reads as two sets, "
+                             "['a', 'b', '1'] and ['a,b', '1']\n"}
+    assert run_cli(["sigma", path, "--filter", "{b,1}"])["exit"] == 0
 
 
 def test_json_outputs_round_trip():
@@ -367,16 +410,69 @@ def test_check_reports_violation_exit(monkeypatch, tmp_path):
     assert run_cli(["check", FIXTURE_PATHS["c6"], "--suite", "spp"])["exit"] == 0
 
 
+A6_HASSE_DOT = """digraph "A6" {
+  rankdir=BT;
+  node [shape=plaintext];
+  "0";
+  "a";
+  "b";
+  "c";
+  "d";
+  "1";
+  "0" -> "a";
+  "0" -> "c";
+  "a" -> "b";
+  "b" -> "d";
+  "c" -> "d";
+  "d" -> "1";
+}"""
+
+B6_SPP_DOT = """digraph "Spp(B6)" {
+  rankdir=BT;
+  node [shape=plaintext];
+  "{d,1}";
+  "{a,c,1}";
+}"""
+
+
 def test_dot_outputs(tmp_path):
     hasse = tmp_path / "hasse.dot"
     res = run_cli(["validate", FIXTURE_PATHS["a6"], "--dot", str(hasse)])
     assert res["exit"] == 0
-    assert hasse.read_text(encoding="utf-8").startswith("digraph")
+    assert hasse.read_text(encoding="utf-8") == A6_HASSE_DOT
     spp_dot = tmp_path / "spp.dot"
     res = run_cli(["spp", FIXTURE_PATHS["b6"], "--dot", str(spp_dot)])
     assert res["exit"] == 0
-    text = spp_dot.read_text(encoding="utf-8")
-    assert text.startswith("digraph") and "{a,c,1}" in text
+    assert spp_dot.read_text(encoding="utf-8") == B6_SPP_DOT
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path):
+    path = tmp_path / "q4.rlat"
+    path.write_text('lattice Q"4\nelements 0 p"q r\\ 1\nbottom 0\ntop 1\n'
+                    'cover 0 p"q\ncover 0 r\\\ncover p"q 1\ncover r\\ 1\n'
+                    'mul p"q p"q p"q\nmul r\\ r\\ r\\\nmul p"q r\\ 0\nend\n',
+                    encoding="utf-8")
+    hasse, spp_dot = tmp_path / "hasse.dot", tmp_path / "spp.dot"
+    assert run_cli(["validate", str(path), "--dot", str(hasse)])["exit"] == 0
+    assert hasse.read_text(encoding="utf-8") == r"""digraph "Q\"4" {
+  rankdir=BT;
+  node [shape=plaintext];
+  "0";
+  "p\"q";
+  "r\\";
+  "1";
+  "0" -> "p\"q";
+  "0" -> "r\\";
+  "p\"q" -> "1";
+  "r\\" -> "1";
+}"""
+    assert run_cli(["spp", str(path), "--dot", str(spp_dot)])["exit"] == 0
+    assert spp_dot.read_text(encoding="utf-8") == r"""digraph "Spp(Q\"4)" {
+  rankdir=BT;
+  node [shape=plaintext];
+  "{p\"q,1}";
+  "{r\\,1}";
+}"""
 
 
 def test_root_fixture_copies_match_package_data():

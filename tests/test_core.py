@@ -137,6 +137,14 @@ VIOLATION_CASES = {
         lambda a6: _a6_raw(a6, leq=[[True] * 6] * 5),
         "A6: 1 violation(s)\n  [Bounds] leq is not 6x6",
         [()]),
+    "leq-row-past-n": (
+        lambda a6: _a6_raw(a6, leq=[*a6.up[:5], a6.up[5] | 1 << 6]),
+        "A6: 1 violation(s)\n  [Bounds] leq is not 6x6",
+        [()]),
+    "leq-row-negative": (
+        lambda a6: _a6_raw(a6, leq=[*a6.up[:5], -1]),
+        "A6: 1 violation(s)\n  [Bounds] leq is not 6x6",
+        [()]),
     "prod-shape": (
         lambda a6: _a6_raw(a6, prod=[[0] * 5] * 6),
         "A6: 1 violation(s)\n  [Bounds] prod is not 6x6",
@@ -345,6 +353,12 @@ def _elementwise_report(raw):
     return rep, res
 
 
+def _bitmask_rows(raw):
+    """``raw`` with each order row packed into one int, bit j for leq[i][j]."""
+    return dataclasses.replace(raw, leq=[
+        sum(1 << j for j, b in enumerate(row) if b) for row in raw.leq])
+
+
 def _seeded_mutants(lat, count, rng):
     """``count`` copies of ``lat``'s raw tables, each with one entry of
     ``prod`` set to another element or one entry of ``leq`` negated."""
@@ -380,14 +394,14 @@ def test_validate_matches_elementwise_reference(fixtures4):
     for lat, count in cases:
         for raw in [_raw_of(lat, lat.name), *_seeded_mutants(lat, count, rng)]:
             want, res = _elementwise_report(raw)
-            got = validate(raw)
-            if want.ok:
-                assert isinstance(got, ResiduatedLattice), raw.name
-                assert [list(row) for row in got.res] == res, raw.name
-                continue
-            assert str(got) == str(want), raw.name
-            assert [v.witness for v in got.violations] == \
-                [v.witness for v in want.violations], raw.name
+            for got in (validate(raw), validate(_bitmask_rows(raw))):
+                if want.ok:
+                    assert isinstance(got, ResiduatedLattice), raw.name
+                    assert [list(row) for row in got.res] == res, raw.name
+                    continue
+                assert str(got) == str(want), raw.name
+                assert [v.witness for v in got.violations] == \
+                    [v.witness for v in want.violations], raw.name
             seen.update(p for v in want.violations
                         for p in TEMPLATE_PHRASES if p in v.message)
     assert seen == set(TEMPLATE_PHRASES)

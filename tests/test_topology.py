@@ -293,9 +293,16 @@ def test_interior_closure_duality(fixtures4):
 def test_specialization_dot(a6):
     # p -> q iff p lies in the closure of q; {1} is the dense generic point
     sh = sp.spec_space(a6, "h")
-    dot = specialization_dot(sh, "SpecA6")
-    assert dot.startswith('digraph "SpecA6"')
-    assert '"{c,d,1}" -> "{1}";' in dot and '"{a,b,d,1}" -> "{1}";' in dot
+    dot = specialization_dot(sh, "SpecA6", [a6.set_str(p) for p in sh.labels])
+    assert dot == """digraph "SpecA6" {
+  rankdir=BT;
+  node [shape=plaintext];
+  "{1}";
+  "{c,d,1}";
+  "{a,b,d,1}";
+  "{c,d,1}" -> "{1}";
+  "{a,b,d,1}" -> "{1}";
+}"""
 
 
 def test_rows_agree_with_explicit_opens_oracle(family):

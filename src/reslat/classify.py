@@ -9,7 +9,7 @@ property for the same statement calls as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import LatticeError, ResiduatedLattice, iter_bits
 from .filters import (coannihilator, coannulets, enumerate_filters,
@@ -82,20 +82,14 @@ def direct_summands(lat: ResiduatedLattice) -> tuple[int, ...]:
                  == full)
 
 
-@dataclass(frozen=True)
-class Flag:
-    value: bool
-    witness: dict
+class Flag(namedtuple("Flag", "value witness")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    gelfand: Flag
-    mp: Flag
-    hyperarchimedean: Flag
-    directly_indecomposable: Flag
-    boolean_center: int
-    direct_summands: tuple[int, ...]
+class ClassificationReport(namedtuple(
+        "ClassificationReport", "gelfand mp hyperarchimedean "
+        "directly_indecomposable boolean_center direct_summands")):
+    __slots__ = ()
 
     def flags(self) -> dict:
         return {"gelfand": self.gelfand, "mp": self.mp,

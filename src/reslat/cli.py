@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .core import (LatticeError, ParseError, ResiduatedLattice, SizeLimit,
@@ -34,6 +33,8 @@ class _CliError(Exception):
 
 def _emit(lattice, command, result, witnesses=()):
     """Print the JSON document every ``--json`` output shares."""
+    import json     # here, so that a call without --json does not load it
+
     doc = {"lattice": lattice, "command": command, "result": result,
            "witnesses": list(witnesses)}
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -11,7 +11,7 @@ Every layer reads masks back through one bit kernel, ``iter_bits`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress
 from operator import itemgetter
 
@@ -25,24 +25,26 @@ class SizeLimit(LatticeError):
 
 
 class ParseError(LatticeError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A malformed line, or a file-level fault when ``line_no`` is None."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None
+                         else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One violated axiom, with a concrete witness (element tokens)."""
+class Violation(namedtuple("Violation", "kind message witness",
+                           defaults=((),))):
+    """One violated axiom, with a concrete witness (element tokens).  Kinds:
+    NotALattice NotMonoid NotAdjoint ResiduumGap Order Bounds ResMismatch."""
 
-    kind: str      # NotALattice | NotMonoid | NotAdjoint | ResiduumGap | Order | Bounds | ResMismatch
-    message: str
-    witness: tuple = ()
+    __slots__ = ()
 
 
-@dataclass
 class ValidationReport:
-    name: str
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self, name: str, violations: list | None = None):
+        self.name = name
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -79,35 +81,41 @@ class ValidationFailure(LatticeError):
 MAX_ELEMENTS = 64
 
 
-def _bit_rows() -> tuple:
-    """rows[k][b]: the indices 8k + i of the set bits i of the byte b.  Each
-    bit doubles a row: the entries with bit i set extend those without it."""
-    rows = []
-    for base in range(0, MAX_ELEMENTS, 8):
-        t = [()]
-        for i in range(base, base + 8):
-            bit = (i,)
-            t += [e + bit for e in t]
-        rows.append(tuple(t))
-    return tuple(rows)
+def _bit_row(k: int) -> tuple:
+    """row[b]: the indices 8k + i of the set bits i of the byte b.  Each bit
+    doubles the row: the entries with bit i set extend those without it."""
+    t = [()]
+    for i in range(8 * k, 8 * k + 8):
+        bit = (i,)
+        t += [e + bit for e in t]
+    return tuple(t)
 
 
-_BIT_ROWS = _bit_rows()
+# row k of the table; row 0 now, each later row on the first mask reaching it
+_BIT_ROWS = (_bit_row(0),)
 
 
 def iter_bits(mask: int) -> tuple[int, ...]:
     """The set-bit indices of ``mask`` in increasing order, one table row
     per byte; a negative or over-cap mask raises ValueError."""
+    global _BIT_ROWS
     if 0 <= mask < 256:
         return _BIT_ROWS[0][mask]
     if mask < 0 or mask >> MAX_ELEMENTS:
         raise ValueError(f"mask {mask:#x} is outside the {MAX_ELEMENTS}-bit cap")
-    out = ()
-    for row in _BIT_ROWS:
+    rows, out = _BIT_ROWS, ()
+    for row in rows:
         if not mask:
-            break
+            return out
         out += row[mask & 255]
         mask >>= 8
+    # later bytes: the grown table is swapped in whole, so callers never
+    # see a partial one
+    while mask:
+        rows += (_bit_row(len(rows)),)
+        out += rows[-1][mask & 255]
+        mask >>= 8
+    _BIT_ROWS = rows
     return out
 
 
@@ -116,17 +124,18 @@ def mask_key(mask: int) -> tuple:
     return (mask.bit_count(), iter_bits(mask))
 
 
-@dataclass
 class RawTables:
     """Unvalidated input for :func:`validate`."""
 
-    name: str
-    element_names: list[str]
-    leq: list                       # per i: bitmask (bit j iff i <= j) or n bools
-    prod: list                      # n x n element indices, read as prod[i][j]
-    bottom: int
-    top: int
-    res_claims: list[tuple[int, int, int]] = field(default_factory=list)
+    def __init__(self, name, element_names, leq, prod, bottom, top,
+                 res_claims=None):
+        self.name = name
+        self.element_names = element_names
+        self.leq = leq          # per i: bitmask (bit j iff i <= j) or n bools
+        self.prod = prod        # n x n element indices, read as prod[i][j]
+        self.bottom = bottom
+        self.top = top
+        self.res_claims = [] if res_claims is None else res_claims
 
 
 class ResiduatedLattice:
@@ -524,18 +533,18 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
             raise ParseError(line_no, f"unknown directive {head!r}")
 
     if name is None:
-        raise ParseError(0, f"{source}: missing 'lattice' line")
+        raise ParseError(None, f"{source}: missing 'lattice' line")
     if not element_names:
-        raise ParseError(0, f"{source}: missing 'elements' line")
+        raise ParseError(None, f"{source}: missing 'elements' line")
     if not ended:
-        raise ParseError(0, f"{source}: missing 'end'")
+        raise ParseError(None, f"{source}: missing 'end'")
     if bottom_tok is None or top_tok is None:
-        raise ParseError(0, f"{source}: bottom/top must be declared")
+        raise ParseError(None, f"{source}: bottom/top must be declared")
     n = len(element_names)
     bottom = index[bottom_tok] if bottom_tok in index else None
     top = index[top_tok] if top_tok in index else None
     if bottom is None or top is None:
-        raise ParseError(0, f"{source}: bottom/top must name declared elements")
+        raise ParseError(None, f"{source}: bottom/top must name declared elements")
 
     up = [1 << i for i in range(n)]
     for x, y in covers:
@@ -557,8 +566,8 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     for x, row in enumerate(prod):
         if None in row:
             y = row.index(None)
-            raise ParseError(0, f"{source}: missing mul row for "
-                                f"({element_names[x]},{element_names[y]})")
+            raise ParseError(None, f"{source}: missing mul row for "
+                                   f"({element_names[x]},{element_names[y]})")
 
     return RawTables(name, element_names, up, prod, bottom, top, res_claims)
 

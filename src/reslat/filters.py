@@ -37,7 +37,7 @@ product tables from the memo dict directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import wraps
 
 from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
@@ -163,7 +163,6 @@ def least_elements(lat: ResiduatedLattice) -> dict:
     return {u: x for x, u in enumerate(lat.up)}
 
 
-@dataclass(frozen=True)
 class FiltersLattice:
     """All filters, in deterministic order, with their join table.
 
@@ -175,12 +174,13 @@ class FiltersLattice:
     the lattice, whose memo holds this object, would make a reference cycle.
     """
 
-    name: str
-    names: tuple[str, ...]
-    filters: tuple[int, ...]
-    index: dict
-    join_t: tuple
-    top_i: int
+    def __init__(self, name, names, filters, index, join_t, top_i):
+        self.name = name
+        self.names = names
+        self.filters = filters
+        self.index = index
+        self.join_t = join_t
+        self.top_i = top_i
 
     def __len__(self):
         return len(self.filters)
@@ -310,14 +310,13 @@ def radical_index(lat: ResiduatedLattice) -> tuple[int, ...]:
     return image_index(lat, radical)
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    """Quotient algebra by the congruence a ~ b iff a->b and b->a lie in F."""
+class QuotientResult(namedtuple("QuotientResult",
+                                "quotient projection classes degenerate")):
+    """Quotient algebra by the congruence a ~ b iff a->b and b->a lie in F;
+    ``projection`` maps element indices to class indices, and ``classes``
+    class indices to member masks."""
 
-    quotient: ResiduatedLattice
-    projection: tuple[int, ...]          # element index -> class index
-    classes: tuple[int, ...]             # class index -> member mask
-    degenerate: bool
+    __slots__ = ()
 
     def push_mask(self, mask: int) -> int:
         """Image of a subset of the source under the projection."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from itertools import compress, islice, repeat
 from operator import or_
@@ -167,11 +167,11 @@ FIXTURE_EXPECT = {
 # verdicts, registry, reports
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str                     # pass | fail | not_applicable
-    witness: dict | None = None
-    note: str = ""
+class Verdict(namedtuple("Verdict", "status witness note",
+                         defaults=(None, ""))):
+    """``status`` is pass, fail or not_applicable."""
+
+    __slots__ = ()
 
     def as_dict(self):
         out = {"status": self.status}
@@ -1302,13 +1302,17 @@ def self_inventory_check():
                            f"extra={extra}")
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    property_ids: tuple[str, ...]
-    instance_names: tuple[str, ...]
-    verdicts: dict = field(default_factory=dict)   # (instance, pid) -> Verdict
-    conjecture_spp_is_purely_maximal: dict = field(default_factory=dict)
+    def __init__(self, suite, property_ids, instance_names, verdicts=None,
+                 conjecture_spp_is_purely_maximal=None):
+        self.suite = suite
+        self.property_ids = property_ids
+        self.instance_names = instance_names
+        # (instance, pid) -> Verdict
+        self.verdicts = {} if verdicts is None else verdicts
+        self.conjecture_spp_is_purely_maximal = (
+            {} if conjecture_spp_is_purely_maximal is None
+            else conjecture_spp_is_purely_maximal)
 
     def verdict(self, instance: str, pid: str) -> Verdict:
         return self.verdicts[(instance, pid)]

@@ -8,7 +8,6 @@ with opens d(F) = the points not containing F, for pure F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -140,14 +139,14 @@ def purely_prime_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
                          and irreducible(p, pure)), key=mask_key))
 
 
-@dataclass(frozen=True)
 class PureSpectrum:
     """Purely-prime points with their topology and per-point flags."""
 
-    points: tuple[int, ...]
-    space: FiniteSpace
-    purely_maximal: tuple[bool, ...]
-    purely_minimal: tuple[bool, ...]
+    def __init__(self, points, space, purely_maximal, purely_minimal):
+        self.points = points
+        self.space = space
+        self.purely_maximal = purely_maximal
+        self.purely_minimal = purely_minimal
 
     def __len__(self):
         return len(self.points)

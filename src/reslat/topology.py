@@ -11,13 +11,11 @@ are indexed 0..k-1 and subsets of points are bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import LatticeError, dot_digraph, iter_bits, mask_key
 
 
-@dataclass(frozen=True)
 class FiniteSpace:
     """A finite space: point labels plus the minimal open set of each point.
 
@@ -25,17 +23,16 @@ class FiniteSpace:
     a caller that prints a space makes the text for them.
     """
 
-    labels: tuple
-    nbhd: tuple
-
-    def __post_init__(self):
+    def __init__(self, labels: tuple, nbhd: tuple):
         # one row per point, p in U_p, and q in U_p implies U_q inside U_p
-        k = len(self.labels)
-        if len(self.nbhd) != k or any(
+        k = len(labels)
+        if len(nbhd) != k or any(
                 not (u >> p) & 1 or u >> k or
-                any(self.nbhd[q] & ~u for q in iter_bits(u))
-                for p, u in enumerate(self.nbhd)):
+                any(nbhd[q] & ~u for q in iter_bits(u))
+                for p, u in enumerate(nbhd)):
             raise LatticeError("space rows are not a preorder")
+        self.labels = labels
+        self.nbhd = nbhd
 
     @property
     def k(self) -> int:
@@ -147,19 +144,16 @@ def separation_report(space: FiniteSpace) -> dict:
             "compact_note": "trivially compact (finite)"}
 
 
-@dataclass(frozen=True)
 class PointMap:
     """A total map between finite spaces, given as an index table."""
 
-    source: FiniteSpace
-    target: FiniteSpace
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.mapping) != self.source.k:
+    def __init__(self, source: FiniteSpace, target: FiniteSpace,
+                 mapping: tuple[int, ...]):
+        if len(mapping) != source.k:
             raise LatticeError("point map is not total on the source")
-        if any(not 0 <= t < self.target.k for t in self.mapping):
+        if any(not 0 <= t < target.k for t in mapping):
             raise LatticeError("point map leaves the target")
+        self.source, self.target, self.mapping = source, target, mapping
 
     def image_mask(self, mask: int) -> int:
         out = 0

@@ -1,6 +1,5 @@
 """Parsing, validation, residuum derivation, and direct products."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from reslat import cli
+from reslat import cli, core
 from reslat.core import (MAX_ELEMENTS, ParseError, RawTables,
                          ResiduatedLattice, SizeLimit, ValidationFailure,
                          ValidationReport, direct_product, iter_bits,
@@ -54,7 +53,8 @@ def _a6_mutant(a6, flip=(), prod=(), bottom=None, top=None):
 
 def _a6_raw(a6, **fields):
     """A6's tables with whole RawTables fields replaced."""
-    return dataclasses.replace(_raw_of(a6, "A6"), **fields)
+    raw = _raw_of(a6, "A6")
+    return RawTables(**{**vars(raw), **fields})
 
 
 def _a6_prod_entry(a6, x, y, v):
@@ -355,8 +355,9 @@ def _elementwise_report(raw):
 
 def _bitmask_rows(raw):
     """``raw`` with each order row packed into one int, bit j for leq[i][j]."""
-    return dataclasses.replace(raw, leq=[
-        sum(1 << j for j, b in enumerate(row) if b) for row in raw.leq])
+    return RawTables(raw.name, raw.element_names, [
+        sum(1 << j for j, b in enumerate(row) if b) for row in raw.leq],
+        raw.prod, raw.bottom, raw.top, raw.res_claims)
 
 
 def _seeded_mutants(lat, count, rng):
@@ -434,13 +435,17 @@ def test_res_rows_cross_checked():
      "line 5: duplicate 'bottom' line"),
     ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\ntop 0\nend",
      "line 6: duplicate 'top' line"),
+    ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\n",
+     "<string>: missing 'end'"),
 ], ids=["dup-mul", "missing-mul", "unknown-tok", "after-end", "end-args",
      "no-bottom", "dup-tok", "dup-lattice", "dup-elements", "dup-bottom",
-     "dup-top"])
+     "dup-top", "no-end"])
 def test_parse_errors(text, snippet):
     with pytest.raises(ParseError) as err:
         parse_lattice_text(text)
     assert snippet in str(err.value)
+    # a file-level error (no line to blame) prints no line number
+    assert str(err.value).startswith("line ") == (err.value.line_no is not None)
 
 
 DIAMOND = ("lattice D\nelements 0 a b 1\nbottom 0\ntop 1\n"
@@ -455,7 +460,7 @@ def test_parse_names_the_first_missing_mul_row(row, first):
     # is named
     with pytest.raises(ParseError) as err:
         parse_lattice_text(DIAMOND + row + "\nend\n")
-    assert str(err.value) == f"line 0: <string>: missing mul row for {first}"
+    assert str(err.value) == f"<string>: missing mul row for {first}"
 
 
 def test_parse_mul_rows_are_unordered_pairs():
@@ -589,7 +594,10 @@ def _reference_bits(mask):
         mask ^= low
 
 
-def test_bit_kernel_matches_the_lowest_bit_reference():
+def test_bit_kernel_matches_the_lowest_bit_reference(monkeypatch):
+    # from row 0 alone, as at import: range(1 << 16) builds row 1 and
+    # 1 << 63 the rows 2..7 in one call
+    monkeypatch.setattr(core, "_BIT_ROWS", core._BIT_ROWS[:1])
     rng = random.Random(20221)
     masks = (list(range(1 << 16)) + [0, 1 << 63, (1 << 64) - 1]
              + [rng.getrandbits(64) for _ in range(300)])
@@ -637,3 +645,24 @@ def test_cli_imports_only_the_standard_library():
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "['reslat']", "['reslat', 'reslat.cli', 'reslat.core']"]
+
+
+# A fresh interpreter imports one module and prints which of the standard
+# library modules that reslat leaves out of its start-up the import loaded.
+_STARTUP_PROBE = """
+import importlib, sys
+before = set(sys.modules)
+importlib.import_module(sys.argv[1])
+print(sorted({"dataclasses", "inspect", "json"} & set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("module", ["reslat.harness", "reslat.cli"])
+def test_import_skips_dataclasses_inspect_and_json(module):
+    # dataclasses drags in inspect, ast, dis and tokenize, and the CLI
+    # imports json only to print --json output
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, module],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Generators, registry self-inventory, suite determinism and verdicts."""
 
-import dataclasses
 import gc
 import hashlib
 import importlib.resources
@@ -21,7 +20,7 @@ from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          validate)
 from reslat.classify import Flag, boolean_center
 from reslat.filters import enumerate_filters, least_elements
-from reslat.purity import rho, sigma_filter, sigma_index
+from reslat.purity import PureSpectrum, rho, sigma_filter, sigma_index
 from reslat.spectra import spec_space
 from reslat.topology import separation_report
 
@@ -515,8 +514,8 @@ def test_minpurfil_fails_with_witness(a6, b6, monkeypatch):
 
     def first_not_minimal(lat):
         spp = real(lat)
-        return dataclasses.replace(
-            spp, purely_minimal=(False,) + spp.purely_minimal[1:])
+        return PureSpectrum(spp.points, spp.space, spp.purely_maximal,
+                            (False,) + spp.purely_minimal[1:])
     monkeypatch.setattr(hz, "pure_spectrum", first_not_minimal)
     for lat, first in ((a6, ["1"]), (b6, ["d", "1"])):
         assert _verdict("minpurfil", lat) == hz.Verdict(
@@ -652,8 +651,8 @@ def _flipped_reports(monkeypatch):
 
     def flipped(lat):
         rep = real(lat)
-        return dataclasses.replace(
-            rep, gelfand=Flag(not rep.gelfand.value, rep.gelfand.witness),
+        return rep._replace(
+            gelfand=Flag(not rep.gelfand.value, rep.gelfand.witness),
             mp=Flag(not rep.mp.value, rep.mp.witness))
     monkeypatch.setattr(hz, "classify", flipped)
     instances = hz.acceptance_family()[:20]   # fixtures, chains, 2 products

@@ -9,7 +9,7 @@ carries a concrete witness.
 
 from __future__ import annotations
 
-import importlib.resources
+import os
 import random
 from collections import namedtuple
 from functools import reduce
@@ -65,7 +65,7 @@ def fixture(name: str) -> ResiduatedLattice:
     if key not in FIXTURE_NAMES:
         raise LatticeError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
     if key not in _FIXTURES:
-        path = importlib.resources.files("reslat") / "fixtures" / f"{key}.rlat"
+        path = os.path.join(os.path.dirname(__file__), "fixtures", f"{key}.rlat")
         _FIXTURES[key] = load_lattice(path)
     return _FIXTURES[key]
 

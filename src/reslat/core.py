@@ -12,8 +12,10 @@ Every layer reads masks back through one bit kernel, ``iter_bits`` and
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import compress
-from operator import itemgetter
+from operator import and_, or_
+from operator import index as as_index
 
 
 class LatticeError(Exception):
@@ -257,12 +259,29 @@ def _lower_covers(up, down, n: int) -> list[list[int]]:
     return out
 
 
+def _index_fault(v, n: int) -> str | None:
+    """Why ``v`` is not an element index below ``n``; None when it is one."""
+    try:
+        k = as_index(v)
+    except TypeError:
+        return f"{v!r} is not an integer"
+    return None if 0 <= k < n else f"{k} outside 0..{n - 1}"
+
+
 def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     """Check every axiom; return the lattice, or a report of all violations.
 
     The residuum table is always derived from the order and the product;
     any res rows supplied in the input are cross-checked, never trusted.
-    Each check reports its first witness in index order (row-major).
+    Each check compares whole rows or tables, and only a check that fails
+    looks for its first witness in index order (row-major).
+
+    The residuum rests on one lemma.  Let S(x, y) = {z | x*z <= y}.  Then
+    x->y exists with x*z <= y iff z <= x->y for every z (adjunction at
+    (x, y)) exactly when S(x, y) is a principal downset down(j), and then
+    x->y = j.  So each cell is one lookup of S(x, y) among the downsets,
+    and only a cell that misses is diagnosed: S(x, y) is empty, has no
+    maximum, or has a maximum j but is not down(j) (adjunction fails).
     """
     rep = ValidationReport(raw.name)
     names = raw.element_names
@@ -271,165 +290,158 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     if not (2 <= n <= MAX_ELEMENTS):
         rep.add("Bounds", f"element count {n} outside 2..{MAX_ELEMENTS}")
         return rep
+    # the name and the tokens must read back from an .rlat file, whose lines
+    # split into words at whitespace and end at a '#' comment
+    words = [raw.name, *names]
+    line = " ".join(map(str, words))
+    if line.split() != words or "#" in line or len(set(names)) < n:
+        bad = next((i for i, w in enumerate(words) if not isinstance(w, str)
+                    or w.split() != [w] or "#" in w), None)
+        if bad is not None:
+            what = "element token" if bad else "lattice name"
+            rep.add("Bounds", f"{what} {words[bad]!r} is not a nonempty string "
+                    "without whitespace or '#'", words[bad:bad + 1] if bad else ())
+        dup = next((w for i, w in enumerate(names) if w in names[:i]), None)
+        if dup is not None:
+            rep.add("Bounds", f"element token {dup!r} is repeated", (dup,))
     # shapes and indices first: every later check indexes by them.  An order
     # row is read as it is when it is an int, and packed when it is n bools.
-    # A negative row (-1 stands for a bool row of another length) shifts
-    # right to -1, so it is refused with the rows that have a bit past n
+    # A negative row (-1 stands for a bool row of another length) is refused
+    # with the rows that have a bit past n
     pows = [1 << j for j in range(n)]
     up = [row if isinstance(row, int) else
           sum(compress(pows, row)) if len(row) == n else -1 for row in raw.leq]
-    if len(up) != n or any(row >> n for row in up):
+    if len(up) != n or min(up) < 0 or max(up) >> n:
         rep.add("Bounds", f"leq is not {n}x{n}")
-    if len(raw.prod) != n or any(len(row) != n for row in raw.prod):
+    if len(raw.prod) != n or set(map(len, raw.prod)) != {n}:
         rep.add("Bounds", f"prod is not {n}x{n}")
     for what, v in (("bottom", raw.bottom), ("top", raw.top)):
-        if not 0 <= v < n:
-            rep.add("Bounds", f"{what} index {v} outside 0..{n - 1}")
+        fault = _index_fault(v, n)
+        if fault:
+            rep.add("Bounds", f"{what} index {fault}")
     if not rep.ok:
         return rep
-    prod = [tuple(map(int, raw.prod[i])) for i in range(n)]
-    bad = next(((x, y) for x in range(n) for y in range(n)
-                if not 0 <= prod[x][y] < n), None)
-    if bad:
-        x, y = bad
-        rep.add("Bounds", f"product {names[x]}*{names[y]} = {prod[x][y]} "
-                          f"outside 0..{n - 1}", (names[x], names[y]))
+    # bytes() reads each entry through __index__ and refuses one outside
+    # 0..255; the rows as bytes serve the associativity and residuum checks
+    try:
+        rows = list(map(bytes, raw.prod))
+        ok = max(map(max, rows)) < n
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        x, y, fault = next((x, y, f) for x in range(n) for y in range(n)
+                           if (f := _index_fault(raw.prod[x][y], n)))
+        rep.add("Bounds", f"product {names[x]}*{names[y]} = {fault}",
+                (names[x], names[y]))
         return rep
+    bottom, top = as_index(raw.bottom), as_index(raw.top)
     full = (1 << n) - 1
     down = transpose(up, n)
 
-    # partial order
-    for i in range(n):
-        if not up[i] >> i & 1:
-            rep.add("Order", f"{names[i]} not reflexive", (names[i],))
-            break
-    for i in range(n):
-        anti = up[i] & down[i] & ~(1 << i)
-        if anti:
-            j = iter_bits(anti)[0]
-            rep.add("Order", f"antisymmetry fails at ({names[i]},{names[j]})",
-                    (names[i], names[j]))
-            break
-    for i in range(n):
-        reach = 0
-        for k in iter_bits(up[i]):
-            reach |= up[k]
-        if reach & ~up[i]:
-            j = iter_bits(reach & ~up[i])[0]
-            rep.add("Order", f"transitivity fails reaching {names[j]} from {names[i]}",
-                    (names[i], names[j]))
-            break
+    # partial order: reflexive, antisymmetric (up[i] & down[i] is {i} at
+    # most), and transitive (the rows that up[i] reaches stay inside it)
+    if not all(map(and_, up, pows)):
+        i = next(i for i in range(n) if not up[i] >> i & 1)
+        rep.add("Order", f"{names[i]} not reflexive", (names[i],))
+    if list(map(or_, map(and_, up, down), pows)) != pows:
+        i = next(i for i in range(n) if up[i] & down[i] & ~pows[i])
+        j = iter_bits(up[i] & down[i] & ~pows[i])[0]
+        rep.add("Order", f"antisymmetry fails at ({names[i]},{names[j]})",
+                (names[i], names[j]))
+    reach = [reduce(or_, map(up.__getitem__, iter_bits(u)), u) for u in up]
+    if reach != up:
+        i = next(i for i in range(n) if reach[i] != up[i])
+        j = iter_bits(reach[i] & ~up[i])[0]
+        rep.add("Order", f"transitivity fails reaching {names[j]} from {names[i]}",
+                (names[i], names[j]))
     if not rep.ok:
         return rep
 
     # bounded lattice with all joins/meets: the upper bounds of {x, y} have
-    # a least member j exactly when they form the row up[j]
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
+    # a least member j exactly when they form the row up[j].  The tables are
+    # built flat, cell x*n + y, then cut into rows
     up_of = {row: i for i, row in enumerate(up)}
     down_of = {row: i for i, row in enumerate(down)}
-    for x in range(n):
-        for y in range(x, n):
-            j = up_of.get(up[x] & up[y])
-            m = down_of.get(down[x] & down[y])
-            if j is None:
-                rep.add("NotALattice", f"{names[x]} v {names[y]} has no least upper bound",
-                        (names[x], names[y]))
-            if m is None:
-                rep.add("NotALattice", f"{names[x]} ^ {names[y]} has no greatest lower bound",
-                        (names[x], names[y]))
-            if j is None or m is None:
-                continue
-            join[x][y] = join[y][x] = j
-            meet[x][y] = meet[y][x] = m
+    join = [up_of.get(u & v) for u in up for v in up]
+    meet = [down_of.get(d & e) for d in down for e in down]
+    if None in join or None in meet:
+        for x in range(n):
+            for y in range(x, n):
+                if join[x * n + y] is None:
+                    rep.add("NotALattice", f"{names[x]} v {names[y]} has no "
+                            "least upper bound", (names[x], names[y]))
+                if meet[x * n + y] is None:
+                    rep.add("NotALattice", f"{names[x]} ^ {names[y]} has no "
+                            "greatest lower bound", (names[x], names[y]))
+        return rep
+    join, meet = list(zip(*[iter(join)] * n)), list(zip(*[iter(meet)] * n))
+
+    if up[bottom] != full:
+        x = iter_bits(full & ~up[bottom])[0]
+        rep.add("Bounds", f"declared bottom {names[bottom]} is not below {names[x]}",
+                (names[bottom], names[x]))
+    if down[top] != full:
+        x = iter_bits(full & ~down[top])[0]
+        rep.add("Bounds", f"declared top {names[top]} is not above {names[x]}",
+                (names[top], names[x]))
     if not rep.ok:
         return rep
 
-    if up[raw.bottom] != full:
-        x = iter_bits(full & ~up[raw.bottom])[0]
-        rep.add("Bounds", f"declared bottom {names[raw.bottom]} is not below {names[x]}",
-                (names[raw.bottom], names[x]))
-    if down[raw.top] != full:
-        x = iter_bits(full & ~down[raw.top])[0]
-        rep.add("Bounds", f"declared top {names[raw.top]} is not above {names[x]}",
-                (names[raw.top], names[x]))
-    if not rep.ok:
-        return rep
-
-    # commutative monoid with unit top
-    bad = next(((x, y) for x in range(n) for y in range(n)
-                if prod[x][y] != prod[y][x]), None)
-    if bad:
-        x, y = bad
+    # commutative monoid with unit top: the transposed table is the table,
+    # and its column top is the identity
+    prod = list(map(tuple, rows))
+    cols = list(zip(*prod))
+    if cols != prod:
+        x, y = next((x, y) for x in range(n) for y in range(n)
+                    if prod[x][y] != prod[y][x])
         rep.add("NotMonoid", f"product not commutative at ({names[x]},{names[y]})",
                 (names[x], names[y]))
-    for x in range(n):
-        if prod[x][raw.top] != x:
-            rep.add("NotMonoid",
-                    f"{names[x]} * 1 = {names[prod[x][raw.top]]} instead of {names[x]}",
-                    (names[x],))
-            break
-    # associativity, one x at a time: the row z -> (x*y)*z against the row
-    # z -> x*(y*z) for every y; by_y[y](prod[x]) reads the second one
-    by_y = [itemgetter(*r) for r in prod]
-    for x, px in enumerate(prod):
-        lhs, rhs = [prod[v] for v in px], [g(px) for g in by_y]
-        if lhs != rhs:
-            y = next(y for y in range(n) if lhs[y] != rhs[y])
-            z = next(z for z in range(n) if lhs[y][z] != rhs[y][z])
-            rep.add("NotMonoid",
-                    f"associativity fails at ({names[x]},{names[y]},{names[z]})",
-                    (names[x], names[y], names[z]))
-            break
+    if cols[top] != tuple(range(n)):
+        x = next(x for x in range(n) if prod[x][top] != x)
+        rep.add("NotMonoid",
+                f"{names[x]} * 1 = {names[prod[x][top]]} instead of {names[x]}",
+                (names[x],))
+    # associativity over all triples at once: cell (x, y, z) of lhs is cell z
+    # of row x*y, (x*y)*z; of rhs, the whole table read through row x,
+    # x*(y*z).  The first difference is the row-major witness
+    flat = b"".join(rows)
+    lhs = b"".join(map(rows.__getitem__, flat))
+    rhs = b"".join([flat.translate(r.ljust(256, b"\0")) for r in rows])
+    if lhs != rhs:
+        p = next(p for p in range(n ** 3) if lhs[p] != rhs[p])
+        x, y, z = p // (n * n), p // n % n, p % n
+        rep.add("NotMonoid",
+                f"associativity fails at ({names[x]},{names[y]},{names[z]})",
+                (names[x], names[y], names[z]))
 
-    # residuum: x->y is the maximum of S(x, y) = {z | x*z <= y}, which must
-    # contain its own join.  S(x, y) is the fibre {z | x*z = y} together with
-    # S(x, c) for each lower cover c of y, so S and its join are built up
-    # the order from the fibres, one lower cover at a time.
-    lower = _lower_covers(up, down, n)
-    upward = sorted(range(n), key=lambda y: down[y].bit_count())
-    res = [[0] * n for _ in range(n)]
-    below = []                        # below[x][y] = S(x, y) as a bitmask
-    gap = False
-    for x, px in enumerate(prod):
-        zs, js = [0] * n, [raw.bottom] * n     # S(x, y) and its join, per y
-        for z, v in enumerate(px):             # the fibres first
-            zs[v] |= 1 << z
-            js[v] = join[js[v]][z]
-        for y in upward:
-            for c in lower[y]:
-                zs[y] |= zs[c]
-                js[y] = join[js[y]][js[c]]
-        below.append(zs)
-        for y in range(n):
-            j = js[y]
-            if not zs[y]:
-                rep.add("ResiduumGap",
-                        f"no z at all with {names[x]}*z <= {names[y]}",
-                        (names[x], names[y]))
-                gap = True
-            elif not zs[y] >> j & 1:
-                rep.add("ResiduumGap",
-                        f"{{z | {names[x]}*z <= {names[y]}}} has no maximum",
-                        (names[x], names[y]))
-                gap = True
-            else:
-                res[x][y] = j
-
-    if not gap:
-        # adjunction: x*z <= y  iff  z <= x->y
-        bad = next(((x, y, iter_bits(below[x][y] ^ down[res[x][y]])[0])
-                    for x in range(n) for y in range(n)
-                    if below[x][y] != down[res[x][y]]), None)
-        if bad:
-            x, y, z = bad
-            rep.add("NotAdjoint",
-                    f"adjunction fails at x={names[x]}, y={names[y]}, z={names[z]}",
-                    (names[x], names[y], names[z]))
-
-    # x*y <= x^y (checked directly even though it follows from adjunction)
-    bad = next(((x, y) for x in range(n) for y in range(n)
-                if not down[meet[x][y]] >> prod[x][y] & 1), None)
+    # residuum, by the lemma.  flags[y] is down[y] as n bytes, b"1" at each
+    # v <= y.  Translating the table, its rows cut by a \xff byte, through
+    # flags[y] gives S(x, y) for every x, row x as the flags of its z
+    flags = [format(d, f"0{n}b")[::-1].encode() for d in down]
+    flag_of = dict(zip(flags, range(n)))
+    table, pad = b"\xff".join(rows), b"0" * (255 - n) + b"\xff"
+    res = list(zip(*[map(flag_of.get, table.translate(f + pad).split(b"\xff"))
+                     for f in flags]))
+    gap, adjoint = False, None
+    for x, y in [(x, y) for x, row in enumerate(res) if None in row
+                 for y in range(n) if row[y] is None]:
+        s = sum(pows[z] for z, v in enumerate(prod[x]) if down[y] >> v & 1)
+        j = reduce(lambda a, b: join[a][b], iter_bits(s), bottom)
+        if s and s >> j & 1:          # a maximum j, but S(x, y) is not down(j)
+            adjoint = adjoint or (x, y, iter_bits(s ^ down[j])[0])
+            continue
+        gap = True
+        rep.add("ResiduumGap", f"{{z | {names[x]}*z <= {names[y]}}} has no maximum"
+                if s else f"no z at all with {names[x]}*z <= {names[y]}",
+                (names[x], names[y]))
+    if adjoint and not gap:
+        rep.add("NotAdjoint", "adjunction fails at x={}, y={}, z={}".format(
+            *(names[i] for i in adjoint)), tuple(names[i] for i in adjoint))
+    # x*y <= x^y.  Adjunction makes z -> x*z monotone, so with the unit and
+    # commutativity x*y <= x*1 = x and x*y = y*x <= y: looked at only when
+    # one of them failed
+    bad = None if rep.ok else next(((x, y) for x in range(n) for y in range(n)
+                                    if not down[meet[x][y]] >> prod[x][y] & 1), None)
     if bad:
         x, y = bad
         rep.add("NotAdjoint",
@@ -446,7 +458,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     if not rep.ok:
         return rep
     return ResiduatedLattice(raw.name, names, up, down, join, meet, prod, res,
-                             raw.bottom, raw.top)
+                             bottom, top)
 
 
 def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
@@ -458,101 +470,88 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     other operand, and every other unordered pair must appear exactly
     once.  A carrier past ``MAX_ELEMENTS`` raises :class:`SizeLimit` at its
     ``elements`` line.  The ``lattice``, ``elements``, ``bottom`` and
-    ``top`` lines appear once.
+    ``top`` lines appear once.  The ``mul`` and ``cover`` lines, most of a
+    file, are tested for first.
     """
-    name = None
-    element_names: list[str] = []
+    once: dict[str, list[str]] = {}     # the words after each once-only head
     index: dict[str, int] = {}
-    bottom_tok = top_tok = None
-    covers: list[tuple[int, int]] = []
+    up: list[int] = []                  # bit j of up[i] iff i <= j, as read
     mul_rows: dict[tuple[int, int], int] = {}     # (min, max) -> value
     res_claims: list[tuple[int, int, int]] = []
-    seen: set[str] = set()                        # directives read so far
+    lines = text.splitlines()
     ended = False
-
-    def want(tok, line_no):
-        if tok not in index:
-            raise ParseError(line_no, f"unknown element {tok!r}")
-        return index[tok]
-
-    for line_no, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
+    for line_no, line in enumerate(lines, start=1):
+        words = line.split("#", 1)[0].split()
+        if not words:
             continue
-        if ended:
-            raise ParseError(line_no, "content after 'end'")
-        words = line.split()
-        head, args = words[0], words[1:]
-        if head in seen and head in ("lattice", "elements", "bottom", "top"):
-            raise ParseError(line_no, f"duplicate {head!r} line")
-        seen.add(head)
-        if head == "lattice":
-            if len(args) != 1:
-                raise ParseError(line_no, "expected: lattice <name>")
-            name = args[0]
-        elif head == "elements":
-            if len(args) < 2:
-                raise ParseError(line_no, "need at least two elements")
-            if len(set(args)) != len(args):
-                raise ParseError(line_no, "element tokens must be distinct")
-            if len(args) > MAX_ELEMENTS:
-                raise SizeLimit(f"{name or source}: {len(args)} elements "
-                                f"exceeds the cap of {MAX_ELEMENTS}")
-            element_names = list(args)
-            index = {tok: i for i, tok in enumerate(element_names)}
-        elif head == "bottom":
-            if len(args) != 1:
-                raise ParseError(line_no, "expected: bottom <tok>")
-            bottom_tok = args[0]
-        elif head == "top":
-            if len(args) != 1:
-                raise ParseError(line_no, "expected: top <tok>")
-            top_tok = args[0]
-        elif head == "cover":
-            if len(args) != 2:
-                raise ParseError(line_no, "expected: cover <x> <y>")
-            covers.append((want(args[0], line_no), want(args[1], line_no)))
-        elif head == "mul":
-            if len(args) != 3:
-                raise ParseError(line_no, "expected: mul <x> <y> <tok>")
-            x, y, v = (want(t, line_no) for t in args)
-            key = (x, y) if x <= y else (y, x)
-            if key in mul_rows:
-                raise ParseError(line_no, f"duplicate mul row for ({args[0]},{args[1]})")
-            mul_rows[key] = v
-        elif head == "res":
-            if len(args) != 3:
-                raise ParseError(line_no, "expected: res <x> <y> <tok>")
-            x, y, v = (want(t, line_no) for t in args)
-            res_claims.append((x, y, v))
-        elif head == "end":
-            if args:
-                raise ParseError(line_no, "expected: end")
-            ended = True
-        else:
-            raise ParseError(line_no, f"unknown directive {head!r}")
+        head = words[0]
+        try:
+            if head == "mul":
+                if len(words) != 4:
+                    raise ParseError(line_no, "expected: mul <x> <y> <tok>")
+                x, y, v = index[words[1]], index[words[2]], index[words[3]]
+                key = (x, y) if x <= y else (y, x)
+                if key in mul_rows:
+                    raise ParseError(line_no, "duplicate mul row for "
+                                              f"({words[1]},{words[2]})")
+                mul_rows[key] = v
+            elif head == "cover":
+                if len(words) != 3:
+                    raise ParseError(line_no, "expected: cover <x> <y>")
+                up[index[words[1]]] |= 1 << index[words[2]]
+            elif head == "res":
+                if len(words) != 4:
+                    raise ParseError(line_no, "expected: res <x> <y> <tok>")
+                res_claims.append((index[words[1]], index[words[2]],
+                                   index[words[3]]))
+            elif head in ("lattice", "elements", "bottom", "top"):
+                if head in once:
+                    raise ParseError(line_no, f"duplicate {head!r} line")
+                args = once[head] = words[1:]
+                if head != "elements":
+                    if len(args) != 1:
+                        raise ParseError(line_no, f"expected: {head} <"
+                                         f"{'name' if head == 'lattice' else 'tok'}>")
+                elif len(args) < 2:
+                    raise ParseError(line_no, "need at least two elements")
+                elif len(set(args)) != len(args):
+                    raise ParseError(line_no, "element tokens must be distinct")
+                elif len(args) > MAX_ELEMENTS:
+                    raise SizeLimit(f"{once.get('lattice', [source])[0]}: "
+                                    f"{len(args)} elements exceeds the cap "
+                                    f"of {MAX_ELEMENTS}")
+                else:
+                    index = {tok: i for i, tok in enumerate(args)}
+                    up = [1 << i for i in range(len(args))]
+            elif head == "end":
+                if len(words) != 1:
+                    raise ParseError(line_no, "expected: end")
+                for after, rest in enumerate(lines[line_no:], start=line_no + 1):
+                    if rest.split("#", 1)[0].strip():
+                        raise ParseError(after, "content after 'end'")
+                ended = True
+                break
+            else:
+                raise ParseError(line_no, f"unknown directive {head!r}")
+        except KeyError as exc:
+            raise ParseError(line_no, f"unknown element {exc.args[0]!r}") from None
 
-    if name is None:
+    if "lattice" not in once:
         raise ParseError(None, f"{source}: missing 'lattice' line")
-    if not element_names:
+    if "elements" not in once:
         raise ParseError(None, f"{source}: missing 'elements' line")
     if not ended:
         raise ParseError(None, f"{source}: missing 'end'")
-    if bottom_tok is None or top_tok is None:
+    if "bottom" not in once or "top" not in once:
         raise ParseError(None, f"{source}: bottom/top must be declared")
-    n = len(element_names)
-    bottom = index[bottom_tok] if bottom_tok in index else None
-    top = index[top_tok] if top_tok in index else None
+    bottom, top = index.get(once["bottom"][0]), index.get(once["top"][0])
     if bottom is None or top is None:
         raise ParseError(None, f"{source}: bottom/top must name declared elements")
+    n = len(index)
 
-    up = [1 << i for i in range(n)]
-    for x, y in covers:
-        up[x] |= 1 << y
     for k in range(n):                      # Warshall closure
-        for i in range(n):
-            if up[i] >> k & 1:
-                up[i] |= up[k]
+        uk, bit = up[k], 1 << k
+        up = [u | uk if u & bit else u for u in up]
 
     # the defaults (bottom absorbs, top is the unit), then the mul rows
     prod = [[None] * n for _ in range(n)]
@@ -563,13 +562,15 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
     prod[bottom] = [bottom] * n
     for (x, y), v in mul_rows.items():
         prod[x][y] = prod[y][x] = v
+    names = once["elements"]
     for x, row in enumerate(prod):
         if None in row:
             y = row.index(None)
             raise ParseError(None, f"{source}: missing mul row for "
-                                   f"({element_names[x]},{element_names[y]})")
+                                   f"({names[x]},{names[y]})")
 
-    return RawTables(name, element_names, up, prod, bottom, top, res_claims)
+    return RawTables(once["lattice"][0], names, up, prod, bottom, top,
+                     res_claims)
 
 
 def _validated(raw: RawTables) -> ResiduatedLattice:
@@ -580,9 +581,10 @@ def _validated(raw: RawTables) -> ResiduatedLattice:
 
 
 def load_lattice(path) -> ResiduatedLattice:
-    """Parse and validate a lattice file; raise ValidationFailure if bad."""
+    """Parse and validate a lattice file; raise ValidationFailure if bad.
+    A leading byte-order mark is dropped, as the utf-8-sig codec would."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        text = fh.read().removeprefix("\ufeff")
     return _validated(parse_lattice_text(text, source=str(path)))
 
 

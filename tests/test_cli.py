@@ -378,6 +378,16 @@ def test_exit_codes(tmp_path):
     assert run_cli(["validate", str(truncated)])["exit"] == 3
 
 
+def test_validate_reads_a_file_with_a_byte_order_mark(tmp_path):
+    # editors on some platforms save UTF-8 with a leading BOM
+    text = Path(FIXTURE_PATHS["a6"]).read_text(encoding="utf-8")
+    path = tmp_path / "a6-bom.rlat"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want = json.loads((GOLDEN_DIR / "a6__validate.json")
+                      .read_text(encoding="utf-8"))
+    assert run_cli(["validate", str(path)]) == want
+
+
 def test_check_refuses_duplicate_instance_names(tmp_path):
     renamed = tmp_path / "B.rlat"
     text = Path(FIXTURE_PATHS["a8"]).read_text(encoding="utf-8")

@@ -64,6 +64,12 @@ def _a6_prod_entry(a6, x, y, v):
     return _a6_raw(a6, prod=prod)
 
 
+def _three_chain(tokens):
+    """The Goedel chain on three tokens, unvalidated, named X."""
+    return RawTables("X", tokens, [0b111, 0b110, 0b100],
+                     [[0, 0, 0], [0, 1, 1], [0, 1, 2]], 0, 2)
+
+
 def test_fixtures_validate(fixtures4):
     for lat in fixtures4:
         assert lat.n in (6, 8)
@@ -235,6 +241,56 @@ VIOLATION_CASES = {
         lambda a6: parse_lattice_text(TWO_CHAIN.replace("end", "res 1 0 1\nend")),
         "Two: 1 violation(s)\n  [ResMismatch] file claims 1->0 = 1, derived 0",
         [("1", "0", "1")]),
+    # tokens and names that an .rlat file cannot carry: its lines split into
+    # words at whitespace, and '#' starts a comment
+    "token-repeated": (
+        lambda a6: _three_chain(["a", "a", "1"]),
+        "X: 1 violation(s)\n  [Bounds] element token 'a' is repeated",
+        [("a",)]),
+    "token-empty": (
+        lambda a6: _three_chain(["0", "", "1"]),
+        "X: 1 violation(s)\n  [Bounds] element token '' is not a nonempty "
+        "string without whitespace or '#'",
+        [("",)]),
+    "token-whitespace": (
+        lambda a6: RawTables("X", ["a b", "1"], [0b11, 0b10], [[0, 0], [0, 1]],
+                             0, 1),
+        "X: 1 violation(s)\n  [Bounds] element token 'a b' is not a nonempty "
+        "string without whitespace or '#'",
+        [("a b",)]),
+    "token-hash": (
+        lambda a6: _three_chain(["0", "a#b", "1"]),
+        "X: 1 violation(s)\n  [Bounds] element token 'a#b' is not a nonempty "
+        "string without whitespace or '#'",
+        [("a#b",)]),
+    "token-not-a-string": (
+        lambda a6: _three_chain(["0", 1, "1"]),
+        "X: 1 violation(s)\n  [Bounds] element token 1 is not a nonempty "
+        "string without whitespace or '#'",
+        [(1,)]),
+    "name-whitespace": (
+        lambda a6: _a6_raw(a6, name="A 6"),
+        "A 6: 1 violation(s)\n  [Bounds] lattice name 'A 6' is not a nonempty "
+        "string without whitespace or '#'",
+        [()]),
+    # entries and bounds are read through __index__: no truncation, and a
+    # value that is not an integer is a violation, not an exception
+    "prod-entry-float": (
+        lambda a6: _a6_prod_entry(a6, "a", "b", 1.5),
+        "A6: 1 violation(s)\n  [Bounds] product a*b = 1.5 is not an integer",
+        [("a", "b")]),
+    "prod-entry-str": (
+        lambda a6: _a6_prod_entry(a6, "b", "c", "x"),
+        "A6: 1 violation(s)\n  [Bounds] product b*c = 'x' is not an integer",
+        [("b", "c")]),
+    "top-str": (
+        lambda a6: _a6_raw(a6, top="1"),
+        "A6: 1 violation(s)\n  [Bounds] top index '1' is not an integer",
+        [()]),
+    "bottom-float": (
+        lambda a6: _a6_raw(a6, bottom=0.0),
+        "A6: 1 violation(s)\n  [Bounds] bottom index 0.0 is not an integer",
+        [()]),
 }
 
 
@@ -437,9 +493,32 @@ def test_res_rows_cross_checked():
      "line 6: duplicate 'top' line"),
     ("lattice X\nelements 0 1\nbottom 0\ntop 1\ncover 0 1\n",
      "<string>: missing 'end'"),
+    ("lattice X\nelements 0 1\nbottom 0\ntop 1\nmeet 0 1 0\nend",
+     "line 5: unknown directive 'meet'"),
+    ("lattice X Y\nelements 0 1\nend", "line 1: expected: lattice <name>"),
+    ("lattice X\nelements 0\nend", "line 2: need at least two elements"),
+    ("lattice X\nelements 0 1\nbottom\nend", "line 3: expected: bottom <tok>"),
+    ("lattice X\nelements 0 1\ntop 1 0\nend", "line 3: expected: top <tok>"),
+    ("lattice X\nelements 0 1\ncover 0\nend", "line 3: expected: cover <x> <y>"),
+    ("lattice X\nelements 0 1\nmul 0 1\nend",
+     "line 3: expected: mul <x> <y> <tok>"),
+    ("lattice X\nelements 0 1\nres 0 1 1 0\nend",
+     "line 3: expected: res <x> <y> <tok>"),
+    ("lattice X\nelements 0 1\nmul 0 1 2\nend", "line 3: unknown element '2'"),
+    ("lattice X\nelements 0 1\nres 2 1 1\nend", "line 3: unknown element '2'"),
+    ("lattice X\nelements 0 1\nbottom 0\ntop 2\ncover 0 1\nend",
+     "<string>: bottom/top must name declared elements"),
+    ("lattice X\nelements 0 1\nbottom 0\ncover 0 1\nend",
+     "<string>: bottom/top must be declared"),
+    ("elements 0 1\nbottom 0\ntop 1\ncover 0 1\nend",
+     "<string>: missing 'lattice' line"),
+    ("lattice X\nbottom 0\ntop 1\nend", "<string>: missing 'elements' line"),
 ], ids=["dup-mul", "missing-mul", "unknown-tok", "after-end", "end-args",
      "no-bottom", "dup-tok", "dup-lattice", "dup-elements", "dup-bottom",
-     "dup-top", "no-end"])
+     "dup-top", "no-end", "unknown-directive", "lattice-arity",
+     "elements-arity", "bottom-arity", "top-arity", "cover-arity", "mul-arity",
+     "res-arity", "mul-unknown-tok", "res-unknown-tok", "undeclared-top",
+     "no-top", "no-lattice", "no-elements"])
 def test_parse_errors(text, snippet):
     with pytest.raises(ParseError) as err:
         parse_lattice_text(text)

@@ -37,8 +37,7 @@ print(f"second power of c: {b6.names[b6.power(c, 2)]}")
 
 # -- validation catches every broken axiom with a witness --------------------
 
-raw = RawTables("B6-broken", list(b6.names),
-                [[b6.leq(i, j) for j in range(b6.n)] for i in range(b6.n)],
+raw = RawTables("B6-broken", list(b6.names), list(b6.up),
                 [list(r) for r in b6.prod], b6.bottom, b6.top)
 a, d = b6.index("a"), b6.index("d")
 raw.prod[a][d] = raw.prod[d][a] = b6.index("c")     # a*d was 0

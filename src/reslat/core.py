@@ -5,17 +5,17 @@ commutative monoid product * with unit 1 such that (*, ->) is an adjoint
 pair: x*z <= y iff z <= x->y.  Everything is finite and element-indexed;
 subsets of the carrier travel as int bitmasks throughout the package.
 
-Every layer reads masks back through one bit kernel, ``iter_bits`` and
-``mask_key``, off per-byte index tables sized from ``MAX_ELEMENTS``.
+Every layer reads masks through one bit kernel (``iter_bits``, ``mask_key``)
+and operation tables as bytes through one byte kernel (``read_through``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import compress
 from operator import and_, or_
-from operator import index as as_index
+from operator import index as as_index, length_hint
+from struct import unpack
 
 
 class LatticeError(Exception):
@@ -79,7 +79,7 @@ class ValidationFailure(LatticeError):
 # Spec_D and their subspaces.  The cap bounds polynomial work (validate's
 # O(n^3) axiom checks, suite properties of order |Fil|^2 * n and
 # |Fil| * n^2) and the products that `gen --product` writes.  The bit
-# kernel's tables are sized from it, so raising it needs no other edit.
+# kernel grows with it; the byte kernel stops at 256 (see read_through).
 MAX_ELEMENTS = 64
 
 
@@ -126,14 +126,26 @@ def mask_key(mask: int) -> tuple:
     return (mask.bit_count(), iter_bits(mask))
 
 
+def read_through(table: bytes, row) -> bytes:
+    """``table`` with each byte v replaced by ``row[v]`` (bytes, or ints below
+    256), in one pass in C.  ``bytes.translate`` reads a 256-entry row, so
+    this holds for n <= 256; a larger cap needs another form of it."""
+    return table.translate(bytes(row).ljust(256, b"\0"))
+
+
+def flags(mask: int, n: int) -> bytes:
+    """A mask below 2**n as n bytes: b"1" at each member, b"0" elsewhere."""
+    return bin(mask | 1 << n)[:2:-1].encode()
+
+
 class RawTables:
-    """Unvalidated input for :func:`validate`."""
+    """Unvalidated input for :func:`validate`; order rows are bitmask ints."""
 
     def __init__(self, name, element_names, leq, prod, bottom, top,
                  res_claims=None):
         self.name = name
         self.element_names = element_names
-        self.leq = leq          # per i: bitmask (bit j iff i <= j) or n bools
+        self.leq = leq          # per i: bitmask int, bit j iff i <= j
         self.prod = prod        # n x n element indices, read as prod[i][j]
         self.bottom = bottom
         self.top = top
@@ -304,16 +316,14 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
         dup = next((w for i, w in enumerate(names) if w in names[:i]), None)
         if dup is not None:
             rep.add("Bounds", f"element token {dup!r} is repeated", (dup,))
-    # shapes and indices first: every later check indexes by them.  An order
-    # row is read as it is when it is an int, and packed when it is n bools.
-    # A negative row (-1 stands for a bool row of another length) is refused
-    # with the rows that have a bit past n
+    # shapes and indices first: every later check indexes by them.  Refused:
+    # an order row that is not an int, is negative or has a bit at or past
+    # n, and a product row of another length (length_hint reads none as 0)
     pows = [1 << j for j in range(n)]
-    up = [row if isinstance(row, int) else
-          sum(compress(pows, row)) if len(row) == n else -1 for row in raw.leq]
-    if len(up) != n or min(up) < 0 or max(up) >> n:
+    up = list(raw.leq)
+    if len(up) != n or set(map(type, up)) != {int} or min(up) < 0 or max(up) >> n:
         rep.add("Bounds", f"leq is not {n}x{n}")
-    if len(raw.prod) != n or set(map(len, raw.prod)) != {n}:
+    if len(raw.prod) != n or set(map(length_hint, raw.prod)) != {n}:
         rep.add("Bounds", f"prod is not {n}x{n}")
     for what, v in (("bottom", raw.bottom), ("top", raw.top)):
         fault = _index_fault(v, n)
@@ -322,10 +332,10 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     if not rep.ok:
         return rep
     # bytes() reads each entry through __index__ and refuses one outside
-    # 0..255; the rows as bytes serve the associativity and residuum checks
+    # 0..255; from here on the product is its rows as bytes
     try:
-        rows = list(map(bytes, raw.prod))
-        ok = max(map(max, rows)) < n
+        prod = list(map(bytes, raw.prod))
+        ok = max(map(max, prod)) < n
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -387,26 +397,25 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     if not rep.ok:
         return rep
 
-    # commutative monoid with unit top: the transposed table is the table,
-    # and its column top is the identity
-    prod = list(map(tuple, rows))
-    cols = list(zip(*prod))
+    # commutative monoid with unit top: the columns of the flat table, cut
+    # with stride n, are its rows, and column top is the identity
+    flat = b"".join(prod)
+    cols = [flat[x::n] for x in range(n)]
     if cols != prod:
         x, y = next((x, y) for x in range(n) for y in range(n)
                     if prod[x][y] != prod[y][x])
         rep.add("NotMonoid", f"product not commutative at ({names[x]},{names[y]})",
                 (names[x], names[y]))
-    if cols[top] != tuple(range(n)):
+    if cols[top] != bytes(range(n)):
         x = next(x for x in range(n) if prod[x][top] != x)
         rep.add("NotMonoid",
                 f"{names[x]} * 1 = {names[prod[x][top]]} instead of {names[x]}",
                 (names[x],))
     # associativity over all triples at once: cell (x, y, z) of lhs is cell z
-    # of row x*y, (x*y)*z; of rhs, the whole table read through row x,
+    # of row x*y, (x*y)*z; of rhs, the flat table read through row x,
     # x*(y*z).  The first difference is the row-major witness
-    flat = b"".join(rows)
-    lhs = b"".join(map(rows.__getitem__, flat))
-    rhs = b"".join([flat.translate(r.ljust(256, b"\0")) for r in rows])
+    lhs = b"".join(map(prod.__getitem__, flat))
+    rhs = b"".join([read_through(flat, r) for r in prod])
     if lhs != rhs:
         p = next(p for p in range(n ** 3) if lhs[p] != rhs[p])
         x, y, z = p // (n * n), p // n % n, p % n
@@ -414,14 +423,12 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
                 f"associativity fails at ({names[x]},{names[y]},{names[z]})",
                 (names[x], names[y], names[z]))
 
-    # residuum, by the lemma.  flags[y] is down[y] as n bytes, b"1" at each
-    # v <= y.  Translating the table, its rows cut by a \xff byte, through
-    # flags[y] gives S(x, y) for every x, row x as the flags of its z
-    flags = [format(d, f"0{n}b")[::-1].encode() for d in down]
-    flag_of = dict(zip(flags, range(n)))
-    table, pad = b"\xff".join(rows), b"0" * (255 - n) + b"\xff"
-    res = list(zip(*[map(flag_of.get, table.translate(f + pad).split(b"\xff"))
-                     for f in flags]))
+    # residuum, by the lemma.  The flat table read through the flags of
+    # down[y], cut into rows of n bytes, holds S(x, y) as the flags of its z
+    # at row x.  One cut serves every y; its cells, grouped by y, transpose
+    flag_of = {flags(d, n): y for y, d in enumerate(down)}
+    cells = unpack(f"{n}s" * n * n, b"".join([read_through(flat, f) for f in flag_of]))
+    res = list(zip(*zip(*[iter(map(flag_of.get, cells))] * n)))
     gap, adjoint = False, None
     for x, y in [(x, y) for x, row in enumerate(res) if None in row
                  for y in range(n) if row[y] is None]:
@@ -589,7 +596,7 @@ def load_lattice(path) -> ResiduatedLattice:
 
 
 def lattice_from_tables(name, names, leq, prod, bottom, top) -> ResiduatedLattice:
-    """Validate in-memory tables; raise ValidationFailure if bad."""
+    """Validate tables (order rows as bitmask ints); raise ValidationFailure if bad."""
     return _validated(RawTables(name, list(names), leq, prod, bottom, top))
 
 

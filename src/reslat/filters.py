@@ -20,11 +20,10 @@ Every per-lattice object is a ``per_lattice`` memo.  The filter primitives
 read these tables; only ``generated_filter``, the hottest, reads its
 product tables from the memo dict directly:
 
-* join rows: ``join_rows(lat)[t][x]`` = {a : a v x = t}.  An element a
-  satisfies a v x in F exactly when a lies in the row of t = a v x, so
-  (F : X) is the AND over x in X of the ORs over t in F of the rows; the
-  coannulet x^perp = (1 : x) is the row of the top, and omega(I) is the OR
-  of the coannulets of the members of I;
+* coannulet rows: ``coannulet_row(lat, F)[a]`` = (F : a), read off the
+  join table through the flags of F in one pass.  (F : X) is the AND of
+  the rows at the members of X, the coannulet x^perp is (1 : x), and
+  omega(I) is the OR of the coannulets of the members of I;
 * byte tables: ``prod`` and ``join`` are associative and commutative, so
   the product (join) of a subset is the product (join) of those of its
   8-bit chunks, and a table per chunk (one entry per byte value) gives it
@@ -40,7 +39,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import wraps
 
-from .core import LatticeError, ResiduatedLattice, iter_bits, mask_key
+from .core import (LatticeError, ResiduatedLattice, flags, iter_bits,
+                   mask_key, read_through)
 
 
 def cached(lat: ResiduatedLattice, key, build):
@@ -216,28 +216,30 @@ def enumerate_filters(lat: ResiduatedLattice) -> FiltersLattice:
                           index[lat.all_mask])
 
 
-@per_lattice("join_rows")
-def join_rows(lat: ResiduatedLattice) -> tuple:
-    """rows[t][x] = {a : a v x = t}, one bitmask per pair (t, x)."""
-    n, join = lat.n, lat.join
-    rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        bit = 1 << a
-        for x, t in enumerate(join[a]):
-            rows[t][x] |= bit
-    return tuple(map(tuple, rows))
+@per_lattice("join_flat")
+def _join_flat(lat: ResiduatedLattice) -> bytes:
+    """The join table as one byte string, last cell first."""
+    return b"".join(map(bytes, lat.join))[::-1]
+
+
+@per_lattice("coannulet_row")
+def coannulet_row(lat: ResiduatedLattice, f_mask: int) -> tuple[int, ...]:
+    """(F : a) = {x : x v a in F} for every element a, for any subset F.
+
+    The join table, last cell first, read through the flags of F is, in
+    binary, the n^2 bits x v a in F: (F : a) is bits a*n .. a*n + n - 1.
+    """
+    n, full = lat.n, lat.all_mask
+    bits = int(read_through(_join_flat(lat), flags(f_mask, n)), 2)
+    return tuple([bits >> k & full for k in range(0, n * n, n)])
 
 
 def coannihilator(lat: ResiduatedLattice, f_mask: int, x_mask: int) -> int:
     """(F : X) = elements whose join with every member of X lands in F."""
-    rows = join_rows(lat)
-    ts = [rows[t] for t in iter_bits(f_mask)]
+    row = coannulet_row(lat, f_mask)
     out = lat.all_mask
     for x in iter_bits(x_mask):
-        acc = 0
-        for row in ts:
-            acc |= row[x]
-        out &= acc
+        out &= row[x]
     return out
 
 
@@ -247,7 +249,7 @@ def x_perp(lat: ResiduatedLattice, x: int) -> int:
 
 
 def coannulets(lat: ResiduatedLattice) -> tuple[int, ...]:
-    return join_rows(lat)[lat.top]
+    return coannulet_row(lat, 1 << lat.top)
 
 
 def double_perp(lat: ResiduatedLattice, x: int) -> int:
@@ -262,20 +264,9 @@ def double_perps(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 @per_lattice("coannulet_table")
 def coannulet_table(lat: ResiduatedLattice):
-    """(F : a) for every filter F and element a, indexed like the filter list.
-
-    (F : a) = {x : x v a in F} is read off row a of the join table: that
-    row as bytes, last element first, translated through the membership
-    string of F ('1' at t for t in F) is (F : a) written in binary.  That is
-    one pass in C per (F, a) for a carrier of at most 256 elements.
-    """
-    n = lat.n
-    rows = [bytes(row[::-1]) for row in lat.join]
-    out = []
-    for f in enumerate_filters(lat).filters:
-        member = format(f, f"0{n}b")[::-1].ljust(256, "0").encode()
-        out.append(tuple([int(row.translate(member), 2) for row in rows]))
-    return tuple(out)
+    """(F : a) for every filter F and element a, indexed like the filter list."""
+    return tuple(coannulet_row.__wrapped__(lat, f)      # no memo entry per F
+                 for f in enumerate_filters(lat).filters)
 
 
 @per_lattice("maximal_filters")
@@ -357,12 +348,13 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     classes = tuple(fibres[v] for v in vals)
     index = {v: ci for ci, v in enumerate(vals)}
     class_of = tuple(index[v] for v in lat.prod[e])
+    pick, cls, n = bytes(vals), bytes(class_of), lat.n
 
-    def push(op):
-        return tuple(tuple([class_of[op[v][w]] for w in vals]) for v in vals)
+    def push(op):           # row v at the fibre values, then through class_of
+        return [read_through(read_through(pick, op[v]), cls) for v in vals]
 
-    def order(rows):
-        return [sum(1 << cj for cj, w in enumerate(vals) if rows[v] >> w & 1)
+    def order(rows):        # the flags of the row, last class first, in binary
+        return [int(read_through(pick[::-1], flags(rows[v], n)), 2)
                 for v in vals]
 
     names = ["|".join(lat.names[i] for i in iter_bits(m)) for m in classes]

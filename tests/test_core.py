@@ -7,12 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reslat import cli, core
 from reslat.core import (MAX_ELEMENTS, ParseError, RawTables,
                          ResiduatedLattice, SizeLimit, ValidationFailure,
-                         ValidationReport, direct_product, iter_bits,
-                         mask_key, parse_lattice_text, validate)
+                         ValidationReport, direct_product, flags, iter_bits,
+                         mask_key, parse_lattice_text, read_through, validate)
 from reslat.classify import boolean_center
 from reslat.harness import (acceptance_family, fixture, godel_chain,
                             lukasiewicz_chain, product_instance)
@@ -30,9 +31,7 @@ end
 
 
 def _raw_of(lat, name="copy"):
-    n = lat.n
-    return RawTables(name, list(lat.names),
-                     [[lat.leq(i, j) for j in range(n)] for i in range(n)],
+    return RawTables(name, list(lat.names), list(lat.up),
                      [list(r) for r in lat.prod], lat.bottom, lat.top)
 
 
@@ -41,7 +40,7 @@ def _a6_mutant(a6, flip=(), prod=(), bottom=None, top=None):
     raw = _raw_of(a6, "A6")
     ix = a6.index
     for x, y in flip:
-        raw.leq[ix(x)][ix(y)] = not raw.leq[ix(x)][ix(y)]
+        raw.leq[ix(x)] ^= 1 << ix(y)
     for x, y, v in prod:
         raw.prod[ix(x)][ix(y)] = ix(v)
     if bottom is not None:
@@ -123,8 +122,7 @@ def test_every_violation_kind_is_reachable(a6):
     assert any(v.kind == "NotMonoid" for v in rep.violations)
 
     # remove the top of the order: pairs lose their upper bounds
-    n = a6.n
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    leq = [1 << i for i in range(a6.n)]
     rep = validate(RawTables("NoJoins", list(a6.names), leq,
                              [list(r) for r in a6.prod], a6.bottom, a6.top))
     assert any(v.kind in ("Order", "NotALattice", "Bounds")
@@ -136,12 +134,23 @@ def test_every_violation_kind_is_reachable(a6):
 # order, so these pin which witness appears, not only the kind.
 VIOLATION_CASES = {
     "element-count": (
-        lambda a6: RawTables("One", ["0"], [[True]], [[0]], 0, 0),
+        lambda a6: RawTables("One", ["0"], [0b1], [[0]], 0, 0),
         "One: 1 violation(s)\n  [Bounds] element count 1 outside 2..64",
         [()]),
     "leq-shape": (
-        lambda a6: _a6_raw(a6, leq=[[True] * 6] * 5),
+        lambda a6: _a6_raw(a6, leq=[a6.all_mask] * 5),
         "A6: 1 violation(s)\n  [Bounds] leq is not 6x6",
+        [()]),
+    # an order row is a bitmask int: a row of n bools or a float is refused
+    "leq-row-of-bools": (
+        lambda a6: _a6_raw(a6, leq=[[a6.leq(i, j) for j in range(6)]
+                                    for i in range(6)]),
+        "A6: 1 violation(s)\n  [Bounds] leq is not 6x6",
+        [()]),
+    "leq-row-float": (
+        lambda a6: RawTables("X", ["0", "1"], [1.5, 0b10], [[0, 0], [0, 1]],
+                             0, 1),
+        "X: 1 violation(s)\n  [Bounds] leq is not 2x2",
         [()]),
     "leq-row-past-n": (
         lambda a6: _a6_raw(a6, leq=[*a6.up[:5], a6.up[5] | 1 << 6]),
@@ -154,6 +163,11 @@ VIOLATION_CASES = {
     "prod-shape": (
         lambda a6: _a6_raw(a6, prod=[[0] * 5] * 6),
         "A6: 1 violation(s)\n  [Bounds] prod is not 6x6",
+        [()]),
+    "prod-row-int": (
+        lambda a6: RawTables("X", ["0", "1"], [0b11, 0b10], [5, [0, 1]],
+                             0, 1),
+        "X: 1 violation(s)\n  [Bounds] prod is not 2x2",
         [()]),
     "prod-entry-high": (
         lambda a6: _a6_prod_entry(a6, "a", "b", 6),
@@ -185,13 +199,13 @@ VIOLATION_CASES = {
         [("c", "1")]),
     "no-join": (
         lambda a6: RawTables("V", ["0", "a", "b"],
-                             [[1, 1, 1], [0, 1, 0], [0, 0, 1]],
+                             [0b111, 0b010, 0b100],
                              [[0, 0, 0], [0, 1, 0], [0, 0, 2]], 0, 2),
         "V: 1 violation(s)\n  [NotALattice] a v b has no least upper bound",
         [("a", "b")]),
     "no-meet": (
         lambda a6: RawTables("W", ["a", "b", "1"],
-                             [[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                             [0b101, 0b110, 0b100],
                              [[0, 0, 0], [0, 1, 1], [0, 1, 2]], 0, 2),
         "W: 1 violation(s)\n  [NotALattice] a ^ b has no greatest lower bound",
         [("a", "b")]),
@@ -308,7 +322,8 @@ def _elementwise_report(raw):
     and each residuum as the join of S(x, y) = {z | x*z <= y} folded one
     element at a time.  Returns (report, residuum table)."""
     rep, nm, n = ValidationReport(raw.name), raw.element_names, len(raw.leq)
-    leq, prod, r = raw.leq, raw.prod, range(n)
+    prod, r = raw.prod, range(n)
+    leq = [[bool(row >> j & 1) for j in r] for row in raw.leq]
 
     def first(gen):
         return next(gen, None)
@@ -409,13 +424,6 @@ def _elementwise_report(raw):
     return rep, res
 
 
-def _bitmask_rows(raw):
-    """``raw`` with each order row packed into one int, bit j for leq[i][j]."""
-    return RawTables(raw.name, raw.element_names, [
-        sum(1 << j for j, b in enumerate(row) if b) for row in raw.leq],
-        raw.prod, raw.bottom, raw.top, raw.res_claims)
-
-
 def _seeded_mutants(lat, count, rng):
     """``count`` copies of ``lat``'s raw tables, each with one entry of
     ``prod`` set to another element or one entry of ``leq`` negated."""
@@ -423,7 +431,7 @@ def _seeded_mutants(lat, count, rng):
         raw = _raw_of(lat, f"{lat.name}-m{k}")
         x, y = rng.randrange(lat.n), rng.randrange(lat.n)
         if k % 2:
-            raw.leq[x][y] = not raw.leq[x][y]
+            raw.leq[x] ^= 1 << y
         else:
             raw.prod[x][y] = rng.choice([v for v in range(lat.n)
                                          if v != raw.prod[x][y]])
@@ -451,11 +459,11 @@ def test_validate_matches_elementwise_reference(fixtures4):
     for lat, count in cases:
         for raw in [_raw_of(lat, lat.name), *_seeded_mutants(lat, count, rng)]:
             want, res = _elementwise_report(raw)
-            for got in (validate(raw), validate(_bitmask_rows(raw))):
-                if want.ok:
-                    assert isinstance(got, ResiduatedLattice), raw.name
-                    assert [list(row) for row in got.res] == res, raw.name
-                    continue
+            got = validate(raw)
+            if want.ok:
+                assert isinstance(got, ResiduatedLattice), raw.name
+                assert [list(row) for row in got.res] == res, raw.name
+            else:
                 assert str(got) == str(want), raw.name
                 assert [v.witness for v in got.violations] == \
                     [v.witness for v in want.violations], raw.name
@@ -690,6 +698,44 @@ def test_bit_kernel_matches_the_lowest_bit_reference(monkeypatch):
 def test_bit_kernel_refuses_negative_and_over_cap_masks(mask):
     with pytest.raises(ValueError):
         iter_bits(mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_byte_kernel_matches_its_definition(data):
+    # tables and rows up to 256 wide; a row is bytes or a list of ints
+    width = data.draw(st.integers(1, 256))
+    row = data.draw(st.binary(min_size=width, max_size=width))
+    table = bytes(v % width for v in data.draw(st.binary(max_size=300)))
+    want = bytes(row[v] for v in table)
+    assert read_through(table, row) == want
+    assert read_through(table, list(row)) == want
+    mask = data.draw(st.integers(0, (1 << width) - 1))
+    marks = flags(mask, width)
+    assert len(marks) == width and set(marks) <= set(b"01")
+    assert [i for i, c in enumerate(marks) if c == ord("1")] == \
+        [i for i in range(width) if mask >> i & 1]
+
+
+def test_validate_holds_256_elements(monkeypatch):
+    # read_through takes rows of up to 256 entries, so with the cap raised
+    # for this test alone the 256-element chains validate, and their
+    # residuum is the closed form
+    monkeypatch.setattr(core, "MAX_ELEMENTS", 256)
+    monkeypatch.setattr(core, "_BIT_ROWS", core._BIT_ROWS)
+    n, r = 256, range(256)
+    up = [(1 << n) - (1 << i) for i in r]
+    chains = {
+        "Godel": (min, lambda x, y: n - 1 if x <= y else y),
+        "Luk": (lambda x, y: max(0, x + y - (n - 1)),
+                lambda x, y: min(n - 1, n - 1 - x + y)),
+    }
+    for name, (mul, arrow) in chains.items():
+        raw = RawTables(f"{name}256", [f"e{i}" for i in r], up,
+                        [[mul(x, y) for y in r] for x in r], 0, n - 1)
+        lat = validate(raw)
+        assert isinstance(lat, ResiduatedLattice), str(lat)
+        assert lat.res == tuple(tuple(arrow(x, y) for y in r) for x in r)
 
 
 def test_rlat_round_trip_at_the_edges():

@@ -444,8 +444,7 @@ def test_quotient_tables_match_validation(fixtures4):
         q = qr.quotient
         if q.n < 2:
             continue
-        raw = RawTables(q.name, list(q.names),
-                        [[q.leq(i, j) for j in range(q.n)] for i in range(q.n)],
+        raw = RawTables(q.name, list(q.names), list(q.up),
                         [list(r) for r in q.prod], q.bottom, q.top)
         v = validate(raw)
         assert isinstance(v, ResiduatedLattice), str(v)

@@ -203,8 +203,7 @@ def test_suite_reports_are_deterministic(fixtures4):
 
 
 def test_mutated_fixture_fails_validation(a6):
-    raw = RawTables("A6-broken", list(a6.names),
-                    [[a6.leq(i, j) for j in range(a6.n)] for i in range(a6.n)],
+    raw = RawTables("A6-broken", list(a6.names), list(a6.up),
                     [list(r) for r in a6.prod], a6.bottom, a6.top)
     ai, ci = a6.index("a"), a6.index("c")
     raw.prod[ai][ci] = raw.prod[ci][ai] = ai

@@ -2,33 +2,57 @@
 
 Outputs print element tokens, never indices; ``--json`` switches to a
 stable JSON layout ({lattice, command, result, witnesses}) in which sets
-are token arrays ordered like the lattice file.  Exit codes: 0 success,
-1 validation failure, 2 property/certificate violation, 3 parse or usage
-error.
+are token arrays ordered like the lattice file.  ``main`` maps each error
+a handler raises to its exit code: 0 success, 1 validation failure,
+2 property/certificate violation, 3 parse or usage error or an unreadable
+file.
 
 Each subcommand loads only the layers it uses: the module imports only
-``reslat.core``, and each handler imports the rest of the library it calls.
+``reslat.core``, and each handler imports the rest of the library it calls
+when it runs.  Handlers call library functions through their modules, where
+the benchmark tracer wraps them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
 
-from .core import (LatticeError, ParseError, ResiduatedLattice, SizeLimit,
-                   ValidationFailure, direct_product, iter_bits, load_lattice)
+from .core import (LatticeError, ParseError, SizeLimit, ValidationFailure,
+                   direct_product, iter_bits, load_lattice, to_rlat_text)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VIOLATION = 2
 EXIT_USAGE = 3
 
+# The library call of each command that shares its handler with others:
+# (layer, function, the noun a listing's header counts).
+_CALLS = {
+    "filters": ("filters", "enumerate_filters", "filters"),
+    "spectrum": ("spectra", "spectrum", "{kind} filters"),
+    "alpha": ("filters", "enumerate_alpha", "alpha-filters"),
+    "pure": ("purity", "pure_filters", "pure filters"),
+    "sigma": ("purity", "sigma_filter", None),
+    "rho": ("purity", "rho", None),
+    "gelfand": ("classify", "gelfand_structure", None),
+    "mp": ("classify", "mp_structure", None),
+}
+_SPECTRUM_KINDS = {"prime": "prime", "maximal": "maximal",
+                   "minimal": "minimal_prime"}
 
-class _CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+
+class _UsageError(Exception):
+    """A command line that parses but cannot run; ``main`` exits 3."""
+
+
+def _call(args):
+    """The library function behind ``args.command``, looked up in its layer
+    when the handler runs."""
+    layer, name, _ = _CALLS[args.command]
+    return getattr(importlib.import_module(f".{layer}", __package__), name)
 
 
 def _emit(lattice, command, result, witnesses=()):
@@ -39,17 +63,6 @@ def _emit(lattice, command, result, witnesses=()):
            "witnesses": list(witnesses)}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _load(path) -> ResiduatedLattice:
-    try:
-        return load_lattice(path)
-    except FileNotFoundError:
-        raise _CliError(EXIT_USAGE, f"no such file: {path}")
-    except (ParseError, SizeLimit) as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-    except ValidationFailure as exc:
-        raise _CliError(EXIT_INVALID, str(exc.report))
 
 
 def _readings(names, text) -> list[tuple]:
@@ -84,11 +97,10 @@ def _filter_arg(lat, text) -> int:
     if len(masks) != 1:
         why = "reads as two sets, {} and {}".format(*masks.values()) \
             if masks else "names an unknown element"
-        raise _CliError(EXIT_USAGE, f"{lat.name}: {text!r} {why}")
+        raise _UsageError(f"{lat.name}: {text!r} {why}")
     (mask,) = masks
     if not _filters.is_filter(lat, mask):
-        raise _CliError(EXIT_USAGE,
-                        f"{lat.set_str(mask)} is not a filter of {lat.name}")
+        raise _UsageError(f"{lat.set_str(mask)} is not a filter of {lat.name}")
     return mask
 
 
@@ -96,29 +108,21 @@ def _tok_sets(lat, masks):
     return [lat.tokens_of(m) for m in masks]
 
 
-def _print_sets(lat, masks, header=None):
-    if header:
-        print(header)
-    for m in masks:
-        print(" ", lat.set_str(m))
+def _open_sets(space, points, show):
+    """Each open of a space over filters, as its points shown by ``show``
+    (``lat.tokens_of`` for ``--json``, ``lat.set_str`` for text)."""
+    return [[show(points[i]) for i in iter_bits(o)]
+            for o in space.sorted_opens()]
 
 
-def to_rlat_text(lat: ResiduatedLattice) -> str:
-    """Serialize a lattice back into the line-oriented file format."""
-    lines = [f"lattice {lat.name}",
-             "elements " + " ".join(lat.names),
-             f"bottom {lat.names[lat.bottom]}",
-             f"top {lat.names[lat.top]}"]
-    for x, y in lat.cover_pairs():
-        lines.append(f"cover {lat.names[x]} {lat.names[y]}")
-    for x in range(lat.n):
-        for y in range(x, lat.n):
-            if lat.bottom in (x, y) or lat.top in (x, y):
-                continue
-            lines.append(f"mul {lat.names[x]} {lat.names[y]} "
-                         f"{lat.names[lat.prod[x][y]]}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+def _print_opens(lat, space, points):
+    for o in _open_sets(space, points, lat.set_str):
+        print("   {" + ", ".join(o) + "}")
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -126,16 +130,14 @@ def to_rlat_text(lat: ResiduatedLattice) -> str:
 
 def _cmd_validate(args):
     try:
-        lat = _load(args.path)
-    except _CliError as exc:
-        if exc.code == EXIT_INVALID and args.json:
-            _emit(str(args.path), "validate", {"valid": False}, [str(exc)])
-        else:
-            print(exc, file=sys.stderr)
-        return exc.code
+        lat = load_lattice(args.path)
+    except ValidationFailure as exc:
+        if not args.json:
+            raise
+        _emit(str(args.path), "validate", {"valid": False}, [str(exc.report)])
+        return EXIT_INVALID
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(lat.hasse_dot())
+        _write(args.dot, lat.hasse_dot())
     if args.json:
         return _emit(lat.name, "validate",
                      {"valid": True, "n": lat.n, "elements": list(lat.names)})
@@ -143,104 +145,61 @@ def _cmd_validate(args):
     return EXIT_OK
 
 
-def _cmd_filters(args):
-    from . import filters as _filters
-    lat = _load(args.path)
-    fl = _filters.enumerate_filters(lat)
+def _cmd_list(args):
+    """filters, spectrum, alpha and pure: list one family of filters."""
+    lat = load_lattice(args.path)
+    if args.command == "spectrum":
+        masks = _call(args)(lat, _SPECTRUM_KINDS[args.kind])
+        result = {"kind": args.kind, "points": _tok_sets(lat, masks)}
+    else:
+        masks = _call(args)(lat)
+        if args.command == "filters":
+            masks = masks.filters           # the members of the FiltersLattice
+        result = {"count": len(masks), "filters": _tok_sets(lat, masks)}
     if args.json:
-        return _emit(lat.name, "filters",
-                     {"count": len(fl), "filters": _tok_sets(lat, fl.filters)})
-    _print_sets(lat, fl.filters, f"{lat.name}: {len(fl)} filters")
+        return _emit(lat.name, args.command, result)
+    noun = _CALLS[args.command][2].format_map(vars(args))
+    print(f"{lat.name}: {len(masks)} {noun}")
+    for m in masks:
+        print(" ", lat.set_str(m))
     return EXIT_OK
 
 
-def _cmd_spectrum(args):
-    from . import spectra as _spectra
-    lat = _load(args.path)
-    kind = {"prime": "prime", "maximal": "maximal",
-            "minimal": "minimal_prime"}[args.kind]
-    pts = _spectra.spectrum(lat, kind)
-    if args.json:
-        return _emit(lat.name, "spectrum",
-                     {"kind": args.kind, "points": _tok_sets(lat, pts)})
-    _print_sets(lat, pts, f"{lat.name}: {len(pts)} {args.kind} filters")
-    return EXIT_OK
-
-
-def _cmd_alpha(args):
-    from . import filters as _filters
-    lat = _load(args.path)
-    al = _filters.enumerate_alpha(lat)
-    if args.json:
-        return _emit(lat.name, "alpha",
-                     {"count": len(al), "filters": _tok_sets(lat, al)})
-    _print_sets(lat, al, f"{lat.name}: {len(al)} alpha-filters")
-    return EXIT_OK
-
-
-def _cmd_pure(args):
-    from . import purity as _purity
-    lat = _load(args.path)
-    pf = _purity.pure_filters(lat)
-    if args.json:
-        return _emit(lat.name, "pure",
-                     {"count": len(pf), "filters": _tok_sets(lat, pf)})
-    _print_sets(lat, pf, f"{lat.name}: {len(pf)} pure filters")
-    return EXIT_OK
-
-
-def _cmd_sigma(args):
-    from . import purity as _purity
-    lat = _load(args.path)
+def _cmd_map(args):
+    """sigma and rho: map one --filter to one filter."""
+    lat = load_lattice(args.path)
     f = _filter_arg(lat, args.filter)
-    s = _purity.sigma_filter(lat, f)
+    g = _call(args)(lat, f)
     if args.json:
-        return _emit(lat.name, "sigma",
-                     {"filter": lat.tokens_of(f), "sigma": lat.tokens_of(s)})
-    print(f"sigma({lat.set_str(f)}) = {lat.set_str(s)}")
-    return EXIT_OK
-
-
-def _cmd_rho(args):
-    from . import purity as _purity
-    lat = _load(args.path)
-    f = _filter_arg(lat, args.filter)
-    r = _purity.rho(lat, f)
-    if args.json:
-        return _emit(lat.name, "rho",
-                     {"filter": lat.tokens_of(f), "rho": lat.tokens_of(r)})
-    print(f"rho({lat.set_str(f)}) = {lat.set_str(r)}")
+        return _emit(lat.name, args.command, {"filter": lat.tokens_of(f),
+                                              args.command: lat.tokens_of(g)})
+    print(f"{args.command}({lat.set_str(f)}) = {lat.set_str(g)}")
     return EXIT_OK
 
 
 def _cmd_spp(args):
     from . import purity as _purity
-    from .topology import separation_report, specialization_dot
-    lat = _load(args.path)
+    from . import topology as _topology
+    lat = load_lattice(args.path)
     spp = _purity.pure_spectrum(lat)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(specialization_dot(spp.space, f"Spp({lat.name})",
-                                        [lat.set_str(p) for p in spp.points]))
-    sep = separation_report(spp.space)
-    result = {
-        "points": _tok_sets(lat, spp.points),
-        "purely_maximal": list(spp.purely_maximal),
-        "purely_minimal": list(spp.purely_minimal),
-        "opens": [[lat.tokens_of(spp.points[i]) for i in iter_bits(o)]
-                  for o in spp.space.sorted_opens()],
-        "separation": sep,
-    }
+        _write(args.dot, _topology.specialization_dot(
+            spp.space, f"Spp({lat.name})", [lat.set_str(p) for p in spp.points]))
+    sep = _topology.separation_report(spp.space)
     if args.json:
-        return _emit(lat.name, "spp", result)
+        return _emit(lat.name, "spp", {
+            "points": _tok_sets(lat, spp.points),
+            "purely_maximal": list(spp.purely_maximal),
+            "purely_minimal": list(spp.purely_minimal),
+            "opens": _open_sets(spp.space, spp.points, lat.tokens_of),
+            "separation": sep,
+        })
     print(f"Spp({lat.name}): {len(spp)} purely-prime filters")
     for p, mx, mn in zip(spp.points, spp.purely_maximal, spp.purely_minimal):
         tags = [t for t, on in (("purely-maximal", mx), ("purely-minimal", mn)) if on]
         print(f"  {lat.set_str(p)}" + (f"  ({', '.join(tags)})" if tags else ""))
     print(f"opens ({len(spp.space.opens)}):")
-    for o in spp.space.sorted_opens():
-        print("   {" + ", ".join(lat.set_str(spp.points[i])
-                                 for i in iter_bits(o)) + "}")
+    _print_opens(lat, spp.space, spp.points)
     print("separation:", ", ".join(k for k in ("t0", "t1", "hausdorff",
                                                "sober", "connected") if sep[k]))
     return EXIT_OK
@@ -249,22 +208,20 @@ def _cmd_spp(args):
 def _cmd_dtop(args):
     from . import purity as _purity
     from . import spectra as _spectra
-    lat = _load(args.path)
+    lat = load_lattice(args.path)
     space = _purity.d_topology(lat)
     spec = _spectra.prime_filters(lat)
-    opens = [[lat.tokens_of(spec[i]) for i in iter_bits(o)]
-             for o in space.sorted_opens()]
     if args.json:
-        return _emit(lat.name, "dtop", {"opens": opens})
+        return _emit(lat.name, "dtop",
+                     {"opens": _open_sets(space, spec, lat.tokens_of)})
     print(f"D-topology on Spec({lat.name}): {len(space.opens)} opens")
-    for o in space.sorted_opens():
-        print("   {" + ", ".join(lat.set_str(spec[i]) for i in iter_bits(o)) + "}")
+    _print_opens(lat, space, spec)
     return EXIT_OK
 
 
 def _cmd_classify(args):
     from . import classify as _classify
-    lat = _load(args.path)
+    lat = load_lattice(args.path)
     rep = _classify.classify(lat)
     flags = {name: {"value": flag.value, "witness": flag.witness}
              for name, flag in rep.flags().items()}
@@ -286,12 +243,13 @@ def _cmd_classify(args):
     return EXIT_OK
 
 
-def _structure_cmd(args, which):
+def _cmd_structure(args):
+    """gelfand and mp: certify the structure theorems of one class."""
     from . import classify as _classify
-    lat = _load(args.path)
-    fn = _classify.gelfand_structure if which == "gelfand" else _classify.mp_structure
+    lat = load_lattice(args.path)
+    which = args.command
     try:
-        rep = fn(lat)
+        rep = _call(args)(lat)
     except _classify.NotApplicable as exc:
         if args.json:
             _emit(lat.name, which, {"qualifies": False}, [str(exc)])
@@ -314,7 +272,7 @@ def _structure_cmd(args, which):
 
 def _cmd_quotient(args):
     from . import filters as _filters
-    lat = _load(args.path)
+    lat = load_lattice(args.path)
     f = _filter_arg(lat, args.filter)
     qr = _filters.quotient(lat, f)
     q = qr.quotient
@@ -336,38 +294,31 @@ def _cmd_quotient(args):
 def _cmd_gen(args):
     if args.product:
         if args.family is not None or args.size is not None:
-            raise _CliError(EXIT_USAGE, "gen takes --family and --size, or "
-                                        "--product, not both")
+            raise _UsageError("gen takes --family and --size, or --product, "
+                              "not both")
         if len(args.product) < 2:
-            raise _CliError(EXIT_USAGE, "gen --product needs at least two "
-                                        "lattice files")
-        factors = [_load(p) for p in args.product]
-        try:
-            lat = functools.reduce(direct_product, factors)
-        except SizeLimit as exc:
-            raise _CliError(EXIT_USAGE, str(exc))
+            raise _UsageError("gen --product needs at least two lattice files")
+        factors = [load_lattice(p) for p in args.product]
+        lat = functools.reduce(direct_product, factors)
+    elif args.family is None or args.size is None:
+        raise _UsageError("gen needs --family and --size, "
+                          "or --product A B [C ...]")
     else:
-        if args.family is None or args.size is None:
-            raise _CliError(EXIT_USAGE, "gen needs --family and --size, "
-                                        "or --product A B [C ...]")
         from . import harness as _harness
-        try:
-            maker = {"godel": _harness.godel_chain,
-                     "lukasiewicz": _harness.lukasiewicz_chain}[args.family]
-            lat = maker(args.size)
-        except SizeLimit as exc:
-            raise _CliError(EXIT_USAGE, str(exc))
+        maker = {"godel": _harness.godel_chain,
+                 "lukasiewicz": _harness.lukasiewicz_chain}[args.family]
+        lat = maker(args.size)
     sys.stdout.write(to_rlat_text(lat))
     return EXIT_OK
 
 
 def _cmd_check(args):
     from . import harness as _harness
-    lats = [_load(p) for p in args.paths]
+    lats = [load_lattice(p) for p in args.paths]
     try:
         rep = _harness.run_theorem_suite(lats, args.suite)
     except _harness.DuplicateInstance as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+        raise _UsageError(str(exc))
     if args.json:
         _emit([lat.name for lat in lats], "check", rep.as_dict(),
               [{"lattice": i, "property": p, **(v.witness or {})}
@@ -389,75 +340,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for finite residuated lattices")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kw):
+    def add(name, handler, *, path=True, filter_arg=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true",
                        help="stable JSON output")
+        if path:
+            p.add_argument("path")
+        if filter_arg:
+            p.add_argument("--filter", required=True, metavar="TOKENS",
+                           help="element tokens, separated by spaces or "
+                                "commas, optionally in braces as printed: "
+                                "{a,b}")
         return p
 
     p = add("validate", _cmd_validate, help="check all axioms of a lattice file")
-    p.add_argument("path")
     p.add_argument("--dot", metavar="PATH", help="write the Hasse diagram (DOT)")
-
-    p = add("filters", _cmd_filters, help="enumerate all filters")
-    p.add_argument("path")
-
-    p = add("spectrum", _cmd_spectrum, help="prime/maximal/minimal-prime spectrum")
-    p.add_argument("path")
-    p.add_argument("--kind", choices=("prime", "maximal", "minimal"),
-                   required=True)
-
-    p = add("alpha", _cmd_alpha, help="enumerate alpha-filters")
-    p.add_argument("path")
-
-    p = add("pure", _cmd_pure, help="enumerate pure filters")
-    p.add_argument("path")
-
-    filter_help = ("element tokens, separated by spaces or commas, "
-                   "optionally in braces as printed: {a,b}")
-    p = add("sigma", _cmd_sigma, help="sink of a filter")
-    p.add_argument("path")
-    p.add_argument("--filter", required=True, metavar="TOKENS",
-                   help=filter_help)
-
-    p = add("rho", _cmd_rho, help="pure part of a filter")
-    p.add_argument("path")
-    p.add_argument("--filter", required=True, metavar="TOKENS",
-                   help=filter_help)
-
+    add("filters", _cmd_list, help="enumerate all filters")
+    p = add("spectrum", _cmd_list, help="prime/maximal/minimal-prime spectrum")
+    p.add_argument("--kind", choices=tuple(_SPECTRUM_KINDS), required=True)
+    add("alpha", _cmd_list, help="enumerate alpha-filters")
+    add("pure", _cmd_list, help="enumerate pure filters")
+    add("sigma", _cmd_map, filter_arg=True, help="sink of a filter")
+    add("rho", _cmd_map, filter_arg=True, help="pure part of a filter")
     p = add("spp", _cmd_spp, help="pure spectrum with its topology")
-    p.add_argument("path")
     p.add_argument("--dot", metavar="PATH",
                    help="write the specialization order (DOT)")
+    add("dtop", _cmd_dtop, help="D-topology on the prime spectrum")
+    add("classify", _cmd_classify,
+        help="Gelfand/mp/hyperarchimedean/indecomposable flags")
+    add("gelfand", _cmd_structure, help="certify the Gelfand structure theorems")
+    add("mp", _cmd_structure, help="certify the mp structure theorems")
+    add("quotient", _cmd_quotient, filter_arg=True, help="quotient by a filter")
 
-    p = add("dtop", _cmd_dtop, help="D-topology on the prime spectrum")
-    p.add_argument("path")
-
-    p = add("classify", _cmd_classify,
-            help="Gelfand/mp/hyperarchimedean/indecomposable flags")
-    p.add_argument("path")
-
-    p = add("gelfand", lambda a: _structure_cmd(a, "gelfand"),
-            help="certify the Gelfand structure theorems")
-    p.add_argument("path")
-
-    p = add("mp", lambda a: _structure_cmd(a, "mp"),
-            help="certify the mp structure theorems")
-    p.add_argument("path")
-
-    p = add("quotient", _cmd_quotient, help="quotient by a filter")
-    p.add_argument("path")
-    p.add_argument("--filter", required=True, metavar="TOKENS",
-                   help=filter_help)
-
-    p = add("gen", _cmd_gen, help="emit a generated instance as a lattice file")
+    p = add("gen", _cmd_gen, path=False,
+            help="emit a generated instance as a lattice file")
     p.add_argument("--family", choices=("godel", "lukasiewicz"))
     p.add_argument("--size", type=int)
     p.add_argument("--product", nargs="+", metavar="FILE",
                    help="two or more lattice files to multiply, left to right")
 
-    p = add("check", _cmd_check, help="run the theorem suite")
+    p = add("check", _cmd_check, path=False, help="run the theorem suite")
     p.add_argument("paths", nargs="+")
     p.add_argument("--suite", default="all",
                    choices=("core", "purity", "spp", "gelfand", "mp", "all"))
@@ -466,22 +389,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one command line and return its exit code; every error a handler
+    raises is mapped to its code here."""
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(exc, file=sys.stderr)
-        return exc.code
     except ValidationFailure as exc:
-        print(exc.report, file=sys.stderr)
-        return EXIT_INVALID
+        message, code = exc.report, EXIT_INVALID
+    except (ParseError, SizeLimit, _UsageError) as exc:
+        message, code = exc, EXIT_USAGE
     except LatticeError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VIOLATION
+        message, code = exc, EXIT_VIOLATION
+    except FileNotFoundError as exc:
+        message, code = f"no such file: {exc.filename}", EXIT_USAGE
+    except OSError as exc:      # a directory, no permission, a full disk, ...
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        message, code = f"{where}{exc.strerror}", EXIT_USAGE
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

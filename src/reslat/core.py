@@ -1,4 +1,5 @@
-"""Finite residuated lattices: representation, validation, parsing, products.
+"""Finite residuated lattices: representation, validation, the ``.rlat``
+reader and writer, products.
 
 A residuated lattice here is a bounded lattice (A; v, ^, 0, 1) carrying a
 commutative monoid product * with unit 1 such that (*, ->) is an adjoint
@@ -580,6 +581,24 @@ def parse_lattice_text(text: str, source: str = "<string>") -> RawTables:
                      res_claims)
 
 
+def to_rlat_text(lat: ResiduatedLattice) -> str:
+    """Serialize a lattice back into the line-oriented file format."""
+    lines = [f"lattice {lat.name}",
+             "elements " + " ".join(lat.names),
+             f"bottom {lat.names[lat.bottom]}",
+             f"top {lat.names[lat.top]}"]
+    for x, y in lat.cover_pairs():
+        lines.append(f"cover {lat.names[x]} {lat.names[y]}")
+    for x in range(lat.n):
+        for y in range(x, lat.n):
+            if lat.bottom in (x, y) or lat.top in (x, y):
+                continue
+            lines.append(f"mul {lat.names[x]} {lat.names[y]} "
+                         f"{lat.names[lat.prod[x][y]]}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
 def _validated(raw: RawTables) -> ResiduatedLattice:
     out = validate(raw)
     if isinstance(out, ValidationReport):
@@ -591,7 +610,10 @@ def load_lattice(path) -> ResiduatedLattice:
     """Parse and validate a lattice file; raise ValidationFailure if bad.
     A leading byte-order mark is dropped, as the utf-8-sig codec would."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().removeprefix("\ufeff")
+        try:
+            text = fh.read().removeprefix("\ufeff")
+        except UnicodeDecodeError:
+            raise ParseError(None, f"{path}: not UTF-8 text") from None
     return _validated(parse_lattice_text(text, source=str(path)))
 
 

@@ -44,12 +44,10 @@ from .core import (LatticeError, ResiduatedLattice, flags, iter_bits,
 
 
 def cached(lat: ResiduatedLattice, key, build):
-    """Build one memo entry on a miss; the benchmark tracer wraps this name."""
-    try:
-        return lat._cache[key]
-    except KeyError:
-        val = lat._cache[key] = build()
-        return val
+    """Build and store one memo entry.  ``per_lattice`` calls it only on a
+    miss; the benchmark tracer wraps this name."""
+    val = lat._cache[key] = build()
+    return val
 
 
 _MISS = object()

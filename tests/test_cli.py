@@ -1,5 +1,6 @@
 """Golden-file and round-trip tests for every CLI subcommand."""
 
+import errno
 import importlib.resources
 import io
 import json
@@ -376,6 +377,74 @@ def test_exit_codes(tmp_path):
     truncated = tmp_path / "trunc.rlat"
     truncated.write_text("lattice X\nelements 0 1\n", encoding="utf-8")
     assert run_cli(["validate", str(truncated)])["exit"] == 3
+
+
+def _unreadable(tmp_path, kind):
+    """A path that names no file, a directory, or a file that is not UTF-8."""
+    if kind == "missing":
+        return str(tmp_path / "missing.rlat")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.rlat"
+    path.write_bytes("lattice \u00c4\nend\n".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("command,mk", SUBCOMMANDS,
+                         ids=[c for c, _ in SUBCOMMANDS])
+def test_unreadable_file_exits_3(command, mk, kind, tmp_path):
+    # every file-taking subcommand: one line on stderr, nothing on stdout
+    path = _unreadable(tmp_path, kind)
+    res = run_cli(mk(path, "1"))
+    assert res["exit"] == 3 and res["stdout"] == ""
+    if kind == "directory":                 # the OS words the reason
+        assert res["stderr"].startswith(f"{path}: ")
+        assert res["stderr"].count("\n") == 1
+    else:
+        assert res["stderr"] == {"missing": f"no such file: {path}\n",
+                                 "not-utf8": f"{path}: not UTF-8 text\n"}[kind]
+
+
+def test_write_error_without_a_file_name_exits_3():
+    # a full disk under stdout: the OSError names no file
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    err = io.StringIO()
+    with redirect_stdout(Full()), redirect_stderr(err):
+        assert main(["filters", FIXTURE_PATHS["a6"]]) == 3
+    assert err.getvalue() == os.strerror(errno.ENOSPC) + "\n"
+
+
+def _reslat_process(argv):
+    """Run ``python -m reslat.cli`` on ``argv`` in a fresh interpreter."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-m", "reslat.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "validate-dot",
+                                  "spp-dot", "gen-product-cap", "gen-size-65"])
+def test_refusal_exits_3_with_one_line_and_no_traceback(case, tmp_path):
+    a6, dot = FIXTURE_PATHS["a6"], str(tmp_path / "missing" / "x.dot")
+    argv, want = {
+        "directory": (["validate", str(tmp_path)], f"{tmp_path}: "),
+        "not-utf8": (["validate", _unreadable(tmp_path, "not-utf8")],
+                     f"{tmp_path / 'latin1.rlat'}: not UTF-8 text\n"),
+        "validate-dot": (["validate", a6, "--dot", dot], f"no such file: {dot}\n"),
+        "spp-dot": (["spp", a6, "--dot", dot], f"no such file: {dot}\n"),
+        "gen-product-cap": (["gen", "--product", _gen_chain_file(tmp_path, 5),
+                             _gen_chain_file(tmp_path, 13)],
+                            "Godel5 x Godel13 would have 65 elements (cap 64)\n"),
+        "gen-size-65": (["gen", "--family", "godel", "--size", "65"],
+                        "chain size 65 outside 2..64\n"),
+    }[case]
+    proc = _reslat_process(argv)
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith(want) and proc.stderr.count("\n") == 1, \
+        proc.stderr
 
 
 def test_validate_reads_a_file_with_a_byte_order_mark(tmp_path):

@@ -590,6 +590,15 @@ def test_over_cap_file_refused_at_its_elements_line(tmp_path, capsys):
     assert out.out == "" and out.err == f"Big: {cap}\n"
 
 
+def test_load_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.rlat"
+    path.write_bytes("lattice \u00c4\nend\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        core.load_lattice(path)
+    assert err.value.line_no is None
+    assert str(err.value) == f"{path}: not UTF-8 text"
+
+
 def test_product_of_two_chains_is_boolean_diamond():
     two = godel_chain(2)
     four = direct_product(two, two)

@@ -7,8 +7,8 @@ import importlib.resources
 
 from reslat import load_lattice
 from reslat.core import iter_bits
-from reslat.spectra import (D_operator, hull_kernel_space, prime_filters,
-                            spec_space, spectrum, stability, support)
+from reslat.spectra import (D_operator, min_space, prime_filters, spec_space,
+                            spectrum, stability, support)
 from reslat.topology import separation_report, specialization_dot
 
 FIXTURES = importlib.resources.files("reslat") / "fixtures"
@@ -44,7 +44,7 @@ print(specialization_dot(sh, "SpecA6", [a6.set_str(p) for p in sh.labels]))
 
 # -- the dual flavor separates the two minimal primes of A8 --------------------
 
-min_d = hull_kernel_space(a8, spectrum(a8, "minimal_prime"), "d")
+min_d = min_space(a8, "d")         # the minimal primes as a subspace of Spec_d
 print(f"Min_d({a8.name}) has {len(min_d.opens)} opens "
       f"on {min_d.k} points (discrete)")
 

@@ -15,11 +15,11 @@ from .core import LatticeError, ResiduatedLattice, iter_bits
 from .filters import (coannihilator, coannulets, enumerate_filters,
                       generated_filter, hull, inside, kernel, maximal_filters,
                       omega_filters, per_lattice, radical_index, x_perp)
-from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
-                      minimal_primes, nested_pair, prime_filters, spec_space)
+from .spectra import (D_operator, d_set, h_set, min_space, minimal_primes,
+                      nested_pair, prime_filters, spec_mask, spec_space)
 from .purity import (d_topology, pure_filters, pure_spectrum, rho, rho_index,
                      sigma_filter, sigma_index)
-from .topology import (PointMap, clopens, map_analysis, separation_report,
+from .topology import (clopens, label_map, map_analysis, separation_report,
                        subspace)
 
 
@@ -213,12 +213,6 @@ def kh_m(lat: ResiduatedLattice, f_mask: int) -> int:
     return kernel(lat, hull(minimal_primes(lat), f_mask))
 
 
-def maximal_point_mask(lat: ResiduatedLattice) -> int:
-    """Index mask of the maximal points of the prime spectrum: h(p) = {p}."""
-    spec = prime_filters(lat)
-    return sum(1 << i for i, p in enumerate(spec) if h_set(spec, p) == 1 << i)
-
-
 def purely_maximal_points(lat: ResiduatedLattice) -> set:
     spp = pure_spectrum(lat)
     return {p for p, is_m in zip(spp.points, spp.purely_maximal) if is_m}
@@ -261,11 +255,8 @@ def rho_m_homeomorphism(lat: ResiduatedLattice) -> bool:
     """rho restricted to Max_h is a homeomorphism onto Spp."""
     if not rho_m_well_defined(lat):
         return False
-    spp = pure_spectrum(lat)
-    max_h = hull_kernel_space(lat, maximal_filters(lat), "h")
-    idx = {p: i for i, p in enumerate(spp.points)}
-    rho_m = PointMap(max_h, spp.space,
-                     tuple(idx[rho(lat, m)] for m in max_h.labels))
+    max_h = subspace(spec_space(lat, "h"), spec_mask(lat, maximal_filters(lat)))
+    rho_m = label_map(max_h, pure_spectrum(lat).space, lambda m: rho(lat, m))
     return map_analysis(rho_m)["homeomorphism"]
 
 
@@ -287,7 +278,7 @@ def pure_filters_closed_form(lat: ResiduatedLattice) -> bool:
 
 
 def hull_kernel_equals_d_topology_on_max(lat: ResiduatedLattice) -> bool:
-    mmask = maximal_point_mask(lat)
+    mmask = spec_mask(lat, maximal_filters(lat))
     return (subspace(spec_space(lat, "h"), mmask).nbhd ==
             subspace(d_topology(lat), mmask).nbhd)
 
@@ -375,13 +366,8 @@ def spp_in_max_sigma(lat: ResiduatedLattice) -> bool:
 
 def iota_spp_to_min_d_homeomorphism(lat: ResiduatedLattice) -> bool:
     """Spp and Min_d have the same points, and the identity is a homeomorphism."""
-    if not min_equals_spp(lat):
-        return False
-    spp = pure_spectrum(lat)
-    min_d = min_space(lat, "d")
-    pos = {p: i for i, p in enumerate(min_d.labels)}
-    iota = PointMap(spp.space, min_d, tuple(pos[p] for p in spp.points))
-    return map_analysis(iota)["homeomorphism"]
+    iota = label_map(pure_spectrum(lat).space, min_space(lat, "d"))
+    return iota is not None and map_analysis(iota)["homeomorphism"]
 
 
 def min_d_hausdorff(lat: ResiduatedLattice) -> bool:
@@ -416,13 +402,8 @@ def minimal_prime_is_join_of_fa(lat: ResiduatedLattice) -> bool:
 
 def min_h_homeomorphic_to_spp(lat: ResiduatedLattice) -> bool:
     """Min_h and Spp have the same points, and the identity is a homeomorphism."""
-    spp = pure_spectrum(lat)
-    min_h = min_space(lat, "h")
-    if set(min_h.labels) != set(spp.points):
-        return False
-    idx = {p: i for i, p in enumerate(spp.points)}
-    iota = PointMap(min_h, spp.space, tuple(idx[q] for q in min_h.labels))
-    return map_analysis(iota)["homeomorphism"]
+    iota = label_map(min_space(lat, "h"), pure_spectrum(lat).space)
+    return iota is not None and map_analysis(iota)["homeomorphism"]
 
 
 # (clause id, predicate, note), in certification order

@@ -250,14 +250,13 @@ def _cmd_structure(args):
     which = args.command
     try:
         rep = _call(args)(lat)
-    except _classify.NotApplicable as exc:
+    except (_classify.NotApplicable, _classify.CertificateFailure) as exc:
+        qualifies = isinstance(exc, _classify.CertificateFailure)
+        text = f"certificate failure: {exc}" if qualifies else str(exc)
         if args.json:
-            _emit(lat.name, which, {"qualifies": False}, [str(exc)])
+            _emit(lat.name, which, {"qualifies": qualifies}, [text])
         else:
-            print(exc, file=sys.stderr)
-        return EXIT_VIOLATION
-    except _classify.CertificateFailure as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
+            print(text, file=sys.stderr)
         return EXIT_VIOLATION
     if args.json:
         return _emit(lat.name, which,

@@ -25,8 +25,8 @@ from .filters import (coannulet_table, enumerate_filters, generated_filter,
                       least_elements, maximal_filters, omega_filter,
                       omega_filters, principal_ideal, quotient, radical,
                       radical_index, stable_powers, x_perp)
-from .spectra import (D_operator, d_set, h_set, hull_kernel_space, min_space,
-                      minimal_primes, nested_pair, point_rows, prime_filters,
+from .spectra import (D_operator, d_set, h_set, min_space, minimal_primes,
+                      nested_pair, point_rows, prime_filters, spec_mask,
                       spec_space, stability, support)
 from .purity import (d_of, d_topology, is_pure, pure_filters,
                      pure_part_map_report, pure_spectrum,
@@ -37,7 +37,7 @@ from .classify import (
     coannulet_meets_fa_trivially, coannulets_pure, comaximal_coannulets,
     direct_summands, f_a, fa_join, gelfand_closed_forms, grothendieck_check,
     hm_of_sigma_unchanged, hm_unchanged, hull_kernel_equals_d_topology_on_max,
-    iota_spp_to_min_d_homeomorphism, kh_m, maximal_point_mask, min_d_hausdorff,
+    iota_spp_to_min_d_homeomorphism, kh_m, min_d_hausdorff,
     min_equals_max_sigma, min_equals_spp, min_h_homeomorphic_to_spp,
     minimal_prime_is_join_of_fa, minimal_primes_comaximal, mp_closed_forms,
     omega_filters_pure, pairwise_comaximal, proper_pure_equal_kh_m,
@@ -46,7 +46,7 @@ from .classify import (
     rho_below_max_implies_f_below, rho_equals_sigma, rho_m_homeomorphism,
     rho_rad_adjunction, spp_equals_max_sigma, spp_equals_rho_of_max,
     spp_hausdorff, spp_in_max_sigma, verify_flag_witness)
-from .topology import (PointMap, components, irreducible_closed_sets,
+from .topology import (components, irreducible_closed_sets, label_map,
                        map_analysis, separation_report, subspace)
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def _p_intprimfilt(lat):
     The intersection is taken once per distinct h(X).
     """
     spec = prime_filters(lat)
-    rows = point_rows(lat, spec)
+    rows = point_rows(lat)
     chunks = []
     for base in range(0, lat.n, 8):
         t = [(1 << len(spec)) - 1]
@@ -697,8 +697,8 @@ def _p_omegprop(lat):
 
 @_prop("hulkerinstr", "core")
 def _p_hulkerinstr(lat):
-    hull_kernel_space(lat, maximal_filters(lat), "h")
-    hull_kernel_space(lat, minimal_primes(lat), "d")
+    subspace(spec_space(lat, "h"), spec_mask(lat, maximal_filters(lat)))
+    min_space(lat, "d")
     return Verdict("pass", None, "trivially compact (finite)")
 
 
@@ -711,7 +711,7 @@ def _p_opensd(lat):
     """
     spec = prime_filters(lat)
     sd = spec_space(lat, "d")
-    hx = point_rows(lat, spec)
+    hx = point_rows(lat)
     for x, h in enumerate(hx):
         if not sd.is_open(h):
             return _fail({"element": lat.names[x], "note": "h(x) is not open"})
@@ -1133,13 +1133,10 @@ def _p_qoepuruspec(lat):
         qr = quotient(lat, f)
         qspp = pure_spectrum(qr.quotient)
         target = subspace(spp.space, h_set(spp.points, f))
-        try:
-            mapping = tuple(target.point_of_label(qr.pull_mask(p))
-                            for p in qspp.points)
-        except LatticeError:
+        pm = label_map(qspp.space, target, qr.pull_mask)
+        if pm is None:
             return _fail({"filter": _toks(lat, f),
                           "note": "pulled point is not in the hull"})
-        pm = PointMap(qspp.space, target, mapping)
         if not map_analysis(pm)["homeomorphism"]:
             return _fail({"filter": _toks(lat, f),
                           "analysis": map_analysis(pm)})
@@ -1169,7 +1166,7 @@ def _max_h_is_a_retract(lat):
     connected component of Spec_h; a retraction exists iff every component
     holds exactly one maximal point.
     """
-    mmask = maximal_point_mask(lat)
+    mmask = spec_mask(lat, maximal_filters(lat))
     return all((c & mmask).bit_count() == 1
                for c in components(spec_space(lat, "h")))
 

@@ -18,7 +18,7 @@ from .filters import (coannulets, double_perps, enumerate_filters,
                       per_lattice)
 from .spectra import (D_operator, d_set, minimal_primes, prime_filters,
                       spec_space)
-from .topology import (FiniteSpace, PointMap, map_analysis,
+from .topology import (FiniteSpace, label_map, map_analysis,
                        space_from_subbasis)
 
 
@@ -172,19 +172,15 @@ def d_topology(lat: ResiduatedLattice) -> FiniteSpace:
 
 
 @per_lattice("pure_part_map")
-def pure_part_map(lat: ResiduatedLattice) -> PointMap:
+def pure_part_map(lat: ResiduatedLattice):
     """Spec_h -> Spp sending a prime to its pure part (checked landing)."""
     spp = pure_spectrum(lat)
-    src = spec_space(lat, "h")
-    idx = {p: i for i, p in enumerate(spp.points)}
-    mapping = []
-    for p in prime_filters(lat):
-        r = rho(lat, p)
-        if r not in idx:
-            raise LatticeError(f"{lat.name}: pure part of a prime "
-                               f"{lat.set_str(p)} is not purely prime")
-        mapping.append(idx[r])
-    return PointMap(src, spp.space, tuple(mapping))
+    pm = label_map(spec_space(lat, "h"), spp.space, lambda p: rho(lat, p))
+    if pm is None:
+        p = next(p for p in prime_filters(lat) if rho(lat, p) not in spp.points)
+        raise LatticeError(f"{lat.name}: pure part of a prime "
+                           f"{lat.set_str(p)} is not purely prime")
+    return pm
 
 
 def pure_part_map_report(lat: ResiduatedLattice) -> dict:

@@ -3,6 +3,9 @@
 Spectrum points are filters (bitmasks over lattice elements); spaces over
 them re-index the points 0..k-1 and carry the filter masks as labels.
 ``h_set`` and ``d_set`` are the hull h(X) and its complement d(X) over them.
+``spec_space`` is the one hull-kernel construction: the space over any
+other family of primes (Min, Max) is its subspace on the family's
+``spec_mask``.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from .core import LatticeError, ResiduatedLattice, iter_bits, transpose
 from .filters import (enumerate_filters, hull, ideal_generated, inside,
                       maximal_filters, omega_filter, per_lattice, x_perp)
-from .topology import FiniteSpace, space_from_subbasis
+from .topology import FiniteSpace, space_from_subbasis, subspace
 
 
 class NotPrime(LatticeError):
@@ -65,17 +68,19 @@ def h_set(points, x_mask: int) -> int:
     return sum(1 << i for i, p in enumerate(points) if x_mask & ~p == 0)
 
 
-def point_rows(lat: ResiduatedLattice, points) -> tuple[int, ...]:
-    """h(x) for every element x, as index masks over the points.
-
-    Built once per point family and shared by every space over it.
-    """
-    return _point_rows(lat, tuple(points))
-
-
 @per_lattice("point_rows")
-def _point_rows(lat: ResiduatedLattice, pts: tuple) -> tuple[int, ...]:
-    return transpose(pts, lat.n)
+def point_rows(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """h(x) for every element x, as index masks over Spec.
+
+    Built once per lattice and shared by every space over the primes.
+    """
+    return transpose(prime_filters(lat), lat.n)
+
+
+def spec_mask(lat: ResiduatedLattice, points) -> int:
+    """The index mask over Spec of a family of primes."""
+    pts = set(points)
+    return sum(1 << i for i, p in enumerate(prime_filters(lat)) if p in pts)
 
 
 def d_set(points, x_mask: int) -> int:
@@ -89,35 +94,31 @@ def nested_pair(points):
                 None)
 
 
-def hull_kernel_space(lat: ResiduatedLattice, points, flavor: str) -> FiniteSpace:
-    """Topologize a family of primes.
+@per_lattice("spec_space")
+def spec_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
+    """The primes with a hull-kernel topology.
 
     flavor h: {h(x)} is a closed basis; flavor d: the same sets are an
     open basis; patch: generated by both.
     """
-    pts = tuple(points)
-    full = (1 << len(pts)) - 1
-    hx = list(point_rows(lat, pts))
+    hx = list(point_rows(lat))
+    full = (1 << len(prime_filters(lat))) - 1
     if flavor == "h":
         sub = [full ^ m for m in hx]
     elif flavor == "d":
-        sub = list(hx)
+        sub = hx
     elif flavor == "patch":
         sub = hx + [full ^ m for m in hx]
     else:
         raise ValueError(f"unknown topology flavor {flavor!r}")
-    return space_from_subbasis(pts, sub)
-
-
-@per_lattice("spec_space")
-def spec_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
-    return hull_kernel_space(lat, prime_filters(lat), flavor)
+    return space_from_subbasis(prime_filters(lat), sub)
 
 
 @per_lattice("min_space")
 def min_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
-    """The minimal primes with the h or d hull-kernel topology."""
-    return hull_kernel_space(lat, minimal_primes(lat), flavor)
+    """The minimal primes as a subspace of Spec with that flavor."""
+    return subspace(spec_space(lat, flavor),
+                    spec_mask(lat, minimal_primes(lat)))
 
 
 def stability(points, subset_mask: int) -> int:

@@ -68,12 +68,6 @@ class FiniteSpace:
                 out |= 1 << q
         return out
 
-    def point_of_label(self, label) -> int:
-        for i, l in enumerate(self.labels):
-            if l == label:
-                return i
-        raise LatticeError(f"space has no point labelled {label!r}")
-
     def sorted_opens(self) -> list[int]:
         return sorted(self.opens, key=mask_key)
 
@@ -167,6 +161,17 @@ class PointMap:
             if (mask >> t) & 1:
                 out |= 1 << p
         return out
+
+
+def label_map(source: FiniteSpace, target: FiniteSpace, relabel=None):
+    """The map sending each source point to the target point labelled
+    ``relabel(label)`` (its own label by default), or None when some image
+    is not a target label."""
+    pos = {label: t for t, label in enumerate(target.labels)}
+    images = [relabel(q) if relabel else q for q in source.labels]
+    if any(q not in pos for q in images):
+        return None
+    return PointMap(source, target, tuple(pos[q] for q in images))
 
 
 def map_analysis(pm: PointMap) -> dict:

@@ -14,7 +14,7 @@ from reslat import harness as hz
 from reslat import purity as pu
 from reslat import spectra as sp
 from reslat.core import iter_bits, load_lattice
-from reslat.topology import PointMap, map_analysis, separation_report, subspace
+from reslat.topology import label_map, map_analysis, separation_report, subspace
 
 from conftest import toksets
 
@@ -181,13 +181,8 @@ def test_criterion_12_quotient_transport(fixtures4):
                        if f & ~p == 0)
             target = subspace(spp.space, hull)
             qspp = pu.pure_spectrum(qr.quotient)
-            try:
-                mapping = tuple(target.point_of_label(qr.pull_mask(p))
-                                for p in qspp.points)
-                ok &= map_analysis(
-                    PointMap(qspp.space, target, mapping))["homeomorphism"]
-            except Exception:
-                ok = False
+            pm = label_map(qspp.space, target, qr.pull_mask)
+            ok &= pm is not None and map_analysis(pm)["homeomorphism"]
     _report(12, "quotient transport of pure filters and pure spectra", ok)
 
 

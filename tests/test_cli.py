@@ -305,11 +305,18 @@ def test_filter_refuses_a_set_that_reads_two_ways(tmp_path):
     assert run_cli(["sigma", path, "--filter", "{b,1}"])["exit"] == 0
 
 
+def test_filter_that_is_not_an_upset_is_refused():
+    # {0,1} holds 1 and is closed under products, but a is above 0
+    res = run_cli(["sigma", FIXTURE_PATHS["a6"], "--filter", "0 1"])
+    assert res == {"exit": 3, "stdout": "",
+                   "stderr": "{0,1} is not a filter of A6\n"}
+
+
 def test_json_outputs_round_trip():
     for fixture_name, path in FIXTURE_PATHS.items():
         for command, mk in SUBCOMMANDS:
             if command in ("gelfand", "mp"):
-                continue                      # refusals covered separately
+                continue          # see test_structure_json_lists_the_clauses
             argv = mk(path, FILTER_ARG[fixture_name]) + ["--json"]
             first = run_cli(argv)
             second = run_cli(argv)
@@ -346,6 +353,33 @@ def test_json_envelope_on_refusals_and_failures(tmp_path, monkeypatch):
     assert doc["result"]["counts"]["fail"] == 1
     assert doc["witnesses"] == [{"lattice": "A6", "property": "resproposition",
                                  "triple": ["a", "b", "c"]}]
+    from reslat import classify as cl
+    for which, attr in (("gelfand", "GELFAND_CLAUSES"), ("mp", "MP_CLAUSES")):
+        monkeypatch.setattr(cl, attr, tuple(
+            (cid, (lambda lat: False) if cid == "spp_hausdorff" else holds,
+             note) for cid, holds, note in getattr(cl, attr)))
+        res = run_cli([which, FIXTURE_PATHS["b6"], "--json"])
+        assert res == {"exit": 2, "stderr": "", "stdout": json.dumps(
+            {"command": which, "lattice": "B6",
+             "result": {"qualifies": True},
+             "witnesses": ["certificate failure: clause spp_hausdorff: "
+                           "failed"]}, indent=2) + "\n"}
+
+
+@pytest.mark.parametrize("which,attr,fixtures", [
+    ("gelfand", "GELFAND_CLAUSES", ("b6", "c6", "a8")),
+    ("mp", "MP_CLAUSES", ("a6", "b6", "c6"))], ids=["gelfand", "mp"])
+def test_structure_json_lists_the_clauses(which, attr, fixtures):
+    from reslat import classify as cl
+    want = [{"id": cid, "note": note} for cid, _, note in getattr(cl, attr)]
+    for name in fixtures:
+        res = run_cli([which, FIXTURE_PATHS[name], "--json"])
+        assert res["exit"] == 0 and res["stderr"] == ""
+        doc = json.loads(res["stdout"])
+        assert list(doc) == ["command", "lattice", "result", "witnesses"]
+        assert doc["lattice"] == name.upper() and doc["command"] == which
+        assert doc["result"] == {"qualifies": True, "clauses": want}
+        assert doc["witnesses"] == []
 
 
 def test_json_sets_are_token_arrays_in_file_order():

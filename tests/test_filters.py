@@ -193,6 +193,22 @@ def test_subset_sweep_oracle_agrees(family):
                     closure_generated_filter(lat, f | g)
 
 
+def test_is_filter_matches_the_definition(fixtures4):
+    # every subset of each fixture: holds 1, is an upset, is product-closed
+    missed_upset = 0
+    for lat in fixtures4:
+        for s in range(1 << lat.n):
+            bits = list(iter_bits(s))
+            top = bool(s >> lat.top & 1)
+            upset = all(s >> y & 1 for x in bits for y in range(lat.n)
+                        if lat.leq(x, y))
+            closed = all(s >> lat.prod[x][y] & 1 for x in bits for y in bits)
+            assert fi.is_filter(lat, s) == (top and upset and closed), \
+                (lat.name, lat.set_str(s))
+            missed_upset += top and closed and not upset
+    assert missed_upset      # the upset test alone refuses some subsets
+
+
 def test_generated_filter_matches_closure_oracle(family):
     for lat in family:
         for s in _subset_samples(lat):

@@ -7,7 +7,7 @@ from reslat import spectra as sp
 from reslat import filters as fi
 from reslat.core import iter_bits
 from reslat.harness import FIXTURE_EXPECT, PROPERTIES
-from reslat.topology import separation_report
+from reslat.topology import separation_report, subspace
 
 from conftest import tokset, toksets
 
@@ -88,14 +88,14 @@ def test_D_fixed_points_are_minimal_primes(fixtures4):
 
 
 def test_min_d_of_b6_is_discrete(b6):
-    space = sp.hull_kernel_space(b6, sp.minimal_primes(b6), "d")
+    space = sp.min_space(b6, "d")
     assert len(space.opens) == 4
     rep = separation_report(space)
     assert rep["hausdorff"] and rep["t1"]
 
 
 def test_empty_space(a6):
-    space = sp.hull_kernel_space(a6, (), "h")
+    space = subspace(sp.spec_space(a6, "h"), sp.spec_mask(a6, ()))
     assert space.k == 0 and space.opens == frozenset({0})
 
 
@@ -160,17 +160,22 @@ def test_h_closed_iff_patch_closed_and_stable(family):
 
 def test_unknown_flavor_rejected(a6):
     with pytest.raises(ValueError):
-        sp.hull_kernel_space(a6, sp.prime_filters(a6), "weird")
+        sp.spec_space(a6, "weird")
 
 
 def test_point_rows_match_h_set(family):
-    # one row set per point family, shared by the spaces built over it
+    # one row set per lattice, shared by the spaces built over Spec; every
+    # spectrum is a family of primes with an index mask over Spec
     for lat in family:
+        spec = sp.prime_filters(lat)
+        rows = sp.point_rows(lat)
+        assert rows == tuple(sp.h_set(spec, 1 << x) for x in range(lat.n))
+        assert sp.point_rows(lat) is rows
         for kind in ("prime", "maximal", "minimal_prime"):
             pts = sp.spectrum(lat, kind)
-            rows = sp.point_rows(lat, pts)
-            assert rows == tuple(sp.h_set(pts, 1 << x) for x in range(lat.n))
-            assert sp.point_rows(lat, list(pts)) is rows
+            mask = sp.spec_mask(lat, pts)
+            assert [spec[i] for i in iter_bits(mask)] == list(pts)
+            assert sp.spec_mask(lat, list(pts)) == mask
 
 
 @settings(max_examples=300)
@@ -209,11 +214,14 @@ def _check_spectra(lat):
                    if any(lat.join[a][y] == lat.top
                           for y in range(lat.n) if not p >> y & 1))
         assert sp.D_operator(lat, p) == want, (lat.name, lat.set_str(p))
+    spec = sp.prime_filters(lat)
+    assert sp.point_rows(lat) == tuple(
+        sum(1 << i for i, p in enumerate(spec) if p >> x & 1)
+        for x in range(lat.n))
     for kind in ("prime", "maximal", "minimal_prime"):
-        pts = sp.spectrum(lat, kind)
-        assert sp.point_rows(lat, pts) == tuple(
-            sum(1 << i for i, p in enumerate(pts) if p >> x & 1)
-            for x in range(lat.n))
+        pts = set(sp.spectrum(lat, kind))
+        assert sp.spec_mask(lat, pts) == sum(
+            1 << i for i, p in enumerate(spec) if p in pts)
 
 
 def test_spectra_match_the_definitions(family):

@@ -12,13 +12,12 @@ import random
 import pytest
 
 from reslat import spectra as sp
-from reslat.classify import maximal_point_mask
 from reslat.core import LatticeError, iter_bits, mask_key
 from reslat.filters import maximal_filters
 from reslat.purity import (d_of, d_topology, pure_filters,
                            pure_part_map, pure_spectrum, rho)
 from reslat.topology import (FiniteSpace, PointMap, clopens, components,
-                             irreducible_closed_sets, map_analysis,
+                             irreducible_closed_sets, label_map, map_analysis,
                              separation_report, space_from_subbasis,
                              specialization_dot, subspace)
 
@@ -118,9 +117,9 @@ def suite_spaces(lat):
                                 from_subbasis(len(mins), _hull_kernel_subbasis(
                                     lat, mins, flavor)))
     maxf = maximal_filters(lat)
-    out["Max_h"] = (sp.hull_kernel_space(lat, maxf, "h"),
-                    ExplicitSpace.from_subbasis(
-                        len(maxf), _hull_kernel_subbasis(lat, maxf, "h")))
+    max_h = subspace(sp.spec_space(lat, "h"), sp.spec_mask(lat, maxf))
+    out["Max_h"] = (max_h, ExplicitSpace.from_subbasis(
+        len(maxf), _hull_kernel_subbasis(lat, maxf, "h")))
     spp = pure_spectrum(lat)
     # Spp and Spec_D were once built straight from these families, which
     # must then already be topologies
@@ -228,16 +227,19 @@ def test_identity_is_homeomorphism(b6):
 
 def test_min_d_to_spp_identity_is_homeomorphism(b6):
     spp = pure_spectrum(b6)
-    min_d = sp.hull_kernel_space(b6, spp.points, "d")
-    pm = PointMap(min_d, spp.space, tuple(range(min_d.k)))
+    min_d = sp.min_space(b6, "d")
+    pm = label_map(min_d, spp.space)
+    assert pm.mapping == tuple(range(min_d.k))
     assert map_analysis(pm)["homeomorphism"]
 
 
 def test_a8_min_vs_spp_cannot_biject(a8):
     spp = pure_spectrum(a8)
-    min_d = sp.hull_kernel_space(a8, sp.minimal_primes(a8), "d")
+    min_d = sp.min_space(a8, "d")
     assert min_d.k == 2 and spp.space.k == 1
-    pm = PointMap(min_d, spp.space, (0, 0))
+    assert label_map(min_d, spp.space) is None    # a minimal prime is not pure
+    pm = label_map(min_d, spp.space, lambda q: rho(a8, q))
+    assert pm.mapping == (0, 0)
     rep = map_analysis(pm)
     assert not rep["injective"] and not rep["homeomorphism"]
 
@@ -335,13 +337,11 @@ def test_map_analysis_agrees_with_explicit_opens_oracle(family):
         if {"Spec_h", "Spp"} <= set(spaces):
             maps.append((pure_part_map(lat), spaces["Spec_h"][1],
                          spaces["Spp"][1]))
-        spp = pure_spectrum(lat)
-        if "Max_h" in spaces and "Spp" in spaces and \
-                all(rho(lat, m) in spp.points for m in maximal_filters(lat)):
-            max_h, max_ref = spaces["Max_h"]
-            maps.append((PointMap(max_h, spp.space, tuple(
-                spp.points.index(rho(lat, m)) for m in max_h.labels)),
-                max_ref, spaces["Spp"][1]))
+        if "Max_h" in spaces and "Spp" in spaces:
+            (max_h, max_ref), (spp, spp_ref) = spaces["Max_h"], spaces["Spp"]
+            rho_m = label_map(max_h, spp, lambda m: rho(lat, m))
+            if rho_m is not None:
+                maps.append((rho_m, max_ref, spp_ref))
         pairs = [(a, b) for a in spaces.values() for b in spaces.values()
                  if b[0].k]
         for _ in range(6):
@@ -365,7 +365,7 @@ def _gelnor_search(lat):
     ref = ExplicitSpace.from_subbasis(len(spec),
                                       _hull_kernel_subbasis(lat, spec, "h"))
     maxset = set(maximal_filters(lat))
-    sub = subspace(sh, maximal_point_mask(lat))
+    sub = subspace(sh, sp.spec_mask(lat, maximal_filters(lat)))
     sub_ref = ExplicitSpace.from_subbasis(
         sub.k, _hull_kernel_subbasis(lat, sub.labels, "h"))
     pos = {sub.labels[i]: i for i in range(sub.k)}

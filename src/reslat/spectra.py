@@ -129,10 +129,17 @@ def stability(points, subset_mask: int) -> int:
     return out
 
 
+@per_lattice("perp_hulls")
+def perp_hulls(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """h(x_perp) for every element x, as index masks over Spec."""
+    spec = prime_filters(lat)
+    return tuple([h_set(spec, x_perp(lat, x)) for x in range(lat.n)])
+
+
 def support(lat: ResiduatedLattice, f_mask: int) -> int:
     """Supp(F): primes containing the coannulet of some member of F."""
-    spec = prime_filters(lat)
+    hulls = perp_hulls(lat)
     out = 0
     for f in iter_bits(f_mask):
-        out |= h_set(spec, x_perp(lat, f))
+        out |= hulls[f]
     return out

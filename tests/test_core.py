@@ -726,6 +726,52 @@ def test_byte_kernel_matches_its_definition(data):
         [i for i in range(width) if mask >> i & 1]
 
 
+_RLAT_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(
+    (ROOT / "fixtures").glob("*.rlat"))] + [
+    (ROOT / "tests" / "data" / "hn.rlat").read_text(encoding="utf-8")]
+_ODD_TOKENS = ["", "#", "end", "mul", "cover", "elements", "\t", "\x00",
+               "\ufeff", "\u00e9", "-1", "0 0", "{a,b}", "x" * 5000]
+
+
+@st.composite
+def _mutated_rlat(draw):
+    """A fixture's text with lines dropped, doubled or swapped, odd tokens
+    put into lines, very long lines, and a byte-order mark."""
+    lines = draw(st.sampled_from(_RLAT_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "double", "swap", "token",
+                                     "long"]))
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "double":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            words = lines[i].split()
+            words.insert(draw(st.integers(0, len(words))),
+                         draw(st.sampled_from(_ODD_TOKENS)))
+            lines[i] = " ".join(words)
+        elif kind == "long":
+            lines[i] = " ".join([lines[i]] * draw(st.integers(2, 2000)))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_mutated_rlat())
+def test_parser_and_validate_refuse_mutated_text_cleanly(text):
+    # the outcome is a lattice, a report of violations, or one of the two
+    # documented parser errors: nothing else escapes
+    try:
+        raw = parse_lattice_text(text)
+    except (ParseError, SizeLimit):
+        return
+    assert isinstance(validate(raw), (ResiduatedLattice, ValidationReport))
+
+
 def test_validate_holds_256_elements(monkeypatch):
     # read_through takes rows of up to 256 entries, so with the cap raised
     # for this test alone the 256-element chains validate, and their

@@ -426,6 +426,63 @@ def test_resproposition_fails_with_witness(a6, b6):
             hz.Verdict("fail", {"rule": "r2", "triple": ["b", "0", "0"]})
 
 
+def _resproposition_failures(lat):
+    """Every failing (rule, triple) of resproposition, element by element in
+    row-major order, r1 before r2 at the same triple."""
+    J, P, n = lat.join, lat.prod, lat.n
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                triple = [lat.names[x], lat.names[y], lat.names[z]]
+                if P[x][J[y][z]] != J[P[x][y]][P[x][z]]:
+                    yield "r1", triple
+                if not lat.leq(P[J[x][y]][J[x][z]], J[x][P[y][z]]):
+                    yield "r2", triple
+
+
+def _symmetric_tamper(lat, table, x, y, v):
+    """``lat`` with cells (x, y) and (y, x) of prod or join set to v."""
+    rows = [list(r) for r in getattr(lat, table)]
+    rows[x][y] = rows[y][x] = v
+    return _tampered(lat, **{table: rows})
+
+
+def test_resproposition_witness_matches_elementwise_search(a6, b6, a8):
+    # seeded single-cell tamperings that keep prod and join commutative:
+    # the verdict is the first failure of the element-by-element search
+    rng = random.Random(2406)
+    failed = 0
+    for lat in (a6, b6, a8):
+        for _ in range(60):
+            table = rng.choice(("prod", "join"))
+            x, y = rng.randrange(lat.n), rng.randrange(lat.n)
+            v = rng.choice([v for v in range(lat.n)
+                            if v != getattr(lat, table)[x][y]])
+            t = _symmetric_tamper(lat, table, x, y, v)
+            first = next(_resproposition_failures(t), None)
+            want = hz.PASS if first is None else hz.Verdict(
+                "fail", {"rule": first[0], "triple": first[1]})
+            assert _verdict("resproposition", t) == want, (lat.name, table,
+                                                           x, y, v)
+            failed += first is not None
+    assert failed > 30
+    # a*a = b in A6 breaks r2 at (a, 0, 0), before every r1 failure
+    t = _symmetric_tamper(a6, "prod", *map(a6.index, "aab"))
+    fails = list(_resproposition_failures(t))
+    assert fails[0] == ("r2", ["a", "0", "0"])
+    assert any(rule == "r1" for rule, _ in fails)
+    assert _verdict("resproposition", t) == hz.Verdict(
+        "fail", {"rule": "r2", "triple": ["a", "0", "0"]})
+    # b v b = 1 in A6 (b v b = d in B6) breaks r1 and r2 at (b, b, b): r1
+    # is reported
+    for lat, v in ((a6, "1"), (b6, "d")):
+        t = _symmetric_tamper(lat, "join", *map(lat.index, "bb" + v))
+        assert list(_resproposition_failures(t))[:2] == [
+            ("r1", ["b", "b", "b"]), ("r2", ["b", "b", "b"])]
+        assert _verdict("resproposition", t) == hz.Verdict(
+            "fail", {"rule": "r1", "triple": ["b", "b", "b"]})
+
+
 def test_canonflat_fails_with_witness(a6, monkeypatch):
     # the projection by {d,1} is not flat: the definition side sees the
     # identity quotient instead, or the criterion says flat everywhere

@@ -1,15 +1,19 @@
 """Spectra, the D operator, hull-kernel topologies, stability, supports."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslat import spectra as sp
 from reslat import filters as fi
-from reslat.core import iter_bits
+from reslat.core import iter_bits, load_lattice
 from reslat.harness import FIXTURE_EXPECT, PROPERTIES
 from reslat.topology import separation_report, subspace
 
 from conftest import tokset, toksets
+
+HN_PATH = Path(__file__).parent / "data" / "hn.rlat"
 
 
 def test_spectrum_tables(fixtures4):
@@ -129,6 +133,20 @@ def test_support_examples(a6, b6):
     supp6 = sp.support(a6, a6.mask_of(["d", "1"]))
     assert supp6 == (1 << len(sp.prime_filters(a6))) - 1
     assert supp6 != d_of(a6, a6.mask_of(["d", "1"]))
+
+
+def test_support_is_the_union_of_perp_hulls(fixtures4):
+    # Supp(F) is the OR of h(x_perp) over the members, on every subset; the
+    # table of h(x_perp) is built once per lattice
+    for lat in fixtures4 + (load_lattice(HN_PATH),):
+        spec = sp.prime_filters(lat)
+        hulls = [sp.h_set(spec, fi.x_perp(lat, x)) for x in range(lat.n)]
+        for f in range(1 << lat.n):
+            want = 0
+            for x in iter_bits(f):
+                want |= hulls[x]
+            assert sp.support(lat, f) == want, (lat.name, f)
+        assert [k for k in lat._cache if "perp_hulls" in k] == ["perp_hulls"]
 
 
 def test_opens_of_dual_topology_are_unions_of_hulls(family):

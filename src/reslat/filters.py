@@ -335,10 +335,20 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     iff v_i <= v_j.  Every table is the source table pushed through the
     projection (``class_of[op[v_i][v_j]]``): the congruence of a filter
     respects every operation, so no validation pass is needed.
+
+    F = {1} (e = 1) is the one filter whose fibres are all singletons: the
+    identity congruence.  A/{1} is then a new lattice on A's own tables,
+    tokens and bounds, with a memo of its own, and the identity projection.
     """
     e = least_elements(lat).get(f_mask)
     if e is None or lat.prod[e][e] != e:
         raise LatticeError(f"{lat.name}: {lat.set_str(f_mask)} is not a filter")
+    name, n = f"{lat.name}/{lat.set_str(f_mask)}", lat.n
+    if e == lat.top:
+        q = ResiduatedLattice(name, lat.names, lat.up, lat.down, lat.join,
+                              lat.meet, lat.prod, lat.res, lat.bottom, lat.top)
+        return QuotientResult(q, tuple(range(n)),
+                              tuple(1 << x for x in range(n)), n == 1)
     fibres = {}
     for x, v in enumerate(lat.prod[e]):
         fibres[v] = fibres.get(v, 0) | 1 << x
@@ -346,7 +356,7 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     classes = tuple(fibres[v] for v in vals)
     index = {v: ci for ci, v in enumerate(vals)}
     class_of = tuple(index[v] for v in lat.prod[e])
-    pick, cls, n = bytes(vals), bytes(class_of), lat.n
+    pick, cls = bytes(vals), bytes(class_of)
 
     def push(op):           # row v at the fibre values, then through class_of
         return [read_through(read_through(pick, op[v]), cls) for v in vals]
@@ -356,10 +366,9 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
                 for v in vals]
 
     names = ["|".join(lat.names[i] for i in iter_bits(m)) for m in classes]
-    q = ResiduatedLattice(f"{lat.name}/{lat.set_str(f_mask)}", names,
-                          order(lat.up), order(lat.down), push(lat.join),
-                          push(lat.meet), push(lat.prod), push(lat.res),
-                          class_of[lat.bottom], class_of[lat.top])
+    q = ResiduatedLattice(name, names, order(lat.up), order(lat.down),
+                          push(lat.join), push(lat.meet), push(lat.prod),
+                          push(lat.res), class_of[lat.bottom], class_of[lat.top])
     return QuotientResult(q, class_of, classes, len(classes) == 1)
 
 

@@ -421,31 +421,38 @@ def _p_genfilprop(lat):
 
     Item 1 reads, for each x and each member c of F, the upset of
     {c*x^k : k >= 0}, which depends on neither F nor y, from a table built
-    once.  Items 3 and 4 are symmetric in x and y, so they run only for
-    y >= x: a failure at (x, y) with y < x would already have failed at
-    (y, x), earlier in row-major order.  Item 4 works with idempotents:
-    F = up(e), so <F u {x}> = up(a_x) with a_x = (e*x)^oo, <gx u gy> is
-    up(a_x*a_y), and <F u {x, y}> is up((e*x*y)^oo).  The third side,
-    <F u {x*y}>, is the generated filter that items 1-3 test.
+    once, a column of all c at a time: each power x^k ORs in the upsets of
+    the product column c*x^k.  Per F, the OR of its members' rows must
+    equal the n generated filters <F u {x}> as one list; the first x is
+    searched for only on a mismatch.  Items 3 and 4 are symmetric in x and
+    y, so they run only for y >= x: a failure at (x, y) with y < x would
+    already have failed at (y, x), earlier in row-major order.  Item 4
+    works with idempotents: F = up(e), so <F u {x}> = up(a_x) with
+    a_x = (e*x)^oo, <gx u gy> is up(a_x*a_y), and <F u {x, y}> is
+    up((e*x*y)^oo).  The third side, <F u {x*y}>, is the generated filter
+    that items 1-3 test.
     """
     fl = enumerate_filters(lat)
     n, up, prod, join = lat.n, lat.up, lat.prod, lat.join
     least, stable = least_elements(lat), stable_powers(lat)
+    cols = list(zip(*prod))                # cols[pw][c] = c*pw
     via_x = []                             # via_x[x][c] = up{c*x^k : k >= 0}
     for x in range(n):
-        powers, p = [lat.top], lat.top
+        p = lat.top
+        via = list(map(up.__getitem__, cols[p]))
         while prod[p][x] != p:
             p = prod[p][x]
-            powers.append(p)
-        via_x.append([reduce(or_, [up[row[pw]] for pw in powers])
-                      for row in prod])
+            via = list(map(or_, via, map(up.__getitem__, cols[p])))
+        via_x.append(via)
+    via_c = list(zip(*via_x))              # via_c[c][x] = via_x[x][c]
     for f in fl.filters:
         gen_x = [generated_filter(lat, f | (1 << x)) for x in range(n)]
-        members = iter_bits(f)
-        for x in range(n):
-            via = via_x[x]
-            if reduce(or_, [via[c] for c in members]) != gen_x[x]:
-                return _fail({"item": 1, "filter": _toks(lat, f), "x": lat.names[x]})
+        got = [0] * n
+        for c in iter_bits(f):
+            got = list(map(or_, got, via_c[c]))
+        if got != gen_x:
+            x = next(x for x in range(n) if got[x] != gen_x[x])
+            return _fail({"item": 1, "filter": _toks(lat, f), "x": lat.names[x]})
         e_row = prod[least[f]]
         a = [stable[v] for v in e_row]     # a[x] = (e*x)^oo
         for x in range(n):
@@ -665,22 +672,24 @@ def _p_canonflat(lat):
 def _p_omegprop(lat):
     """Coannulets sit inside the omega-filters as a sublattice; D facts.
 
-    omega(I) is taken element-wise here, {a : a v y = 1 for some y in I},
-    because the library reads both omega and the coannulets off one table;
-    ``omega_filter`` must agree with it on every principal ideal.  The
-    pair clauses of item 1 are symmetric in x and y, so they run only for
-    y >= x: a failure at (x, y) with y < x would already have failed at
-    (y, x), earlier in row-major order.
+    omega(I) = {a : a v y = 1 for some y in I} is taken from the join
+    cells join[a][y] here, not from the coannulets, because the library
+    reads both omega and the coannulets off one table; ``omega_filter``
+    must agree with it on every principal ideal.  to_top[y] = {a : a v y =
+    1} is read once per instance, and omega(I) is the OR of to_top over
+    the members of I.  The pair clauses of item 1 are symmetric in x and
+    y, so they run only for y >= x: a failure at (x, y) with y < x would
+    already have failed at (y, x), earlier in row-major order.
     """
     join, top = lat.join, lat.top
+    bits = [1 << a for a in range(lat.n)]
+    to_top = [sum(compress(bits, map(top.__eq__, col))) for col in zip(*join)]
     by_ideal = {}
 
     def omega(ideal):
         if ideal not in by_ideal:
-            members = iter_bits(ideal)
-            by_ideal[ideal] = sum(
-                1 << a for a in range(lat.n)
-                if any(join[a][y] == top for y in members))
+            by_ideal[ideal] = reduce(or_, map(to_top.__getitem__,
+                                              iter_bits(ideal)))
         return by_ideal[ideal]
 
     omeg = set(omega_filters(lat))

@@ -363,11 +363,25 @@ def test_radical_examples(a6, a8):
     assert fi.radical(a6, a6.all_mask) == a6.all_mask
 
 
-def test_quotient_by_unit_is_isomorphic(a6):
-    qr = fi.quotient(a6, 1 << a6.top)
-    assert not qr.degenerate
-    assert qr.quotient.n == a6.n
-    assert all(bin(c).count("1") == 1 for c in qr.classes)
+def test_quotient_by_unit_is_isomorphic(fixtures4):
+    # A/{1} is the identity congruence: a separate lattice on A's own
+    # tables, with a memo of its own, so that filqou and canonflat compare
+    # two objects and not A with itself
+    for lat in fixtures4:
+        src = fresh(lat)
+        qr = fi.quotient(src, 1 << lat.top)
+        q = qr.quotient
+        assert not qr.degenerate
+        assert q.name == f"{lat.name}/{{1}}"
+        assert q.n == lat.n and q.names == lat.names
+        for table in ("join", "meet", "prod", "res", "up", "down"):
+            assert getattr(q, table) == getattr(lat, table), table
+        assert (q.bottom, q.top) == (lat.bottom, lat.top)
+        assert qr.projection == tuple(range(lat.n))
+        assert qr.classes == tuple(1 << x for x in range(lat.n))
+        assert q is not src
+        assert type(q._cache) is dict and q._cache == {}
+        assert q._cache is not src._cache
 
 
 def test_quotient_by_carrier_is_degenerate(a6):

@@ -6,7 +6,9 @@ import importlib.resources
 import json
 import random
 import time
+from collections import Counter
 from functools import reduce
+from operator import or_
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,8 +18,8 @@ from reslat import classify as cl
 from reslat import harness as hz
 from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          ResiduatedLattice, SizeLimit, ValidationReport,
-                         direct_product, load_lattice, parse_lattice_text,
-                         validate)
+                         direct_product, iter_bits, load_lattice,
+                         parse_lattice_text, validate)
 from reslat.classify import Flag, boolean_center
 from reslat.filters import enumerate_filters, least_elements
 from reslat.purity import PureSpectrum, rho, sigma_filter, sigma_index
@@ -481,6 +483,185 @@ def test_resproposition_witness_matches_elementwise_search(a6, b6, a8):
             ("r1", ["b", "b", "b"]), ("r2", ["b", "b", "b"])]
         assert _verdict("resproposition", t) == hz.Verdict(
             "fail", {"rule": "r1", "triple": ["b", "b", "b"]})
+
+
+def test_omegprop_diagonal_pair_fails_with_witness(a6):
+    # a*a = 1 in A6: a_perp = {1} but (a*a)_perp = A.  The cell (a, a) is
+    # read by no clause but the pair (a, a), so only x_perp = (x*x)_perp at
+    # y = x catches it
+    prod = [list(row) for row in a6.prod]
+    a = a6.index("a")
+    prod[a][a] = a6.top
+    assert _verdict("omegprop", _tampered(a6, prod=prod)) == hz.Verdict(
+        "fail", {"item": 1, "pair": ["a", "a"]})
+
+
+def _elementwise_genfilprop(lat):
+    """genfilprop with item 1 read element by element: for each filter F and
+    each x, the OR over the members c of up{c*x^k : k >= 0}, each one a
+    reduce over the cells prod[c][x^k].  Items 2-4 and principality as in
+    the library."""
+    fl = enumerate_filters(lat)
+    n, up, prod, join = lat.n, lat.up, lat.prod, lat.join
+    least, stable = least_elements(lat), hz.stable_powers(lat)
+    via_x = []
+    for x in range(n):
+        powers, p = [lat.top], lat.top
+        while prod[p][x] != p:
+            p = prod[p][x]
+            powers.append(p)
+        via_x.append([reduce(or_, [up[row[pw]] for pw in powers])
+                      for row in prod])
+    for f in fl.filters:
+        gen_x = [hz.generated_filter(lat, f | (1 << x)) for x in range(n)]
+        members = iter_bits(f)
+        for x in range(n):
+            via = via_x[x]
+            if reduce(or_, [via[c] for c in members]) != gen_x[x]:
+                return hz._fail({"item": 1, "filter": hz._toks(lat, f),
+                                 "x": lat.names[x]})
+        e_row = prod[least[f]]
+        a = [stable[v] for v in e_row]
+        for x in range(n):
+            gx, above_x, join_x, prod_x = gen_x[x], up[x], join[x], prod[x]
+            a_row, ex_row = prod[a[x]], prod[e_row[x]]
+            for y in range(n):
+                gy = gen_x[y]
+                if (above_x >> y) & 1 and gy & ~gx:
+                    return hz._fail({"item": 2, "x": lat.names[x],
+                                     "y": lat.names[y]})
+                if y < x:
+                    continue
+                if gx & gy != gen_x[join_x[y]]:
+                    return hz._fail({"item": 3, "x": lat.names[x],
+                                     "y": lat.names[y]})
+                joined = a_row[a[y]]
+                if up[joined] != gen_x[prod_x[y]] or \
+                        joined != stable[ex_row[y]]:
+                    return hz._fail({"item": 4, "x": lat.names[x],
+                                     "y": lat.names[y]})
+    for f in fl.filters:
+        if hz.generated_filter(
+                lat, 1 << hz._principal_generator(lat, f)) != f:
+            return hz._fail({"item": "finite principality",
+                             "filter": hz._toks(lat, f)})
+    return hz.PASS
+
+
+def _elementwise_omegprop(lat):
+    """omegprop with omega(I) taken element by element: a is in omega(I)
+    when join[a][y] = 1 for some y in I.  Everything else as in the
+    library."""
+    join, top = lat.join, lat.top
+    by_ideal = {}
+
+    def omega(ideal):
+        if ideal not in by_ideal:
+            members = iter_bits(ideal)
+            by_ideal[ideal] = sum(
+                1 << a for a in range(lat.n)
+                if any(join[a][y] == top for y in members))
+        return by_ideal[ideal]
+
+    omeg = set(hz.omega_filters(lat))
+    perp = [hz.x_perp(lat, x) for x in range(lat.n)]
+    downs = [hz.principal_ideal(lat, x) for x in range(lat.n)]
+    for x, (perp_x, down_x) in enumerate(zip(perp, downs)):
+        if not omega(down_x) == hz.omega_filter(lat, down_x) == perp_x:
+            return hz._fail({"item": 1, "x": lat.names[x]})
+        if perp_x not in omeg:
+            return hz._fail({"item": 1, "x": lat.names[x]})
+        prod_x, join_x = lat.prod[x], join[x]
+        for y in range(x, lat.n):
+            pair = [lat.names[x], lat.names[y]]
+            if perp_x & perp[y] != perp[prod_x[y]]:
+                return hz._fail({"item": 1, "pair": pair})
+            joined = hz.ideal_generated(lat, down_x | downs[y])
+            if omega(joined) != perp[join_x[y]]:
+                return hz._fail({"item": 1, "pair": pair})
+    for f in omeg:
+        if not hz.is_filter(lat, f):
+            return hz._fail({"item": 1, "omega_filter": hz._toks(lat, f)})
+    spec = hz.prime_filters(lat)
+    minp = hz.minimal_primes(lat)
+    for p in spec:
+        d = hz.D_operator(lat, p)
+        via_primes = hz.kernel(lat, hz.inside(spec, p))
+        via_minimal = hz.kernel(lat, hz.inside(minp, p))
+        if d != via_primes or d != via_minimal:
+            return hz._fail({"item": 2, "prime": hz._toks(lat, p),
+                             "D": hz._toks(lat, d),
+                             "primes_inside": hz._toks(lat, via_primes),
+                             "minimal_primes_inside": hz._toks(lat,
+                                                               via_minimal)})
+        if (d == p) != (p in minp):
+            return hz._fail({"item": 3, "prime": hz._toks(lat, p)})
+    return hz.PASS
+
+
+def _outcome(prop, lat):
+    """The verdict, or the type and arguments of the exception raised."""
+    try:
+        return prop(lat)
+    except Exception as exc:
+        return type(exc).__name__, exc.args
+
+
+def _is_item_1(outcome):
+    return isinstance(outcome, hz.Verdict) and outcome.status == "fail" and \
+        outcome.witness.get("item") == 1
+
+
+def _one_cell(lat, table, x, y, v):
+    """``lat`` with the single cell (x, y) of prod or join set to v."""
+    rows = [list(r) for r in getattr(lat, table)]
+    rows[x][y] = v
+    return _tampered(lat, **{table: rows})
+
+
+def test_column_oracles_match_elementwise_references(a6, b6, a8,
+                                                     monkeypatch):
+    # seeded tamperings: a generated filter with one bit flipped for one
+    # input, one join cell set to 1, one prod cell off the diagonal changed
+    # on one side only.  The last two leave the tables non-commutative, so
+    # a column read from prod[pw][c] or join[y][a] in place of prod[c][pw]
+    # or join[a][y] shows.  A changed prod cell x*y stays below x ^ y, so
+    # every power sequence p, p*x, ... still descends to a fixed point (on
+    # a table where it cycles, the power loops would not end).  genfilprop
+    # and omegprop must give the verdicts and witnesses of the
+    # element-by-element references
+    rng = random.Random(2505)
+    real = hz.generated_filter
+    item1 = Counter()               # item-1 failures, by property and kind
+    for lat in (a6, b6, a8, load_lattice(str(HN_PATH))):
+        n, filters = lat.n, enumerate_filters(lat).filters
+        for _ in range(40):
+            target = rng.choice(filters) | 1 << rng.randrange(n)
+            bit = 1 << rng.randrange(n)
+            with monkeypatch.context() as m:
+                m.setattr(hz, "generated_filter", lambda lat, mask: real(
+                    lat, mask) ^ (bit if mask == target else 0))
+                got = _outcome(hz.PROPERTIES["genfilprop"][1], fresh(lat))
+                want = _outcome(_elementwise_genfilprop, fresh(lat))
+            assert got == want, (lat.name, target, bit)
+            item1["genfilprop", "flip"] += _is_item_1(want)
+        cells = [("join", x, y, lat.top) for x in range(n) for y in range(n)
+                 if lat.join[x][y] != lat.top]
+        cells += [("prod", x, y, v) for x in range(n) for y in range(n)
+                  if x != y for v in iter_bits(lat.down[lat.meet[x][y]])
+                  if v != lat.prod[x][y]]
+        for table, x, y, v in rng.sample(cells, min(60, len(cells))):
+            for pid, ref in (("genfilprop", _elementwise_genfilprop),
+                             ("omegprop", _elementwise_omegprop)):
+                t = _one_cell(lat, table, x, y, v)
+                got = _outcome(hz.PROPERTIES[pid][1], t)
+                want = _outcome(ref, _one_cell(lat, table, x, y, v))
+                assert got == want, (pid, lat.name, table, x, y, v)
+                item1[pid, table] += _is_item_1(want)
+    # genfilprop's item 1 reads no join cell
+    kinds = [("genfilprop", "flip"), ("genfilprop", "prod"),
+             ("omegprop", "join"), ("omegprop", "prod")]
+    assert min(item1[k] for k in kinds) >= 10, item1
 
 
 def test_canonflat_fails_with_witness(a6, monkeypatch):

@@ -8,9 +8,9 @@ import importlib.resources
 from reslat import load_lattice
 from reslat.classify import (boolean_center, classify, gelfand_structure,
                              grothendieck_check, mp_structure, NotApplicable)
-from reslat.harness import (acceptance_family, fixture, godel_chain,
-                            lukasiewicz_chain, product_instance,
-                            run_theorem_suite)
+from reslat.families import (acceptance_family, fixture, godel_chain,
+                             lukasiewicz_chain, product_instance)
+from reslat.harness import run_theorem_suite
 
 FIXTURES = importlib.resources.files("reslat") / "fixtures"
 

@@ -48,6 +48,14 @@ class _UsageError(Exception):
     """A command line that parses but cannot run; ``main`` exits 3."""
 
 
+class _FamilyNames:
+    """``gen --family``'s choices, the rows of ``reslat.families.FAMILIES``
+    in their order, read only when argparse shows or checks them."""
+
+    def __iter__(self):
+        return iter(importlib.import_module(".families", __package__).FAMILIES)
+
+
 def _call(args):
     """The library function behind ``args.command``, looked up in its layer
     when the handler runs."""
@@ -303,10 +311,8 @@ def _cmd_gen(args):
         raise _UsageError("gen needs --family and --size, "
                           "or --product A B [C ...]")
     else:
-        from . import harness as _harness
-        maker = {"godel": _harness.godel_chain,
-                 "lukasiewicz": _harness.lukasiewicz_chain}[args.family]
-        lat = maker(args.size)
+        from .families import FAMILIES
+        lat = FAMILIES[args.family](args.size)
     sys.stdout.write(to_rlat_text(lat))
     return EXIT_OK
 
@@ -374,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen", _cmd_gen, path=False,
             help="emit a generated instance as a lattice file")
-    p.add_argument("--family", choices=("godel", "lukasiewicz"))
+    # set after add_argument, which would otherwise read the choices at once
+    p.add_argument("--family").choices = _FamilyNames()
     p.add_argument("--size", type=int)
     p.add_argument("--product", nargs="+", metavar="FILE",
                    help="two or more lattice files to multiply, left to right")

@@ -318,13 +318,14 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
         if dup is not None:
             rep.add("Bounds", f"element token {dup!r} is repeated", (dup,))
     # shapes and indices first: every later check indexes by them.  Refused:
-    # an order row that is not an int, is negative or has a bit at or past
-    # n, and a product row of another length (length_hint reads none as 0)
+    # a table that is not a sequence, an order row that is not an int, is
+    # negative or has a bit at or past n, and a product row of another
+    # length (length_hint reads a non-sequence as 0)
     pows = [1 << j for j in range(n)]
-    up = list(raw.leq)
+    up = list(raw.leq) if hasattr(raw.leq, "__iter__") else []
     if len(up) != n or set(map(type, up)) != {int} or min(up) < 0 or max(up) >> n:
         rep.add("Bounds", f"leq is not {n}x{n}")
-    if len(raw.prod) != n or set(map(length_hint, raw.prod)) != {n}:
+    if length_hint(raw.prod) != n or set(map(length_hint, raw.prod)) != {n}:
         rep.add("Bounds", f"prod is not {n}x{n}")
     for what, v in (("bottom", raw.bottom), ("top", raw.top)):
         fault = _index_fault(v, n)

@@ -1,24 +1,23 @@
-"""Instance generators and the executable theorem suite.
+"""The executable theorem suite.
 
-Structured instance families (transcribed fixtures, Goedel and Lukasiewicz
-chains, componentwise products) feed a registry of named properties, one
-per catalogued statement.  The registry is checked against the manifest
-before every run, verdicts are deterministic, and a failing verdict always
-carries a concrete witness.
+A registry of named properties, one per catalogued statement, runs on the
+instances of ``reslat.families`` or any others.  The registry is checked
+against the manifest before every run, verdicts are deterministic, and a
+failing verdict always carries a concrete witness.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import namedtuple
 from functools import reduce
 from itertools import compress, islice, repeat
 from operator import or_
 
-from .core import (MAX_ELEMENTS, LatticeError, ResiduatedLattice, SizeLimit,
-                   direct_product, iter_bits, lattice_from_tables,
-                   load_lattice, mask_key, read_through)
+from .core import LatticeError, iter_bits, mask_key, read_through
+# the benchmark's workloads read the last three through this module
+from .families import (FIXTURE_NAMES, acceptance_family, godel_chain,
+                       lukasiewicz_chain)
 from .filters import (coannulet_table, enumerate_filters, generated_filter,
                       hull, ideal_generated, inside, is_alpha_filter,
                       is_filter, is_projection_flat, kernel, lattice_ideals,
@@ -48,74 +47,6 @@ from .classify import (
     spp_hausdorff, spp_in_max_sigma, verify_flag_witness)
 from .topology import (components, irreducible_closed_sets, label_map,
                        map_analysis, separation_report, subspace)
-
-# ---------------------------------------------------------------------------
-# instance generators
-
-
-FIXTURE_NAMES = ("a6", "b6", "c6", "a8")
-_FIXTURES: dict[str, ResiduatedLattice] = {}
-_CHAINS: dict[tuple, ResiduatedLattice] = {}
-_PRODUCTS: dict[tuple, ResiduatedLattice] = {}
-
-
-def fixture(name: str) -> ResiduatedLattice:
-    """One of the four bundled instances (a6, b6, c6, a8)."""
-    key = name.lower()
-    if key not in FIXTURE_NAMES:
-        raise LatticeError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
-    if key not in _FIXTURES:
-        path = os.path.join(os.path.dirname(__file__), "fixtures", f"{key}.rlat")
-        _FIXTURES[key] = load_lattice(path)
-    return _FIXTURES[key]
-
-
-def _chain_names(n: int) -> list[str]:
-    return ["0"] + [f"x{i}" for i in range(1, n - 1)] + ["1"]
-
-
-def _chain(name: str, n: int, mul) -> ResiduatedLattice:
-    """The n-element chain 0 < x1 < ... < 1 with product ``mul(i, j)``."""
-    if not 2 <= n <= MAX_ELEMENTS:
-        raise SizeLimit(f"chain size {n} outside 2..{MAX_ELEMENTS}")
-    key = (name, n)
-    if key not in _CHAINS:
-        up = [(1 << n) - (1 << i) for i in range(n)]      # bits i..n-1
-        prod = [[mul(i, j) for j in range(n)] for i in range(n)]
-        _CHAINS[key] = lattice_from_tables(f"{name}{n}", _chain_names(n),
-                                           up, prod, 0, n - 1)
-    return _CHAINS[key]
-
-
-def godel_chain(n: int) -> ResiduatedLattice:
-    """Linear order 0 < x1 < ... < 1 with the product equal to the meet."""
-    return _chain("Godel", n, min)
-
-
-def lukasiewicz_chain(n: int) -> ResiduatedLattice:
-    """Linear order with truncated index addition: i*j = max(0, i+j-(n-1))."""
-    return _chain("Luk", n, lambda i, j: max(0, i + j - (n - 1)))
-
-
-def product_instance(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLattice:
-    key = (a.name, b.name)
-    if key not in _PRODUCTS:
-        _PRODUCTS[key] = direct_product(a, b)
-    return _PRODUCTS[key]
-
-
-def acceptance_family() -> tuple[ResiduatedLattice, ...]:
-    """Fixtures, both chain families on 2..8 elements, and all pairwise
-    products with at most 16 elements."""
-    base = [fixture(n) for n in FIXTURE_NAMES]
-    base += [godel_chain(n) for n in range(2, 9)]
-    base += [lukasiewicz_chain(n) for n in range(2, 9)]
-    out = list(base)
-    for i, a in enumerate(base):
-        for b in base[i:]:
-            if a.n * b.n <= 16:
-                out.append(product_instance(a, b))
-    return tuple(out)
 
 
 # expected outputs for the bundled fixtures, keyed by lattice name
@@ -380,21 +311,19 @@ def _p_resproposition(lat):
 def _fixture_fidelity(lat, key):
     if lat.name != key:
         return _na(f"fixture {key} only")
-    exp = FIXTURE_EXPECT[key]
-    got = {
-        "filters": {frozenset(_toks(lat, f)) for f in _filters(lat)},
-        "maximal": {frozenset(_toks(lat, f)) for f in maximal_filters(lat)},
-        "minimal_prime": {frozenset(_toks(lat, f)) for f in minimal_primes(lat)},
-        "alpha": {frozenset(_toks(lat, f)) for f in _filters(lat)
-                  if is_alpha_filter(lat, f)},
-        "pure": {frozenset(_toks(lat, f)) for f in pure_filters(lat)},
+    tables = {
+        "filters": _filters(lat),
+        "maximal": maximal_filters(lat),
+        "minimal_prime": minimal_primes(lat),
+        "alpha": [f for f in _filters(lat) if is_alpha_filter(lat, f)],
+        "pure": pure_filters(lat),
     }
-    for field_name, want in exp.items():
-        if field_name in ("center", "gelfand", "mp"):
-            continue
-        if got[field_name] != set(want):
+    for field_name, masks in tables.items():
+        got = {frozenset(_toks(lat, f)) for f in masks}
+        want = FIXTURE_EXPECT[key][field_name]
+        if got != set(want):
             return _fail({"table": field_name,
-                          "got": sorted(sorted(s) for s in got[field_name]),
+                          "got": sorted(sorted(s) for s in got),
                           "expected": sorted(sorted(s) for s in want)})
     return PASS
 
@@ -494,8 +423,7 @@ def _subset_samples(lat):
         return range(1 << lat.n)
     rng = random.Random(0x5EED ^ lat.n)
     samples = {0, lat.all_mask}
-    samples.update(1 << x for x in range(lat.n))
-    samples.update((1 << x) | (1 << y)
+    samples.update((1 << x) | (1 << y)         # x = y gives the singletons
                    for x in range(lat.n) for y in range(lat.n))
     samples.update(_filters(lat))
     # 400 draws of rng.randrange(1 << n), which keeps the getrandbits(n + 1)
@@ -842,11 +770,8 @@ def _p_puredef(lat):
                  lambda: {"note": "trivial filters must be pure"})
 
 
-@_prop("fbetasig", "purity")
-def _p_fbetasig(lat):
-    pure = set(pure_filters(lat))
-    bad = [f for f in direct_summands(lat) if f not in pure]
-    return _when(not bad, lambda: {"summand": _toks(lat, bad[0])})
+_every("fbetasig", "purity", direct_summands,
+       lambda lat, f: f in pure_filters(lat), "summand")
 
 
 @_prop("flatpurethe", "purity")
@@ -1323,23 +1248,17 @@ def self_inventory_check():
     """The registry and the manifest must agree exactly."""
     reg, man = set(PROPERTIES), set(SPEC_ANCHOR_MANIFEST)
     if reg != man or len(SPEC_ANCHOR_MANIFEST) != len(PROPERTIES):
-        missing = sorted(man - reg)
-        extra = sorted(reg - man)
-        raise LatticeError(f"property registry out of sync: missing={missing} "
-                           f"extra={extra}")
+        raise LatticeError("property registry out of sync: "
+                           f"missing={sorted(man - reg)} extra={sorted(reg - man)}")
 
 
 class SuiteReport:
-    def __init__(self, suite, property_ids, instance_names, verdicts=None,
-                 conjecture_spp_is_purely_maximal=None):
+    def __init__(self, suite, property_ids, instance_names):
         self.suite = suite
         self.property_ids = property_ids
         self.instance_names = instance_names
-        # (instance, pid) -> Verdict
-        self.verdicts = {} if verdicts is None else verdicts
-        self.conjecture_spp_is_purely_maximal = (
-            {} if conjecture_spp_is_purely_maximal is None
-            else conjecture_spp_is_purely_maximal)
+        self.verdicts = {}          # (instance, pid) -> Verdict
+        self.conjecture_spp_is_purely_maximal = {}
 
     def verdict(self, instance: str, pid: str) -> Verdict:
         return self.verdicts[(instance, pid)]

@@ -1,27 +1,27 @@
 import pytest
 
-from reslat import harness
+from reslat import families
 from reslat.core import ResiduatedLattice
 
 
 @pytest.fixture(scope="session")
 def a6():
-    return harness.fixture("a6")
+    return families.fixture("a6")
 
 
 @pytest.fixture(scope="session")
 def b6():
-    return harness.fixture("b6")
+    return families.fixture("b6")
 
 
 @pytest.fixture(scope="session")
 def c6():
-    return harness.fixture("c6")
+    return families.fixture("c6")
 
 
 @pytest.fixture(scope="session")
 def a8():
-    return harness.fixture("a8")
+    return families.fixture("a8")
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def fixtures4(a6, b6, c6, a8):
 
 @pytest.fixture(scope="session")
 def family():
-    return harness.acceptance_family()
+    return families.acceptance_family()
 
 
 def tokset(lat, mask):

@@ -10,6 +10,7 @@ import pytest
 
 from reslat import classify as cl
 from reslat import filters as fi
+from reslat.families import FIXTURE_NAMES
 from reslat import harness as hz
 from reslat import purity as pu
 from reslat import spectra as sp
@@ -32,7 +33,7 @@ def _fresh_fixture(name):
 def test_criterion_01_filter_tables():
     t0 = time.monotonic()
     ok = True
-    for name in hz.FIXTURE_NAMES:
+    for name in FIXTURE_NAMES:
         lat = _fresh_fixture(name)          # no cached state: honest timing
         got = toksets(lat, fi.enumerate_filters(lat).filters)
         ok &= got == set(hz.FIXTURE_EXPECT[lat.name]["filters"])

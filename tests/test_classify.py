@@ -8,7 +8,8 @@ from reslat import classify as cl
 from reslat import filters as fi
 from reslat import purity as pu
 from reslat.core import iter_bits
-from reslat.harness import FIXTURE_EXPECT, godel_chain
+from reslat.families import godel_chain
+from reslat.harness import FIXTURE_EXPECT
 
 from conftest import tokset, toksets
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from reslat import harness
+from reslat import families
 from reslat.cli import build_parser, main, to_rlat_text
 from reslat.core import direct_product
 
@@ -75,7 +75,8 @@ def test_subcommand_golden(command, mk, fixture_name):
 
 # The top library layer each subcommand calls; a call may load that layer
 # and the layers below it (LAYERS order), and no other reslat module.
-LAYERS = ("filters", "topology", "spectra", "purity", "classify", "harness")
+LAYERS = ("filters", "topology", "spectra", "purity", "classify", "families",
+          "harness")
 TOP_LAYER = {"validate": None, "filters": "filters", "spectrum": "spectra",
              "alpha": "filters", "pure": "purity", "sigma": "purity",
              "rho": "purity", "spp": "purity", "dtop": "purity",
@@ -94,27 +95,44 @@ sys.exit(code)
 """
 
 
+def _fresh_call(argv):
+    """One CLI call in a fresh interpreter: its result as ``run_cli`` gives
+    it, and the set of reslat modules it loaded."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _CALL_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    *err, modules = proc.stderr.splitlines(keepends=True)
+    return ({"exit": proc.returncode, "stdout": proc.stdout,
+             "stderr": "".join(err)}, set(json.loads(modules)))
+
+
 @pytest.mark.parametrize("command,mk", SUBCOMMANDS,
                          ids=[c for c, _ in SUBCOMMANDS])
 def test_fresh_call_loads_only_its_layers(command, mk):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CALL_PROBE, *mk(FIXTURE_PATHS["a6"],
-                                                FILTER_ARG["a6"])],
-        env=env, capture_output=True, text=True, timeout=60)
-    *err, modules = proc.stderr.splitlines(keepends=True)
+    got, loaded = _fresh_call(mk(FIXTURE_PATHS["a6"], FILTER_ARG["a6"]))
     want = json.loads((GOLDEN_DIR / f"a6__{command}.json")
                       .read_text(encoding="utf-8"))
-    assert {"exit": proc.returncode, "stdout": proc.stdout,
-            "stderr": "".join(err)} == want
-    loaded = set(json.loads(modules))
+    assert got == want
     top = TOP_LAYER[command]
     allowed = LAYERS[:LAYERS.index(top) + 1] if top else ()
     assert loaded - {"reslat", "reslat.core", "reslat.cli"} <= {
         f"reslat.{m}" for m in allowed}
     if top:
         assert f"reslat.{top}" in loaded
+
+
+def test_fresh_gen_loads_only_what_it_builds_with():
+    # a family comes from reslat.families alone, a product from reslat.core
+    base = {"reslat", "reslat.cli", "reslat.core"}
+    got, loaded = _fresh_call(["gen", "--family", "godel", "--size", "3"])
+    assert got == json.loads((GOLDEN_DIR / "gen__godel3.json")
+                             .read_text(encoding="utf-8"))
+    assert loaded == base | {"reslat.families"}
+    a6 = FIXTURE_PATHS["a6"]
+    got, loaded = _fresh_call(["gen", "--product", a6, a6])
+    assert got == run_cli(["gen", "--product", a6, a6])
+    assert got["exit"] == 0 and loaded == base
 
 
 def test_shared_parser_keeps_no_state_between_calls():
@@ -183,10 +201,29 @@ def test_gen_chain_size_out_of_range():
                        "stderr": f"chain size {size} outside 2..64\n"}, size
 
 
+def test_gen_help_golden(monkeypatch):
+    # argparse wraps help text at the width COLUMNS gives
+    monkeypatch.setenv("COLUMNS", "80")
+    check_golden("gen__help", ["gen", "--help"])
+
+
+def test_gen_family_is_one_row_of_the_table(monkeypatch):
+    # --family offers the rows of FAMILIES in their order, read when parsed
+    assert tuple(families.FAMILIES) == ("godel", "lukasiewicz")
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setitem(families.FAMILIES, "boolean",
+                        lambda size: families.godel_chain(2))
+    out = run_cli(["gen", "--family", "boolean", "--size", "7"])
+    assert out == {"exit": 0, "stdout": to_rlat_text(families.godel_chain(2)),
+                   "stderr": ""}
+    help_text = run_cli(["gen", "--help"])["stdout"]
+    assert "--family {godel,lukasiewicz,boolean}" in help_text
+
+
 def test_gen_product_of_three_factors(tmp_path):
     g2 = _gen_chain_file(tmp_path, 2)
     res = run_cli(["gen", "--product", g2, g2, g2])
-    two = harness.godel_chain(2)
+    two = families.godel_chain(2)
     want = to_rlat_text(direct_product(direct_product(two, two), two))
     assert res == {"exit": 0, "stdout": want, "stderr": ""}
     out = run_cli(["gen", "--product", g2])

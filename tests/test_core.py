@@ -15,8 +15,8 @@ from reslat.core import (MAX_ELEMENTS, ParseError, RawTables,
                          ValidationReport, direct_product, flags, iter_bits,
                          mask_key, parse_lattice_text, read_through, validate)
 from reslat.classify import boolean_center
-from reslat.harness import (acceptance_family, fixture, godel_chain,
-                            lukasiewicz_chain, product_instance)
+from reslat.families import (acceptance_family, fixture, godel_chain,
+                             lukasiewicz_chain, product_instance)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -314,6 +314,15 @@ def test_validation_report_text(a6, case):
     report = validate(build(a6))
     assert str(report) == text
     assert [v.witness for v in report.violations] == witnesses
+
+
+@pytest.mark.parametrize("table", ["leq", "prod"])
+@pytest.mark.parametrize("value", [None, 6, 6.0, True],
+                         ids=["None", "int", "float", "bool"])
+def test_table_that_is_not_a_sequence_is_a_bounds_violation(a6, table, value):
+    report = validate(_a6_raw(a6, **{table: value}))
+    assert str(report) == f"A6: 1 violation(s)\n  [Bounds] {table} is not 6x6"
+    assert [v.witness for v in report.violations] == [()]
 
 
 def _elementwise_report(raw):
@@ -726,6 +735,8 @@ def test_byte_kernel_matches_its_definition(data):
         [i for i in range(width) if mask >> i & 1]
 
 
+_TABLE_BASES = [fixture(name) for name in ("a6", "b6", "c6", "a8")] + [
+    godel_chain(5), lukasiewicz_chain(4)]
 _RLAT_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(
     (ROOT / "fixtures").glob("*.rlat"))] + [
     (ROOT / "tests" / "data" / "hn.rlat").read_text(encoding="utf-8")]
@@ -769,6 +780,55 @@ def test_parser_and_validate_refuse_mutated_text_cleanly(text):
         raw = parse_lattice_text(text)
     except (ParseError, SizeLimit):
         return
+    assert isinstance(validate(raw), (ResiduatedLattice, ValidationReport))
+
+
+_ODD_VALUES = [None, True, -1, 1 << 70, 256, 1.5, 0.0, "a", "", b"\x01",
+               b"", [], [0, 1], (0,)]
+
+
+@st.composite
+def _mutated_tables(draw):
+    """A fixture's or a chain's RawTables with one to three mutations: odd
+    values in product cells, order rows and bounds; product and order tables
+    of the wrong shape; string and bytes rows; whole tables replaced."""
+    raw = _raw_of(draw(st.sampled_from(_TABLE_BASES)))
+    n = len(raw.leq)
+    odd = st.sampled_from(_ODD_VALUES)
+
+    def spot(t):
+        """An index into ``t``, or None when ``t`` is no longer a list."""
+        return draw(st.integers(0, len(t) - 1)) \
+            if isinstance(t, list) and t else None
+
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["cell", "order-row", "prod-row", "shape",
+                                     "bound", "table"]))
+        if kind == "cell" and (i := spot(raw.prod)) is not None \
+                and (j := spot(raw.prod[i])) is not None:
+            raw.prod[i][j] = draw(odd | st.integers(-300, 300))
+        elif kind == "order-row" and (i := spot(raw.leq)) is not None:
+            raw.leq[i] = draw(odd | st.integers(-(1 << n), 1 << (n + 2)))
+        elif kind == "prod-row" and (i := spot(raw.prod)) is not None:
+            raw.prod[i] = draw(st.sampled_from(["x" * n, bytes(n), [0] * (n - 1),
+                                                [0] * (n + 1), []]))
+        elif kind == "shape":
+            t = draw(st.sampled_from([raw.leq, raw.prod]))
+            if (i := spot(t)) is not None:
+                t.insert(i, t[spot(t)]) if draw(st.booleans()) else t.pop(i)
+        elif kind == "bound":
+            setattr(raw, draw(st.sampled_from(["bottom", "top"])),
+                    draw(odd | st.integers(-3, n + 3)))
+        elif kind == "table":
+            setattr(raw, draw(st.sampled_from(["leq", "prod"])),
+                    draw(odd | st.sampled_from([6, 6.0, "x" * n, bytes(n)])))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_mutated_tables())
+def test_validate_refuses_mutated_tables_cleanly(raw):
+    # the outcome is a lattice or a report of violations: nothing escapes
     assert isinstance(validate(raw), (ResiduatedLattice, ValidationReport))
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from reslat import filters as fi
 from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          ResiduatedLattice, iter_bits, mask_key, validate)
-from reslat.harness import (FIXTURE_EXPECT, _subset_samples, godel_chain,
-                            lukasiewicz_chain, product_instance)
+from reslat.families import godel_chain, lukasiewicz_chain, product_instance
+from reslat.harness import FIXTURE_EXPECT, _subset_samples
 
 from conftest import fresh, tokset, toksets
 

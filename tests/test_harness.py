@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from reslat import classify as cl
+from reslat import families as fam
 from reslat import harness as hz
 from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
                          ResiduatedLattice, SizeLimit, ValidationReport,
@@ -30,21 +31,21 @@ from conftest import fresh
 
 
 def test_fixture_generator(a6):
-    assert hz.fixture("a6") is a6          # cached, cheap to share
+    assert fam.fixture("a6") is a6         # cached, cheap to share
     with pytest.raises(Exception):
-        hz.fixture("z9")
+        fam.fixture("z9")
 
 
 def test_chain_generators():
-    two = hz.godel_chain(2)
+    two = fam.godel_chain(2)
     assert boolean_center(two)["elements"] == two.all_mask
-    l3 = hz.lukasiewicz_chain(3)
+    l3 = fam.lukasiewicz_chain(3)
     m = l3.index("x1")
     assert l3.prod[m][m] == l3.bottom and l3.neg(m) == m
     with pytest.raises(SizeLimit):
-        hz.lukasiewicz_chain(MAX_ELEMENTS + 1)
+        fam.lukasiewicz_chain(MAX_ELEMENTS + 1)
     with pytest.raises(SizeLimit):
-        hz.godel_chain(MAX_ELEMENTS + 1)
+        fam.godel_chain(MAX_ELEMENTS + 1)
 
 
 def test_suite_leaves_no_lattice_in_a_reference_cycle():
@@ -57,7 +58,7 @@ def test_suite_leaves_no_lattice_in_a_reference_cycle():
     try:
         path = importlib.resources.files("reslat") / "fixtures" / "b6.rlat"
         b6 = load_lattice(path)
-        instances = [b6, direct_product(b6, hz.godel_chain(2))]
+        instances = [b6, direct_product(b6, fam.godel_chain(2))]
         hz.run_theorem_suite(instances, "all")
         del instances, b6
         gc.collect()
@@ -87,7 +88,7 @@ def test_suite_refuses_out_of_sync_registry(monkeypatch):
     broken["made_up_anchor"] = ("core", lambda lat: hz.PASS)
     monkeypatch.setattr(hz, "PROPERTIES", broken)
     with pytest.raises(Exception, match="out of sync"):
-        hz.run_theorem_suite([hz.fixture("a6")], "core")
+        hz.run_theorem_suite([fam.fixture("a6")], "core")
 
 
 def test_suite_refuses_duplicate_instance_names(a6):
@@ -103,8 +104,8 @@ def test_suite_refuses_duplicate_instance_names(a6):
 def test_suite_takes_a_generator_of_instances():
     # the instances are read once, so a generator gives the list's report
     names = ("a6", "b6")
-    want = hz.run_theorem_suite([hz.fixture(n) for n in names])
-    got = hz.run_theorem_suite(hz.fixture(n) for n in names)
+    want = hz.run_theorem_suite([fam.fixture(n) for n in names])
+    got = hz.run_theorem_suite(fam.fixture(n) for n in names)
     assert got.counts() == want.counts() == {"pass": 146, "fail": 0,
                                              "not_applicable": 10}
     assert got.as_dict() == want.as_dict()
@@ -153,13 +154,13 @@ def test_suite_on_fixtures_passes(fixtures4):
 def test_suite_finishes_at_the_cap():
     # each instance of the cap's size gets the full suite, timed from an
     # empty memo, in at most 5 s
-    power = lambda base, k: reduce(hz.product_instance, [base] * k)
-    godel = hz.godel_chain(MAX_ELEMENTS)
-    at_cap = [godel, hz.lukasiewicz_chain(MAX_ELEMENTS),
-              power(hz.godel_chain(2), 6), power(hz.godel_chain(4), 3)]
+    power = lambda base, k: reduce(fam.product_instance, [base] * k)
+    godel = fam.godel_chain(MAX_ELEMENTS)
+    at_cap = [godel, fam.lukasiewicz_chain(MAX_ELEMENTS),
+              power(fam.godel_chain(2), 6), power(fam.godel_chain(4), 3)]
     assert [lat.n for lat in at_cap] == [MAX_ELEMENTS] * 4
-    for lat in at_cap + [hz.product_instance(hz.godel_chain(4),
-                                             hz.godel_chain(5))]:
+    for lat in at_cap + [fam.product_instance(fam.godel_chain(4),
+                                              fam.godel_chain(5))]:
         lat = fresh(lat)
         start = time.perf_counter()
         rep = hz.run_theorem_suite([lat], "all")
@@ -180,9 +181,9 @@ SUITE_DIGEST = \
 def test_suite_report_digest():
     # the whole report, every verdict and witness, on the acceptance family
     # and three larger instances
-    instances = list(hz.acceptance_family()) + [
-        hz.godel_chain(20), hz.lukasiewicz_chain(20),
-        hz.product_instance(hz.godel_chain(4), hz.godel_chain(5))]
+    instances = list(fam.acceptance_family()) + [
+        fam.godel_chain(20), fam.lukasiewicz_chain(20),
+        fam.product_instance(fam.godel_chain(4), fam.godel_chain(5))]
     report = hz.run_theorem_suite(instances).as_dict()
     assert report["counts"] == {"pass": 4950, "fail": 0,
                                 "not_applicable": 510}
@@ -191,7 +192,7 @@ def test_suite_report_digest():
 
 
 def test_fixture_expectation_properties_na_off_fixture():
-    rep = hz.run_theorem_suite([hz.godel_chain(3)], "core")
+    rep = hz.run_theorem_suite([fam.godel_chain(3)], "core")
     assert rep.verdict("Godel3", "exa6").status == "not_applicable"
     assert rep.verdict("Godel3", "compeleex").status == "not_applicable"
 
@@ -337,7 +338,7 @@ def test_subset_samples_match_randrange_reference():
     # past 10 elements the samples are the structured masks plus 400 draws
     # of rng.randrange(1 << n), whatever way the harness draws them
     for n in range(11, MAX_ELEMENTS + 1):
-        lat = hz.godel_chain(n)
+        lat = fam.godel_chain(n)
         rng = random.Random(0x5EED ^ n)
         want = {0, lat.all_mask}
         want.update((1 << x) | (1 << y) for x in range(n) for y in range(n))
@@ -892,7 +893,7 @@ def _flipped_reports(monkeypatch):
             gelfand=Flag(not rep.gelfand.value, rep.gelfand.witness),
             mp=Flag(not rep.mp.value, rep.mp.witness))
     monkeypatch.setattr(hz, "classify", flipped)
-    instances = hz.acceptance_family()[:20]   # fixtures, chains, 2 products
+    instances = fam.acceptance_family()[:20]   # fixtures, chains, 2 products
     reports = {grp: hz.run_theorem_suite(instances, grp).as_dict()
                for grp in ("gelfand", "mp")}
     return json.dumps(reports, indent=1) + "\n"

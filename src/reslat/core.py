@@ -13,9 +13,10 @@ and operation tables as bytes through one byte kernel (``read_through``).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import reduce
 from operator import and_, or_
-from operator import index as as_index, length_hint
+from operator import index as as_index
 from struct import unpack
 
 
@@ -298,7 +299,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
     """
     rep = ValidationReport(raw.name)
     names = raw.element_names
-    n = len(names)
+    n = len(names) if isinstance(names, Sequence) else 0
 
     if not (2 <= n <= MAX_ELEMENTS):
         rep.add("Bounds", f"element count {n} outside 2..{MAX_ELEMENTS}")
@@ -318,31 +319,41 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
         if dup is not None:
             rep.add("Bounds", f"element token {dup!r} is repeated", (dup,))
     # shapes and indices first: every later check indexes by them.  Refused:
-    # a table that is not a sequence, an order row that is not an int, is
-    # negative or has a bit at or past n, and a product row of another
-    # length (length_hint reads a non-sequence as 0)
+    # an order table that is not iterable, an order row that is not an int,
+    # is negative or has a bit at or past n, a product table or row that is
+    # not a sequence or has another length, and a residuum claim that is
+    # not three element indices
     pows = [1 << j for j in range(n)]
     up = list(raw.leq) if hasattr(raw.leq, "__iter__") else []
     if len(up) != n or set(map(type, up)) != {int} or min(up) < 0 or max(up) >> n:
         rep.add("Bounds", f"leq is not {n}x{n}")
-    if length_hint(raw.prod) != n or set(map(length_hint, raw.prod)) != {n}:
+    rows = raw.prod if isinstance(raw.prod, Sequence) else ()
+    if len(rows) != n or not all(issubclass(t, Sequence) for t in
+                                 set(map(type, rows))) or set(map(len, rows)) != {n}:
         rep.add("Bounds", f"prod is not {n}x{n}")
     for what, v in (("bottom", raw.bottom), ("top", raw.top)):
         fault = _index_fault(v, n)
         if fault:
             rep.add("Bounds", f"{what} index {fault}")
+    claims = list(raw.res_claims) if hasattr(raw.res_claims, "__iter__") \
+        else [raw.res_claims]
+    for c in claims:
+        if not isinstance(c, Sequence) or len(c) != 3 or any(
+                _index_fault(v, n) for v in c):
+            rep.add("Bounds", f"residuum claim {c!r} is not three element "
+                    "indices")
     if not rep.ok:
         return rep
     # bytes() reads each entry through __index__ and refuses one outside
     # 0..255; from here on the product is its rows as bytes
     try:
-        prod = list(map(bytes, raw.prod))
+        prod = list(map(bytes, rows))
         ok = max(map(max, prod)) < n
     except (TypeError, ValueError):
         ok = False
     if not ok:
         x, y, fault = next((x, y, f) for x in range(n) for y in range(n)
-                           if (f := _index_fault(raw.prod[x][y], n)))
+                           if (f := _index_fault(rows[x][y], n)))
         rep.add("Bounds", f"product {names[x]}*{names[y]} = {fault}",
                 (names[x], names[y]))
         return rep
@@ -457,7 +468,7 @@ def validate(raw: RawTables) -> ResiduatedLattice | ValidationReport:
                 f"{names[x]}*{names[y]} is not below {names[x]}^{names[y]}",
                 (names[x], names[y]))
 
-    for x, y, claimed in raw.res_claims:
+    for x, y, claimed in claims:
         if rep.ok and res[x][y] != claimed:
             rep.add("ResMismatch",
                     f"file claims {names[x]}->{names[y]} = {names[claimed]}, "

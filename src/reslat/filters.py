@@ -170,6 +170,8 @@ class FiltersLattice:
     ``join_t[i][j] == top_i``.  Only the lattice's name
     and element tokens are kept (for error messages): a back-reference to
     the lattice, whose memo holds this object, would make a reference cycle.
+    So A/{1}, which reads A's memo (``quotient``), is never stored in it,
+    and the name read through A/{1} is A's.
     """
 
     def __init__(self, name, names, filters, index, join_t, top_i):
@@ -323,7 +325,6 @@ class QuotientResult(namedtuple("QuotientResult",
         return out
 
 
-@per_lattice("quotient")
 def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     """Quotient by a filter F, whose classes are the fibres of x -> e*x.
 
@@ -337,18 +338,28 @@ def quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     respects every operation, so no validation pass is needed.
 
     F = {1} (e = 1) is the one filter whose fibres are all singletons: the
-    identity congruence.  A/{1} is then a new lattice on A's own tables,
-    tokens and bounds, with a memo of its own, and the identity projection.
+    identity congruence.  A/{1} is then a lattice on A's own tables with
+    the identity projection, whose memo is A's own dict, so nothing A has
+    built is built again for it.  It is never stored in that memo, which
+    would close a reference cycle; every other quotient is memoized.
     """
+    if f_mask == 1 << lat.top:
+        n = lat.n
+        q = ResiduatedLattice(f"{lat.name}/{lat.set_str(f_mask)}", lat.names,
+                              lat.up, lat.down, lat.join, lat.meet, lat.prod,
+                              lat.res, lat.bottom, lat.top)
+        q._cache = lat._cache
+        return QuotientResult(q, tuple(range(n)),
+                              tuple(1 << x for x in range(n)), n == 1)
+    return _quotient(lat, f_mask)
+
+
+@per_lattice("quotient")
+def _quotient(lat: ResiduatedLattice, f_mask: int) -> QuotientResult:
     e = least_elements(lat).get(f_mask)
     if e is None or lat.prod[e][e] != e:
         raise LatticeError(f"{lat.name}: {lat.set_str(f_mask)} is not a filter")
     name, n = f"{lat.name}/{lat.set_str(f_mask)}", lat.n
-    if e == lat.top:
-        q = ResiduatedLattice(name, lat.names, lat.up, lat.down, lat.join,
-                              lat.meet, lat.prod, lat.res, lat.bottom, lat.top)
-        return QuotientResult(q, tuple(range(n)),
-                              tuple(1 << x for x in range(n)), n == 1)
     fibres = {}
     for x, v in enumerate(lat.prod[e]):
         fibres[v] = fibres.get(v, 0) | 1 << x

@@ -418,39 +418,48 @@ def _pushed(family):
 _every("filqou", "core", _filters, _pushed(_filters), "filter")
 
 
+# the seeded draws of ``_subset_samples`` for each size n > 10, filled on
+# the first instance of that size: at most 400 masks per size, not the
+# n^2 pairs or the filters, which depend on the instance
+_DRAWS = {}
+
+
 def _subset_samples(lat):
-    if lat.n <= 10:
-        return range(1 << lat.n)
-    rng = random.Random(0x5EED ^ lat.n)
-    samples = {0, lat.all_mask}
-    samples.update((1 << x) | (1 << y)         # x = y gives the singletons
-                   for x in range(lat.n) for y in range(lat.n))
-    samples.update(_filters(lat))
-    # 400 draws of rng.randrange(1 << n), which keeps the getrandbits(n + 1)
-    # draws below 1 << n; the same values, without a Python call per draw
-    draws = map(rng.getrandbits, repeat(lat.n + 1))
-    samples.update(islice(filter((1 << lat.n).__gt__, draws), 400))
+    n = lat.n
+    if n <= 10:
+        return range(1 << n)
+    draws = _DRAWS.get(n)
+    if draws is None:
+        # 400 draws of rng.randrange(1 << n), which keeps the
+        # getrandbits(n + 1) draws below 1 << n; the same values, without a
+        # Python call per draw
+        rng = random.Random(0x5EED ^ n)
+        draws = _DRAWS[n] = tuple(islice(filter(
+            (1 << n).__gt__, map(rng.getrandbits, repeat(n + 1))), 400))
+    # y = x gives the singletons
+    samples = {(1 << x) | (1 << y) for x in range(n) for y in range(x, n)}
+    samples.update(draws, _filters(lat), (0, lat.all_mask))
     return sorted(samples)
 
 
-@_prop("intprimfilt", "core")
-def _p_intprimfilt(lat):
-    """Generated filter = intersection of the primes containing the set.
-
-    h(X) is an index mask over the primes: the AND of the rows of the
+def _subset_hulls(lat):
+    """X -> h(X), an index mask over the primes: the AND of the rows of the
     members of X, each row holding the primes that contain that element.
-    It is read off a table per 8-bit chunk of X, in which h(X u {x}) is
-    h(X) AND the row of x, so a subset of at most 8 elements is one lookup.
-    The intersection is taken once per distinct h(X).
+
+    It is read off a table per chunk of X, in which h(X u {x}) is h(X) AND
+    the row of x.  For n <= 10, where every subset is a sample, the chunk
+    is all of X and h is one list lookup; past that, chunks are 8 bits.
     """
-    spec = prime_filters(lat)
-    rows = point_rows(lat)
+    width = lat.n if lat.n <= 10 else 8
+    rows, full = point_rows(lat), (1 << len(prime_filters(lat))) - 1
     chunks = []
-    for base in range(0, lat.n, 8):
-        t = [(1 << len(spec)) - 1]
-        for row in rows[base:base + 8]:
+    for base in range(0, lat.n, width):
+        t = [full]
+        for row in rows[base:base + width]:
             t += [h_x & row for h_x in t]
         chunks.append(t)
+    if len(chunks) == 1:
+        return chunks[0].__getitem__
 
     def h(x_mask):
         out = -1
@@ -458,10 +467,21 @@ def _p_intprimfilt(lat):
             out &= t[x_mask & 255]
             x_mask >>= 8
         return out
+    return h
 
+
+@_prop("intprimfilt", "core")
+def _p_intprimfilt(lat):
+    """Generated filter = intersection of the primes containing the set.
+
+    h(X) comes from ``_subset_hulls``; the intersection is taken once per
+    distinct h(X).
+    """
+    spec = prime_filters(lat)
+    h = _subset_hulls(lat)
+    samples = _subset_samples(lat)
     kernels = {}
-    for x_mask in _subset_samples(lat):
-        h_x = h(x_mask)
+    for x_mask, h_x in zip(samples, map(h, samples)):
         if h_x not in kernels:
             kernels[h_x] = kernel(lat, [p for i, p in enumerate(spec)
                                         if h_x >> i & 1])

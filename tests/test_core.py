@@ -316,12 +316,50 @@ def test_validation_report_text(a6, case):
     assert [v.witness for v in report.violations] == witnesses
 
 
-@pytest.mark.parametrize("table", ["leq", "prod"])
-@pytest.mark.parametrize("value", [None, 6, 6.0, True],
-                         ids=["None", "int", "float", "bool"])
-def test_table_that_is_not_a_sequence_is_a_bounds_violation(a6, table, value):
-    report = validate(_a6_raw(a6, **{table: value}))
-    assert str(report) == f"A6: 1 violation(s)\n  [Bounds] {table} is not 6x6"
+def _a6_rows(a6, row):
+    """A6's product rows with row b replaced by ``row(A6's row b)``."""
+    rows = [list(r) for r in a6.prod]
+    rows[2] = row(rows[2])
+    return rows
+
+
+_NOT_A_SEQUENCE = [
+    pytest.param(field, lambda a6, v=value: v, f"{field} is not 6x6",
+                 id=f"{vid}-{field}")
+    for vid, value in (("None", None), ("int", 6), ("float", 6.0), ("bool", True))
+    for field in ("leq", "prod")
+] + [
+    pytest.param("element_names", lambda a6, v=value: v,
+                 "element count 0 outside 2..64", id=f"{vid}-element_names")
+    for vid, value in (("None", None), ("int", 6))
+] + [
+    pytest.param("prod", lambda a6: iter(a6.prod), "prod is not 6x6",
+                 id="iterator-prod"),
+    pytest.param("prod", lambda a6: _a6_rows(a6, lambda r: dict(enumerate(r))),
+                 "prod is not 6x6", id="mapping-row-prod"),
+    pytest.param("prod", lambda a6: _a6_rows(a6, lambda r: set(range(6))),
+                 "prod is not 6x6", id="set-row-prod"),
+    pytest.param("res_claims", lambda a6: [(0, 1)],
+                 "residuum claim (0, 1) is not three element indices",
+                 id="pair-res_claims"),
+    pytest.param("res_claims", lambda a6: [(0, 1, 2, 3)],
+                 "residuum claim (0, 1, 2, 3) is not three element indices",
+                 id="quadruple-res_claims"),
+    pytest.param("res_claims", lambda a6: [5],
+                 "residuum claim 5 is not three element indices",
+                 id="int-res_claims"),
+    pytest.param("res_claims", lambda a6: [(0, 1, 6)],
+                 "residuum claim (0, 1, 6) is not three element indices",
+                 id="out-of-range-res_claims"),
+]
+
+
+@pytest.mark.parametrize("field, value, text", _NOT_A_SEQUENCE)
+def test_table_that_is_not_a_sequence_is_a_bounds_violation(a6, field, value, text):
+    # a malformed RawTables field that no parser builds is reported, never
+    # raised, and a mapping or set row is not read as its keys
+    report = validate(_a6_raw(a6, **{field: value(a6)}))
+    assert str(report) == f"A6: 1 violation(s)\n  [Bounds] {text}"
     assert [v.witness for v in report.violations] == [()]
 
 
@@ -791,7 +829,9 @@ _ODD_VALUES = [None, True, -1, 1 << 70, 256, 1.5, 0.0, "a", "", b"\x01",
 def _mutated_tables(draw):
     """A fixture's or a chain's RawTables with one to three mutations: odd
     values in product cells, order rows and bounds; product and order tables
-    of the wrong shape; string and bytes rows; whole tables replaced."""
+    of the wrong shape; string, bytes, mapping and set rows; whole tables
+    replaced, the product by an iterator too; element names that are not a
+    sequence; residuum claims that are not three element indices."""
     raw = _raw_of(draw(st.sampled_from(_TABLE_BASES)))
     n = len(raw.leq)
     odd = st.sampled_from(_ODD_VALUES)
@@ -803,7 +843,7 @@ def _mutated_tables(draw):
 
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["cell", "order-row", "prod-row", "shape",
-                                     "bound", "table"]))
+                                     "bound", "table", "names", "claim"]))
         if kind == "cell" and (i := spot(raw.prod)) is not None \
                 and (j := spot(raw.prod[i])) is not None:
             raw.prod[i][j] = draw(odd | st.integers(-300, 300))
@@ -811,7 +851,9 @@ def _mutated_tables(draw):
             raw.leq[i] = draw(odd | st.integers(-(1 << n), 1 << (n + 2)))
         elif kind == "prod-row" and (i := spot(raw.prod)) is not None:
             raw.prod[i] = draw(st.sampled_from(["x" * n, bytes(n), [0] * (n - 1),
-                                                [0] * (n + 1), []]))
+                                                [0] * (n + 1), [],
+                                                dict.fromkeys(range(n), 0),
+                                                set(range(n))]))
         elif kind == "shape":
             t = draw(st.sampled_from([raw.leq, raw.prod]))
             if (i := spot(t)) is not None:
@@ -820,8 +862,15 @@ def _mutated_tables(draw):
             setattr(raw, draw(st.sampled_from(["bottom", "top"])),
                     draw(odd | st.integers(-3, n + 3)))
         elif kind == "table":
+            rows = [iter(raw.prod)] if isinstance(raw.prod, list) else []
             setattr(raw, draw(st.sampled_from(["leq", "prod"])),
-                    draw(odd | st.sampled_from([6, 6.0, "x" * n, bytes(n)])))
+                    draw(odd | st.sampled_from([6, 6.0, "x" * n, bytes(n)] + rows)))
+        elif kind == "names":
+            raw.element_names = draw(odd | st.sampled_from(
+                [n, iter(range(n)), dict.fromkeys(map(str, range(n)))]))
+        elif kind == "claim":
+            raw.res_claims.append(draw(odd | st.tuples(
+                *[st.integers(-1, n)] * draw(st.integers(0, 4)))))
     return raw
 
 

@@ -24,7 +24,7 @@ from reslat.core import (MAX_ELEMENTS, LatticeError, RawTables,
 from reslat.classify import Flag, boolean_center
 from reslat.filters import enumerate_filters, least_elements
 from reslat.purity import PureSpectrum, rho, sigma_filter, sigma_index
-from reslat.spectra import spec_space
+from reslat.spectra import h_set, prime_filters, spec_space
 from reslat.topology import separation_report
 
 from conftest import fresh
@@ -67,6 +67,21 @@ def test_suite_leaves_no_lattice_in_a_reference_cycle():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert cyclic == []
+
+
+def test_suite_leaves_no_cyclic_garbage(a6):
+    # with the collector off, a full suite run on a fresh instance frees
+    # everything it built by reference counting alone once it is dropped
+    gc.collect()
+    gc.disable()
+    try:
+        lat = fresh(a6)
+        hz.run_theorem_suite([lat], "all")
+        del lat
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_acceptance_family_shape(family):
@@ -334,17 +349,44 @@ def test_genfilprop_fails_with_witness(a6, b6):
             hz.Verdict("fail", {"item": 4, "x": "a", "y": "a"})
 
 
-def test_subset_samples_match_randrange_reference():
+def _size_n_instances(n):
+    """A Goedel chain, a Lukasiewicz chain and, where n has a proper factor
+    pair, a product of chains: instances of n elements with other filters."""
+    out = [fam.godel_chain(n), fam.lukasiewicz_chain(n)]
+    k = next((k for k in range(2, n) if n % k == 0), None)
+    if k is not None:
+        out.append(direct_product(fam.godel_chain(k), fam.lukasiewicz_chain(n // k)))
+    return out
+
+
+def test_subset_samples_match_randrange_reference(monkeypatch):
     # past 10 elements the samples are the structured masks plus 400 draws
-    # of rng.randrange(1 << n), whatever way the harness draws them
-    for n in range(11, MAX_ELEMENTS + 1):
-        lat = fam.godel_chain(n)
+    # of rng.randrange(1 << n), whatever way the harness draws them; the
+    # per-size table keeps one entry per size, and each entry is the draws
+    monkeypatch.setattr(hz, "_DRAWS", {})
+    sizes = range(11, MAX_ELEMENTS + 1)
+    for n in sizes:
         rng = random.Random(0x5EED ^ n)
-        want = {0, lat.all_mask}
-        want.update((1 << x) | (1 << y) for x in range(n) for y in range(n))
-        want.update(enumerate_filters(lat).filters)
-        want.update(rng.randrange(1 << n) for _ in range(400))
-        assert hz._subset_samples(lat) == sorted(want), n
+        draws = [rng.randrange(1 << n) for _ in range(400)]
+        for lat in _size_n_instances(n):
+            want = {0, lat.all_mask}
+            want.update((1 << x) | (1 << y) for x in range(n) for y in range(n))
+            want.update(enumerate_filters(lat).filters)
+            want.update(draws)
+            assert hz._subset_samples(lat) == sorted(want), lat.name
+        assert hz._DRAWS[n] == tuple(draws), n
+    assert hz._subset_samples(fam.godel_chain(10)) == range(1 << 10)
+    assert list(hz._DRAWS) == list(sizes)
+
+
+def test_subset_hulls_match_h(fixtures4):
+    # h(X) from the doubling list (n <= 10) and from the 8-bit chunks past
+    # that is h(X) by its definition, subset by subset
+    hn = load_lattice(HN_PATH)
+    for lat in (*fixtures4, hn, fam.godel_chain(12), fam.lukasiewicz_chain(11)):
+        spec, h = prime_filters(lat), hz._subset_hulls(lat)
+        assert [h(x) for x in range(1 << lat.n)] == \
+            [h_set(spec, x) for x in range(1 << lat.n)], lat.name
 
 
 # ``sigma_filter`` and ``rho`` read their memo first, so one planted entry
@@ -705,12 +747,14 @@ def test_purefilqou_fails_with_witness(a6, b6, monkeypatch):
 
 
 def test_purefilqou_reads_the_pure_filters_of_the_quotient(b6):
-    # a planted memo entry drops a pure filter of B6/{1} alone: the pure
-    # form fails at {1}, and the all-filters form does not read it
+    # a planted memo entry drops a pure filter of B6/{d,1} alone: the pure
+    # form fails at {d,1}, and the all-filters form does not read it.
+    # (B6/{1} reads B6's own memo, so B6/{d,1} is the first quotient with
+    # a memo of its own)
     lat = fresh(b6)
-    q = hz.quotient(lat, 1 << lat.top).quotient
-    q._cache["pure_filters"] = (1 << q.top, q.all_mask)
-    assert _verdict("purefilqou", lat) == hz.Verdict("fail", {"filter": ["1"]})
+    q = hz.quotient(lat, lat.mask_of(["d", "1"])).quotient
+    q._cache["pure_filters"] = (1 << q.top,)
+    assert _verdict("purefilqou", lat) == hz.Verdict("fail", {"filter": ["d", "1"]})
     assert _verdict("filqou", lat) == hz.PASS
 
 

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import LatticeError, ResiduatedLattice, iter_bits
+from .core import LatticeError, ResiduatedLattice, iter_bits, transpose
 from .filters import (coannihilator, coannulets, enumerate_filters,
                       generated_filter, hull, inside, kernel, maximal_filters,
-                      omega_filters, per_lattice, radical_index, x_perp)
-from .spectra import (D_operator, d_set, h_set, min_space, minimal_primes,
-                      nested_pair, prime_filters, spec_mask, spec_space)
+                      omega_filters, per_lattice, radical_index)
+from .spectra import (D_operator, d_set, h_set, max_space, min_space,
+                      minimal_primes, nested_pair, prime_filters, spec_mask,
+                      spec_space)
 from .purity import (d_topology, pure_filters, pure_spectrum, rho, rho_index,
                      sigma_filter, sigma_index)
-from .topology import (clopens, label_map, map_analysis, separation_report,
-                       subspace)
+from .topology import (clopens, is_homeomorphism, label_map,
+                       separation_report, subspace)
 
 
 class BijectionFailure(LatticeError):
@@ -220,8 +221,16 @@ def purely_maximal_points(lat: ResiduatedLattice) -> set:
 
 def f_a(lat: ResiduatedLattice, a: int) -> int:
     """F_a: intersection of the pure parts of the maximal filters over a."""
-    over_a = hull(maximal_filters(lat), 1 << a)
-    return kernel(lat, [rho(lat, m) for m in over_a])
+    return f_as(lat)[a]
+
+
+@per_lattice("f_as")
+def f_as(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """F_a for every element a, from one pure part per maximal filter."""
+    maxf = maximal_filters(lat)
+    rhos = [rho(lat, m) for m in maxf]
+    return tuple([kernel(lat, map(rhos.__getitem__, iter_bits(over)))
+                  for over in transpose(maxf, lat.n)])
 
 
 def _hull_closed_forms(lat, flavor, points) -> set:
@@ -255,9 +264,9 @@ def rho_m_homeomorphism(lat: ResiduatedLattice) -> bool:
     """rho restricted to Max_h is a homeomorphism onto Spp."""
     if not rho_m_well_defined(lat):
         return False
-    max_h = subspace(spec_space(lat, "h"), spec_mask(lat, maximal_filters(lat)))
-    rho_m = label_map(max_h, pure_spectrum(lat).space, lambda m: rho(lat, m))
-    return map_analysis(rho_m)["homeomorphism"]
+    rho_m = label_map(max_space(lat, "h"), pure_spectrum(lat).space,
+                      lambda m: rho(lat, m))
+    return is_homeomorphism(rho_m)
 
 
 def spp_equals_max_sigma(lat: ResiduatedLattice) -> bool:
@@ -279,8 +288,7 @@ def pure_filters_closed_form(lat: ResiduatedLattice) -> bool:
 
 def hull_kernel_equals_d_topology_on_max(lat: ResiduatedLattice) -> bool:
     mmask = spec_mask(lat, maximal_filters(lat))
-    return (subspace(spec_space(lat, "h"), mmask).nbhd ==
-            subspace(d_topology(lat), mmask).nbhd)
+    return max_space(lat, "h").nbhd == subspace(d_topology(lat), mmask).nbhd
 
 
 def rho_rad_adjunction(lat: ResiduatedLattice) -> bool:
@@ -342,8 +350,7 @@ def omega_filters_pure(lat: ResiduatedLattice) -> bool:
 
 
 def coannulets_pure(lat: ResiduatedLattice) -> bool:
-    pure = set(pure_filters(lat))
-    return all(x_perp(lat, x) in pure for x in range(lat.n))
+    return set(coannulets(lat)) <= set(pure_filters(lat))
 
 
 def d_of_maximal_pure_and_minimal(lat: ResiduatedLattice) -> bool:
@@ -367,7 +374,7 @@ def spp_in_max_sigma(lat: ResiduatedLattice) -> bool:
 def iota_spp_to_min_d_homeomorphism(lat: ResiduatedLattice) -> bool:
     """Spp and Min_d have the same points, and the identity is a homeomorphism."""
     iota = label_map(pure_spectrum(lat).space, min_space(lat, "d"))
-    return iota is not None and map_analysis(iota)["homeomorphism"]
+    return iota is not None and is_homeomorphism(iota)
 
 
 def min_d_hausdorff(lat: ResiduatedLattice) -> bool:
@@ -385,14 +392,15 @@ def pure_filters_closed_form_min(lat: ResiduatedLattice) -> bool:
 
 def coannulet_meets_fa_trivially(lat: ResiduatedLattice) -> bool:
     unit = 1 << lat.top
-    return all(x_perp(lat, a) & f_a(lat, a) == unit for a in range(lat.n))
+    return all(perp & fa == unit
+               for perp, fa in zip(coannulets(lat), f_as(lat)))
 
 
 def fa_join(lat: ResiduatedLattice, mask: int) -> int:
     """The filter generated by the F_a of the members of a set."""
-    union = 0
+    fas, union = f_as(lat), 0
     for a in iter_bits(mask):
-        union |= f_a(lat, a)
+        union |= fas[a]
     return generated_filter(lat, union)
 
 
@@ -403,7 +411,7 @@ def minimal_prime_is_join_of_fa(lat: ResiduatedLattice) -> bool:
 def min_h_homeomorphic_to_spp(lat: ResiduatedLattice) -> bool:
     """Min_h and Spp have the same points, and the identity is a homeomorphism."""
     iota = label_map(min_space(lat, "h"), pure_spectrum(lat).space)
-    return iota is not None and map_analysis(iota)["homeomorphism"]
+    return iota is not None and is_homeomorphism(iota)
 
 
 # (clause id, predicate, note), in certification order

@@ -248,7 +248,10 @@ def x_perp(lat: ResiduatedLattice, x: int) -> int:
     return coannulets(lat)[x]
 
 
+@per_lattice("coannulets")
 def coannulets(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """x^perp for every element x: the coannulet row of {1}, under a memo
+    key of its own, since the suite reads it thousands of times a pass."""
     return coannulet_row(lat, 1 << lat.top)
 
 

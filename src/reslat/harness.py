@@ -18,16 +18,16 @@ from .core import LatticeError, iter_bits, mask_key, read_through
 # the benchmark's workloads read the last three through this module
 from .families import (FIXTURE_NAMES, acceptance_family, godel_chain,
                        lukasiewicz_chain)
-from .filters import (coannulet_table, enumerate_filters, generated_filter,
-                      hull, ideal_generated, inside, is_alpha_filter,
-                      is_filter, is_projection_flat, kernel, lattice_ideals,
-                      least_elements, maximal_filters, omega_filter,
-                      omega_filters, principal_ideal, quotient, radical,
-                      radical_index, stable_powers, x_perp)
-from .spectra import (D_operator, d_set, h_set, min_space, minimal_primes,
-                      nested_pair, point_rows, prime_filters, spec_mask,
-                      spec_space, stability, support)
-from .purity import (d_of, d_topology, is_pure, pure_filters,
+from .filters import (coannulet_table, coannulets, enumerate_filters,
+                      generated_filter, hull, ideal_generated, inside,
+                      is_alpha_filter, is_filter, is_projection_flat, kernel,
+                      lattice_ideals, least_elements, maximal_filters,
+                      omega_filter, omega_filters, principal_ideal, quotient,
+                      radical, radical_index, stable_powers, x_perp)
+from .spectra import (D_operator, d_set, h_set, max_space, min_space,
+                      minimal_primes, nested_pair, point_rows, prime_filters,
+                      spec_mask, spec_space, stability, support)
+from .purity import (d_topology, is_pure, pure_filters,
                      pure_part_map_report, pure_spectrum,
                      purely_prime_filters, rho, rho_index, sigma_def,
                      sigma_filter, sigma_formulas, sigma_index, sink_ideal)
@@ -45,8 +45,8 @@ from .classify import (
     rho_below_max_implies_f_below, rho_equals_sigma, rho_m_homeomorphism,
     rho_rad_adjunction, spp_equals_max_sigma, spp_equals_rho_of_max,
     spp_hausdorff, spp_in_max_sigma, verify_flag_witness)
-from .topology import (components, irreducible_closed_sets, label_map,
-                       map_analysis, separation_report, subspace)
+from .topology import (components, irreducible_closed_sets, is_homeomorphism,
+                       label_map, map_analysis, separation_report, subspace)
 
 
 # expected outputs for the bundled fixtures, keyed by lattice name
@@ -504,8 +504,8 @@ _every("mp", "core", prime_filters,
 
 def _one_of_x_and_perp(lat, p):
     """A prime is minimal iff it holds exactly one of x and x-perp, per x."""
-    crit = all((((p >> x) & 1) == 1) != (x_perp(lat, x) & ~p == 0)
-               for x in range(lat.n))
+    crit = all((((p >> x) & 1) == 1) != (perp & ~p == 0)
+               for x, perp in enumerate(coannulets(lat)))
     return crit == (p in minimal_primes(lat))
 
 
@@ -641,7 +641,7 @@ def _p_omegprop(lat):
         return by_ideal[ideal]
 
     omeg = set(omega_filters(lat))
-    perp = [x_perp(lat, x) for x in range(lat.n)]
+    perp = coannulets(lat)
     downs = [principal_ideal(lat, x) for x in range(lat.n)]
     for x, (perp_x, down_x) in enumerate(zip(perp, downs)):
         if not omega(down_x) == omega_filter(lat, down_x) == perp_x:
@@ -675,7 +675,7 @@ def _p_omegprop(lat):
 
 @_prop("hulkerinstr", "core")
 def _p_hulkerinstr(lat):
-    subspace(spec_space(lat, "h"), spec_mask(lat, maximal_filters(lat)))
+    max_space(lat, "h")
     min_space(lat, "d")
     return Verdict("pass", None, "trivially compact (finite)")
 
@@ -796,9 +796,10 @@ _every("fbetasig", "purity", direct_summands,
 
 @_prop("flatpurethe", "purity")
 def _p_flatpurethe(lat):
+    pure = set(pure_filters(lat))
     for f in _filters(lat):
         flat, wit = is_projection_flat(lat, f)
-        if flat != is_pure(lat, f):
+        if flat != (f in pure):
             w = {"filter": _toks(lat, f), "flat": flat}
             if wit:
                 g, a, x = wit
@@ -810,11 +811,13 @@ def _p_flatpurethe(lat):
 
 @_prop("pureequalsupport", "purity")
 def _p_pureequalsupport(lat):
-    d_x = [d_set(prime_filters(lat), 1 << a) for a in range(lat.n)]
+    spec, pure = prime_filters(lat), pure_filters(lat)
+    pset = set(pure)
+    d_x = [d_set(spec, 1 << a) for a in range(lat.n)]
     for f in _filters(lat):
-        if (d_of(lat, f) == support(lat, f)) != is_pure(lat, f):
+        if (d_set(spec, f) == support(lat, f)) != (f in pset):
             return _fail({"filter": _toks(lat, f)})
-    for f in pure_filters(lat):
+    for f in pure:
         supp = support(lat, f)
         via = 0
         for a, d in enumerate(d_x):
@@ -828,11 +831,11 @@ def _p_pureequalsupport(lat):
 
 @_prop("purestable", "purity")
 def _p_purestable(lat):
-    spec = prime_filters(lat)
+    spec, pure = prime_filters(lat), set(pure_filters(lat))
     for f in _filters(lat):
-        d = d_of(lat, f)
+        d = d_set(spec, f)
         stable = stability(spec, d) == d
-        if stable != is_pure(lat, f):
+        if stable != (f in pure):
             return _fail({"filter": _toks(lat, f), "stable": stable})
     return PASS
 
@@ -878,7 +881,8 @@ def _p_sigmahyper(lat):
 @_prop("comxpureprime", "purity")
 def _p_comxpureprime(lat):
     fl = enumerate_filters(lat)
-    pp = [p for p in prime_filters(lat) if is_pure(lat, p)]
+    pure = set(pure_filters(lat))
+    pp = [p for p in prime_filters(lat) if p in pure]
     ids = [fl.idx(p) for p in pp]
     for p, i in zip(pp, ids):
         row = fl.join_t[i]
@@ -1112,7 +1116,7 @@ def _p_qoepuruspec(lat):
         if pm is None:
             return _fail({"filter": _toks(lat, f),
                           "note": "pulled point is not in the hull"})
-        if not map_analysis(pm)["homeomorphism"]:
+        if not is_homeomorphism(pm):
             return _fail({"filter": _toks(lat, f),
                           "analysis": map_analysis(pm)})
     return PASS
@@ -1225,9 +1229,10 @@ def _p_norgammsige(lat):
     # D of every maximal filter pure (a8: D of the unique maximal is {1}),
     # so that clause does not characterize mp at finite scale.
     m = _is_mp(lat)
-    c2 = all(is_pure(lat, D_operator(lat, p)) for p in prime_filters(lat))
-    c3 = all(is_pure(lat, D_operator(lat, mx)) for mx in maximal_filters(lat))
-    c4 = all(is_pure(lat, p) for p in minimal_primes(lat))
+    pure = set(pure_filters(lat))
+    c2 = all(D_operator(lat, p) in pure for p in prime_filters(lat))
+    c3 = all(D_operator(lat, mx) in pure for mx in maximal_filters(lat))
+    c4 = set(minimal_primes(lat)) <= pure
     return _when(c2 == m and c4 == m and (not m or c3),
                  lambda: {"mp": m, "c2": c2, "c3": c3, "c4": c4})
 

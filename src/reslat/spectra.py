@@ -4,8 +4,8 @@ Spectrum points are filters (bitmasks over lattice elements); spaces over
 them re-index the points 0..k-1 and carry the filter masks as labels.
 ``h_set`` and ``d_set`` are the hull h(X) and its complement d(X) over them.
 ``spec_space`` is the one hull-kernel construction: the space over any
-other family of primes (Min, Max) is its subspace on the family's
-``spec_mask``.
+other family of primes is its subspace on the family's ``spec_mask``, and
+Min and Max are memoized as ``min_space`` and ``max_space``.
 """
 
 from __future__ import annotations
@@ -119,6 +119,13 @@ def min_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
     """The minimal primes as a subspace of Spec with that flavor."""
     return subspace(spec_space(lat, flavor),
                     spec_mask(lat, minimal_primes(lat)))
+
+
+@per_lattice("max_space")
+def max_space(lat: ResiduatedLattice, flavor: str) -> FiniteSpace:
+    """The maximal filters as a subspace of Spec with that flavor."""
+    return subspace(spec_space(lat, flavor),
+                    spec_mask(lat, maximal_filters(lat)))
 
 
 def stability(points, subset_mask: int) -> int:

@@ -5,8 +5,13 @@ point p, and q in U_p says p lies in the closure of q (Stong, 1966).  A
 space therefore stores one row per point, ``nbhd[p]`` = U_p, and reads
 everything else off those k rows: a set is open when it contains the row
 of each of its points, the closure of a set collects the points whose row
-meets it, and each separation axiom is a fact about the preorder.  Points
-are indexed 0..k-1 and subsets of points are bitmasks.
+meets it, and each separation axiom is a fact about the preorder.  A map f
+is continuous when it carries each row U_p into U_{f(p)}, and a
+homeomorphism when it is a bijection that carries each U_p onto U_{f(p)}.
+Points are indexed 0..k-1 and subsets of points are bitmasks.
+
+Spaces are built here only, by ``space_from_subbasis`` and ``subspace``,
+and both yield a preorder by construction, so a space trusts its rows.
 """
 
 from __future__ import annotations
@@ -21,16 +26,13 @@ class FiniteSpace:
 
     ``labels`` are opaque identity carriers (filter bitmasks for spectra);
     a caller that prints a space makes the text for them.
+
+    The rows are trusted: the only constructors, ``space_from_subbasis``
+    (U_p is the meet of the subbasis members at p) and ``subspace`` (a
+    restriction of a preorder), yield a preorder by construction.
     """
 
     def __init__(self, labels: tuple, nbhd: tuple):
-        # one row per point, p in U_p, and q in U_p implies U_q inside U_p
-        k = len(labels)
-        if len(nbhd) != k or any(
-                not (u >> p) & 1 or u >> k or
-                any(nbhd[q] & ~u for q in iter_bits(u))
-                for p, u in enumerate(nbhd)):
-            raise LatticeError("space rows are not a preorder")
         self.labels = labels
         self.nbhd = nbhd
 
@@ -71,6 +73,21 @@ class FiniteSpace:
     def sorted_opens(self) -> list[int]:
         return sorted(self.opens, key=mask_key)
 
+    @cached_property
+    def separation(self) -> dict:
+        """Separation axioms and connectedness, read off the preorder.
+
+        T0: distinct points have distinct rows.  T1 and Hausdorff: every
+        row is a single point (a finite T1 space is discrete).  Sober: T0,
+        since every irreducible closed set of a finite space is a point
+        closure.  Read it through ``separation_report``.
+        """
+        t0 = len(set(self.nbhd)) == self.k
+        t1 = all(u == 1 << p for p, u in enumerate(self.nbhd))
+        return {"t0": t0, "t1": t1, "hausdorff": t1, "sober": t0,
+                "connected": len(components(self)) <= 1,
+                "compact_note": "trivially compact (finite)"}
+
 
 def space_from_subbasis(labels, subbasis) -> FiniteSpace:
     """The topology a subbasis generates: U_p is the meet of its members at p."""
@@ -83,11 +100,14 @@ def space_from_subbasis(labels, subbasis) -> FiniteSpace:
 
 
 def subspace(space: FiniteSpace, point_mask: int) -> FiniteSpace:
-    """Induced topology on a subset of points (relabelled 0..m-1)."""
+    """Induced topology on a subset of points (relabelled 0..m-1): each
+    row is the parent row inside the mask, its points renumbered."""
     pts = iter_bits(point_mask)
-    rows = tuple(sum(1 << i for i, q in enumerate(pts)
-                     if (space.nbhd[p] >> q) & 1) for p in pts)
-    return FiniteSpace(tuple(space.labels[p] for p in pts), rows)
+    bit = {q: 1 << i for i, q in enumerate(pts)}
+    rows = tuple([sum(map(bit.__getitem__,
+                          iter_bits(space.nbhd[p] & point_mask)))
+                  for p in pts])
+    return FiniteSpace(tuple([space.labels[p] for p in pts]), rows)
 
 
 def components(space: FiniteSpace) -> list[int]:
@@ -125,17 +145,8 @@ def irreducible_closed_sets(space: FiniteSpace):
 
 
 def separation_report(space: FiniteSpace) -> dict:
-    """Separation axioms and connectedness, read off the preorder.
-
-    T0: distinct points have distinct rows.  T1 and Hausdorff: every row
-    is a single point (a finite T1 space is discrete).  Sober: T0, since
-    every irreducible closed set of a finite space is a point closure.
-    """
-    t0 = len(set(space.nbhd)) == space.k
-    t1 = all(u == 1 << p for p, u in enumerate(space.nbhd))
-    return {"t0": t0, "t1": t1, "hausdorff": t1, "sober": t0,
-            "connected": len(components(space)) <= 1,
-            "compact_note": "trivially compact (finite)"}
+    """A copy of ``space.separation``, computed once per space."""
+    return dict(space.separation)
 
 
 class PointMap:
@@ -168,33 +179,48 @@ def label_map(source: FiniteSpace, target: FiniteSpace, relabel=None):
     ``relabel(label)`` (its own label by default), or None when some image
     is not a target label."""
     pos = {label: t for t, label in enumerate(target.labels)}
-    images = [relabel(q) if relabel else q for q in source.labels]
-    if any(q not in pos for q in images):
+    images = map(relabel, source.labels) if relabel else source.labels
+    mapping = tuple(map(pos.get, images))
+    if None in mapping:
         return None
-    return PointMap(source, target, tuple(pos[q] for q in images))
+    return PointMap(source, target, mapping)
+
+
+def is_homeomorphism(pm: PointMap) -> bool:
+    """A bijection between spaces of equal size that carries each row U_p
+    onto U_{f(p)}: then q lies over p iff f(q) lies over f(p), so f and its
+    inverse are both continuous."""
+    src, tgt, mapping = pm.source, pm.target, pm.mapping
+    if src.k != tgt.k or len(set(mapping)) != src.k:
+        return False
+    rows = tgt.nbhd
+    return all(pm.image_mask(u) == rows[t] for u, t in zip(src.nbhd, mapping))
 
 
 def map_analysis(pm: PointMap) -> dict:
     """Continuity, openness, closedness and friends for a point map.
 
-    Opens are unions of rows and closed sets unions of point closures, so
-    each property needs checking on those generators only.
+    f is continuous iff f(U_p) lies inside U_{f(p)} for every point p (the
+    preimage of U_{f(p)} is open, so it holds U_p).  Opens are unions of
+    rows and closed sets unions of point closures, so openness and
+    closedness need checking on those generators only.
     """
     src, tgt = pm.source, pm.target
-    continuous = all(src.is_open(pm.preimage_mask(u)) for u in tgt.nbhd)
-    open_map = all(tgt.is_open(pm.image_mask(u)) for u in src.nbhd)
+    images = [pm.image_mask(u) for u in src.nbhd]
+    continuous = all(not v & ~tgt.nbhd[t]
+                     for v, t in zip(images, pm.mapping))
+    open_map = all(tgt.is_open(v) for v in images)
     closed_map = all(tgt.is_closed(pm.image_mask(src.closure(1 << p)))
                      for p in range(src.k))
     injective = len(set(pm.mapping)) == src.k
     surjective = set(pm.mapping) == set(range(tgt.k))
-    homeo = continuous and open_map and injective and surjective
 
     image_labels = {tgt.labels[t] for t in pm.mapping}
     fixes = all(tgt.labels[pm.mapping[s]] == src.labels[s]
                 for s in range(src.k) if src.labels[s] in image_labels)
     return {"continuous": continuous, "open": open_map, "closed": closed_map,
             "injective": injective, "surjective": surjective,
-            "homeomorphism": homeo,
+            "homeomorphism": is_homeomorphism(pm),
             "retraction_onto_image": continuous and fixes}
 
 

@@ -125,6 +125,17 @@ def test_f_a_construction(a6):
         assert fi.x_perp(a6, a) & cl.f_a(a6, a) == unit
 
 
+def test_f_as_matches_the_per_element_formula(family):
+    # F_a is the meet of rho(M) over the maximal filters M that hold a
+    for lat in family:
+        fas = cl.f_as(lat)
+        assert len(fas) == lat.n
+        for a in range(lat.n):
+            over_a = fi.hull(fi.maximal_filters(lat), 1 << a)
+            want = fi.kernel(lat, [pu.rho(lat, m) for m in over_a])
+            assert fas[a] == cl.f_a(lat, a) == want, (lat.name, a)
+
+
 # certificate clause -> the suite properties that state the same fact
 CLAUSE_TWINS = {
     "rho_m_homeomorphism": ("sppgelfch",),

@@ -12,10 +12,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reslat import families
 from reslat.cli import build_parser, main, to_rlat_text
 from reslat.core import direct_product
+
+from test_core import _mutated_rlat
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("REGEN_GOLDENS"))
@@ -630,3 +633,24 @@ def test_root_fixture_copies_match_package_data():
     for name, pkg_path in FIXTURE_PATHS.items():
         assert (root / f"{name}.rlat").read_bytes() == \
             Path(pkg_path).read_bytes()
+
+
+_ODD_FILTERS = ["1", "a,1", "{c,d,1}", "e6 1", "", "{", "zz", "1,1"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_rlat(),
+       command=st.sampled_from(SUBCOMMANDS + [
+           ("gen", lambda p, f: ["gen", "--product", p, p])]),
+       filt=st.sampled_from(_ODD_FILTERS), as_json=st.booleans())
+def test_cli_exits_cleanly_on_mutated_text(text, command, filt, as_json,
+                                           tmp_path_factory):
+    # every subcommand on a mutated fixture exits 0-3 and prints no
+    # traceback: an exception that escapes main fails the test
+    path = tmp_path_factory.getbasetemp() / "mutated.rlat"
+    path.write_text(text, encoding="utf-8")
+    argv = command[1](str(path), filt)
+    got = run_cli(argv + ["--json"] if as_json else argv)
+    assert got["exit"] in (0, 1, 2, 3), (argv, got)
+    assert "Traceback" not in got["stdout"] + got["stderr"]

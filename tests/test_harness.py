@@ -772,7 +772,7 @@ def test_mp_and_1mineq_fail_with_witness(a6, b6, a8, monkeypatch):
                     "fail", {"prime": first}), pid
     # every coannulet is all of A: no proper prime meets the criterion, so
     # the first minimal prime fails
-    monkeypatch.setattr(hz, "x_perp", lambda lat, x: lat.all_mask)
+    monkeypatch.setattr(hz, "coannulets", lambda lat: (lat.all_mask,) * lat.n)
     assert _verdict("1mineq", b6) == hz.Verdict("fail", {"prime": ["d", "1"]})
 
 

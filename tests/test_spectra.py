@@ -249,3 +249,15 @@ def test_spectra_match_the_definitions(family):
         _check_spectra(lat)
         for f in fi.enumerate_filters(lat).filters:
             _check_spectra(fi.quotient(lat, f).quotient)
+
+
+def test_max_space_is_the_subspace_on_the_maximal_filters(family):
+    for lat in family:
+        mmask = sp.spec_mask(lat, fi.maximal_filters(lat))
+        for flavor in ("h", "d", "patch"):
+            got = sp.max_space(lat, flavor)
+            want = subspace(sp.spec_space(lat, flavor), mmask)
+            assert (got.labels, got.nbhd) == (want.labels, want.nbhd), \
+                (lat.name, flavor)
+            assert got.labels == fi.maximal_filters(lat)
+            assert sp.max_space(lat, flavor) is got

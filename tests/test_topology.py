@@ -8,20 +8,26 @@ two must agree on every small space the theorem suite builds.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from reslat import spectra as sp
-from reslat.core import LatticeError, iter_bits, mask_key
-from reslat.filters import maximal_filters
+from reslat.core import LatticeError, iter_bits, load_lattice, mask_key
+from reslat.filters import maximal_filters, quotient
+from reslat.harness import run_theorem_suite
 from reslat.purity import (d_of, d_topology, pure_filters,
                            pure_part_map, pure_spectrum, rho)
 from reslat.topology import (FiniteSpace, PointMap, clopens, components,
-                             irreducible_closed_sets, label_map, map_analysis,
-                             separation_report, space_from_subbasis,
-                             specialization_dot, subspace)
+                             irreducible_closed_sets, is_homeomorphism,
+                             label_map, map_analysis, separation_report,
+                             space_from_subbasis, specialization_dot,
+                             subspace)
+
+from conftest import assert_preorder, fresh
 
 ORACLE_MAX_POINTS = 8
+HN_PATH = Path(__file__).parent / "data" / "hn.rlat"
 
 
 class ExplicitSpace:
@@ -98,6 +104,18 @@ def explicit_map_analysis(pm, src, tgt):
     return {"continuous": continuous, "open": open_map, "closed": closed_map}
 
 
+def explicit_homeomorphism(pm, src, tgt):
+    """A continuous open bijection, with the opens taken from the families."""
+    want = explicit_map_analysis(pm, src, tgt)
+    return (want["continuous"] and want["open"] and
+            sorted(pm.mapping) == list(range(tgt.k)))
+
+
+def explicit_of(space):
+    """The oracle space with the opens that the rows of ``space`` generate."""
+    return ExplicitSpace.from_subbasis(space.k, space.nbhd)
+
+
 def _hull_kernel_subbasis(lat, points, flavor):
     hx = [sp.h_set(points, 1 << x) for x in range(lat.n)]
     dx = [((1 << len(points)) - 1) ^ m for m in hx]
@@ -142,14 +160,46 @@ def _assorted_spaces(fixtures4):
 
 
 def test_construction_rejects_non_topology():
-    with pytest.raises(LatticeError):          # p is not in its own row
-        FiniteSpace(("p", "q"), (0b10, 0b10))
-    with pytest.raises(LatticeError):          # q in U_p, but U_q not in U_p
-        FiniteSpace(("p", "q", "r"), (0b011, 0b110, 0b100))
-    with pytest.raises(LatticeError):          # a row leaves the space
-        FiniteSpace(("p",), (0b11,))
-    with pytest.raises(LatticeError):          # one row per point
-        FiniteSpace(("p", "q"), (0b01,))
+    # FiniteSpace trusts its rows, which its constructors make preorders;
+    # the test oracle refuses rows that are not
+    with pytest.raises(AssertionError):          # p is not in its own row
+        assert_preorder(FiniteSpace(("p", "q"), (0b10, 0b10)))
+    with pytest.raises(AssertionError):          # q in U_p, but U_q not in U_p
+        assert_preorder(FiniteSpace(("p", "q", "r"), (0b011, 0b110, 0b100)))
+    with pytest.raises(AssertionError):          # a row leaves the space
+        assert_preorder(FiniteSpace(("p",), (0b11,)))
+    with pytest.raises(AssertionError):          # one row per point
+        assert_preorder(FiniteSpace(("p", "q"), (0b01,)))
+    assert_preorder(FiniteSpace(("p", "q", "r"), (0b011, 0b010, 0b110)))
+    assert_preorder(FiniteSpace((), ()))
+
+
+def _library_spaces(lat):
+    """Every space the library builds on ``lat`` outside the suite."""
+    out = [sp.spec_space(lat, f) for f in ("h", "d", "patch")]
+    out += [sp.min_space(lat, f) for f in ("h", "d")]
+    out += [sp.max_space(lat, f) for f in ("h", "d")]
+    return out + [pure_spectrum(lat).space, d_topology(lat)]
+
+
+def test_every_space_the_library_builds_is_a_preorder(family, monkeypatch):
+    built = []
+    real_init = FiniteSpace.__init__
+
+    def recording(self, labels, nbhd):
+        real_init(self, labels, nbhd)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteSpace, "__init__", recording)
+    lats = [fresh(lat) for lat in family] + [load_lattice(HN_PATH)]
+    run_theorem_suite(lats)
+    quotients = [quotient(lat, f).quotient
+                 for lat in lats for f in pure_filters(lat)]
+    for lat in lats + quotients:
+        _library_spaces(lat)
+    for space in built:
+        assert_preorder(space)
+    assert len(built) > 2000
 
 
 def test_subbasis_generation():
@@ -275,6 +325,30 @@ def test_minimal_neighborhoods(b6, a6):
         assert u & one
 
 
+def _random_space(rng, k):
+    """The space a random subbasis generates on ``k`` points."""
+    subbasis = [rng.randrange(1 << k) for _ in range(rng.randrange(k + 2))]
+    return space_from_subbasis(tuple(range(k)), subbasis)
+
+
+def _old_subspace_rows(space, point_mask):
+    """The rows of a subspace by testing every pair of its points."""
+    pts = iter_bits(point_mask)
+    return tuple(sum(1 << i for i, q in enumerate(pts)
+                     if (space.nbhd[p] >> q) & 1) for p in pts)
+
+
+def test_subspace_matches_pairwise_formula():
+    rng = random.Random(2029)
+    for _ in range(400):
+        space = _random_space(rng, rng.randrange(9))
+        mask = rng.randrange(1 << space.k)
+        sub = subspace(space, mask)
+        assert sub.nbhd == _old_subspace_rows(space, mask), (space.nbhd, mask)
+        assert sub.labels == tuple(space.labels[p] for p in iter_bits(mask))
+        assert_preorder(sub)
+
+
 def test_subspace_traces(a6):
     sh = sp.spec_space(a6, "h")
     sub = subspace(sh, 0b11)
@@ -357,6 +431,86 @@ def test_map_analysis_agrees_with_explicit_opens_oracle(family):
                 sorted(pm.mapping) == list(range(pm.target.k)))
             checked += 1
     assert checked > 800
+
+
+def _permuted(space, perm):
+    """``space`` with point p renamed perm[p]: the rows are carried along."""
+    rows = [0] * space.k
+    for p, u in enumerate(space.nbhd):
+        rows[perm[p]] = sum(1 << perm[q] for q in iter_bits(u))
+    return FiniteSpace(tuple(range(space.k)), tuple(rows))
+
+
+def test_homeomorphism_rows_agree_with_oracle_on_random_maps():
+    # random preorders and maps: bijections onto a relabelled copy (each a
+    # homeomorphism), the same bijections into another space of that size,
+    # and arbitrary maps between spaces of different sizes
+    rng = random.Random(2901)
+    homeos = total = 0
+    for _ in range(300):
+        k = rng.randrange(1, 7)
+        src = _random_space(rng, k)
+        perm = list(range(k))
+        rng.shuffle(perm)
+        other = _random_space(rng, rng.randrange(1, 7))
+        maps = [PointMap(src, _permuted(src, perm), tuple(perm)),
+                PointMap(src, _random_space(rng, k), tuple(perm)),
+                PointMap(src, other, tuple(rng.randrange(other.k)
+                                           for _ in range(k)))]
+        for pm in maps:
+            src_ref, tgt_ref = explicit_of(pm.source), explicit_of(pm.target)
+            want = explicit_map_analysis(pm, src_ref, tgt_ref)
+            homeo = explicit_homeomorphism(pm, src_ref, tgt_ref)
+            got = map_analysis(pm)
+            assert is_homeomorphism(pm) == got["homeomorphism"] == homeo, \
+                (pm.source.nbhd, pm.target.nbhd, pm.mapping)
+            assert {key: got[key] for key in want} == want
+            homeos += homeo
+            total += 1
+    assert total == 900 and 300 <= homeos < 600
+
+
+def test_homeomorphism_rows_agree_with_oracle_on_suite_maps(fixtures4,
+                                                             monkeypatch):
+    # every point map that the suite and the certificates build on the
+    # fixtures and HN
+    maps = []
+    real_init = PointMap.__init__
+
+    def recording(self, source, target, mapping):
+        real_init(self, source, target, mapping)
+        maps.append(self)
+
+    monkeypatch.setattr(PointMap, "__init__", recording)
+    lats = [fresh(lat) for lat in fixtures4] + [load_lattice(HN_PATH)]
+    run_theorem_suite(lats)
+    for pm in maps:
+        src_ref, tgt_ref = explicit_of(pm.source), explicit_of(pm.target)
+        want = explicit_map_analysis(pm, src_ref, tgt_ref)
+        assert map_analysis(pm)["continuous"] == want["continuous"]
+        assert is_homeomorphism(pm) == \
+            explicit_homeomorphism(pm, src_ref, tgt_ref), pm.mapping
+    assert len(maps) > 25
+    assert 0 < sum(map(is_homeomorphism, maps)) < len(maps)
+
+
+def test_separation_report_returns_a_copy(b6):
+    space = pure_spectrum(b6).space
+    first = separation_report(space)
+    want = dict(first)
+    first["t0"] = first["connected"] = "changed"
+    first.clear()
+    assert separation_report(space) == want
+
+
+def test_label_map_does_not_swallow_relabel_errors(b6):
+    space = pure_spectrum(b6).space
+
+    def broken(label):
+        raise KeyError(label)
+
+    with pytest.raises(KeyError):
+        label_map(space, space, broken)
 
 
 def _gelnor_search(lat):
